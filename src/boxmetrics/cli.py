@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .ingest import IngestError, load_dataset
+from .ingest import IngestError, filter_min_games, load_dataset
 from .model import UnknownPlayerError, WeightConfig
 from .report import (
     EmptyAfterFilterError,
@@ -262,6 +262,9 @@ def _cmd_correlate(args) -> int:
 
 def _cmd_report_all(args) -> int:
     dataset, weights = _load(args)
+    # Every table filters by at least --min-games; filtering once here lets
+    # each table's own filter return this dataset, and its index, unchanged.
+    dataset = filter_min_games(dataset, args.min_games)
     out_dir = Path(args.out or "reports")
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = {"csv": "csv", "json": "json", "text": "txt"}[args.format]
@@ -277,8 +280,10 @@ def _cmd_report_all(args) -> int:
         path.write_bytes(render(table, args.format))
         written.append(path.name)
 
+    ranked = {}
     for metric in ("valoracion", "rend", "id", "io", "points"):
-        write(f"rank_{metric}", rank_players(dataset, metric, weights, **common))
+        ranked[metric] = rank_players(dataset, metric, weights, **common)
+        write(f"rank_{metric}", ranked[metric])
         write(
             f"rank_{metric}_per_minute",
             rank_players(dataset, metric, weights, per_minute=True, **common),
@@ -288,13 +293,7 @@ def _cmd_report_all(args) -> int:
             f"regularity_{metric}_per_minute",
             regularity_table(dataset, metric, weights, per_minute=True, **common),
         )
-    write(
-        "delta_valoracion_to_rend",
-        rank_delta(
-            rank_players(dataset, "valoracion", weights, **common),
-            rank_players(dataset, "rend", weights, **common),
-        ),
-    )
+    write("delta_valoracion_to_rend", rank_delta(ranked["valoracion"], ranked["rend"]))
     write(
         "plus_minus_overview",
         plus_minus_overview(

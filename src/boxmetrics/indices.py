@@ -108,8 +108,7 @@ def metric_value(line: BoxscoreLine, metric: str, weights: WeightConfig) -> floa
     if metric == "io":
         return offensive_index(line, weights)
     if metric == "rend":
-        idx = rendimiento(line, weights)
-        return idx.rend_raw
+        return defensive_index(line, weights) + offensive_index(line, weights)
     if metric == "valoracion":
         return valoracion_acb(line)
     if metric == "plus_minus":

@@ -14,6 +14,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from datetime import date
+from functools import cached_property
 from typing import IO, Iterable, Mapping
 
 from .model import BoxscoreLine, GameMeta, derived_points
@@ -126,17 +127,34 @@ class Dataset:
                 )
             seen.add(key)
 
+    @cached_property
+    def _by_player(self) -> dict[str, tuple[BoxscoreLine, ...]]:
+        """Each player's lines in chronological (date, game_id) order.
+
+        Built once, on first use; it holds references to the lines, not copies.
+        """
+        grouped: dict[str, list[BoxscoreLine]] = {}
+        for line in self.lines:
+            grouped.setdefault(line.player_id, []).append(line)
+        order = {gid: (game.date, gid) for gid, game in self.games.items()}
+        return {
+            player_id: tuple(sorted(mine, key=lambda ln: order[ln.game_id]))
+            for player_id, mine in grouped.items()
+        }
+
     def player_ids(self) -> list[str]:
-        return sorted({line.player_id for line in self.lines})
+        return sorted(self._by_player)
 
     def lines_for(self, player_id: str) -> list[BoxscoreLine]:
-        """All lines for a player in chronological (date, game_id) order."""
-        mine = [line for line in self.lines if line.player_id == player_id]
-        mine.sort(key=lambda ln: (self.games[ln.game_id].date, ln.game_id))
-        return mine
+        """All lines for a player in chronological (date, game_id) order.
+
+        The list is the caller's own: changing it leaves the dataset as is.
+        """
+        return list(self._by_player.get(player_id, ()))
 
     def game_count(self, player_id: str) -> int:
-        return len({ln.game_id for ln in self.lines if ln.player_id == player_id})
+        # A player has at most one line per game (checked in __post_init__).
+        return len(self._by_player.get(player_id, ()))
 
 
 def _as_text(stream: IO | str) -> io.TextIOBase:
@@ -508,14 +526,17 @@ def filter_min_games(dataset: Dataset, min_games: int) -> Dataset:
     """Keep only lines of players appearing in at least ``min_games`` games.
 
     The games table is left untouched; the threshold is inclusive. Applying
-    the filter twice is the same as applying it once.
+    the filter twice is the same as applying it once. When no player falls
+    below the threshold the same dataset object comes back.
     """
     if min_games < 1:
         raise ValueError(f"min_games must be >= 1, got {min_games}")
-    counts: dict[str, set[str]] = {}
-    for line in dataset.lines:
-        counts.setdefault(line.player_id, set()).add(line.game_id)
-    kept = tuple(
-        line for line in dataset.lines if len(counts[line.player_id]) >= min_games
-    )
+    dropped = {
+        player_id
+        for player_id, mine in dataset._by_player.items()
+        if len(mine) < min_games
+    }
+    if not dropped:
+        return dataset
+    kept = tuple(line for line in dataset.lines if line.player_id not in dropped)
     return Dataset(games=dataset.games, lines=kept, provenance=dataset.provenance)

@@ -39,8 +39,9 @@ class SeriesSummary:
     """Descriptive summary of one series.
 
     ``sd_sample`` uses divisor n-1 and is None for n = 1. ``regularity`` is
-    mean / sd_sample; for a constant series (sd_sample = 0, n = 1 included)
-    it is None and ``constant_series`` is set instead of dividing by zero.
+    mean / sd_sample; for a constant series (all values equal, n = 1
+    included, or a spread that rounds to sd_sample = 0) it is None and
+    ``constant_series`` is set instead of dividing by zero.
     """
 
     n: int
@@ -77,33 +78,18 @@ def summarize(series: MetricSeries | Sequence[float]) -> SeriesSummary:
     if not values:
         raise TooFewSamplesError("cannot summarize an empty series")
     center = mean(values)
-    sd_pop = population_sd(values)
-    if len(values) < 2:
-        return SeriesSummary(
-            n=1,
-            mean=center,
-            sd_sample=None,
-            sd_population=sd_pop,
-            regularity=None,
-            constant_series=True,
-        )
-    sd = sample_sd(values)
-    if sd == 0.0:
-        return SeriesSummary(
-            n=len(values),
-            mean=center,
-            sd_sample=0.0,
-            sd_population=sd_pop,
-            regularity=None,
-            constant_series=True,
-        )
+    # Equal values have no spread even when their mean rounds: 21 copies of
+    # 222 * 835.765 give a computed sample sd near 6e-11.
+    equal = all(v == values[0] for v in values)
+    sd = None if len(values) < 2 else 0.0 if equal else sample_sd(values)
+    constant = equal or sd == 0.0
     return SeriesSummary(
         n=len(values),
         mean=center,
         sd_sample=sd,
-        sd_population=sd_pop,
-        regularity=center / sd,
-        constant_series=False,
+        sd_population=0.0 if equal else population_sd(values),
+        regularity=None if constant else center / sd,
+        constant_series=constant,
     )
 
 

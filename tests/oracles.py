@@ -11,6 +11,31 @@ import math
 from typing import Sequence
 
 
+def naive_lines_for(dataset, player_id: str) -> list:
+    """Scan every line of the season, then sort the player's by (date, game_id)."""
+    mine = [line for line in dataset.lines if line.player_id == player_id]
+    mine.sort(key=lambda ln: (dataset.games[ln.game_id].date, ln.game_id))
+    return mine
+
+
+def naive_player_ids(dataset) -> list[str]:
+    return sorted({line.player_id for line in dataset.lines})
+
+
+def naive_game_count(dataset, player_id: str) -> int:
+    return len({ln.game_id for ln in dataset.lines if ln.player_id == player_id})
+
+
+def naive_filter_min_games(dataset, min_games: int) -> tuple:
+    """The lines a min-games filter keeps, counting each player's distinct games."""
+    counts: dict[str, set[str]] = {}
+    for line in dataset.lines:
+        counts.setdefault(line.player_id, set()).add(line.game_id)
+    return tuple(
+        line for line in dataset.lines if len(counts[line.player_id]) >= min_games
+    )
+
+
 def formula_defensive(line) -> float:
     """rd + tf - fpc + 2*br, written out literally."""
     return line.rd + line.tf - line.fpc + 2 * line.br

@@ -6,6 +6,8 @@ import json
 from datetime import date
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from boxmetrics import Dataset, GameMeta, derived_points, filter_min_games
 from boxmetrics.ingest import (
@@ -20,7 +22,13 @@ from boxmetrics.ingest import (
     serialize_csv,
     serialize_json,
 )
-from conftest import build_season, make_line
+from conftest import build_season, make_game, make_line
+from oracles import (
+    naive_filter_min_games,
+    naive_game_count,
+    naive_lines_for,
+    naive_player_ids,
+)
 
 GAMES_CSV = (
     "game_id,date,competition,home_team,away_team,home_score,away_score\r\n"
@@ -229,3 +237,46 @@ def test_zero_minute_line_accepted_and_tagged(season):
 def test_lines_for_is_chronological(season):
     game_ids = [ln.game_id for ln in season.lines_for("p1")]
     assert game_ids == ["G01", "G02", "G03", "G04", "G05", "G06"]
+
+
+@st.composite
+def seasons(draw) -> Dataset:
+    """Small seasons with shuffled lines, several games per date (so the
+    game_id tie-break decides the order), DNP lines and short stints."""
+    game_ids = draw(st.permutations([f"G{i}" for i in range(8)]))[: draw(st.integers(1, 8))]
+    games = {
+        gid: make_game(game_id=gid, date=date(2014, 1, draw(st.integers(1, 3))))
+        for gid in game_ids
+    }
+    lines = []
+    for gid in game_ids:
+        for player in range(draw(st.integers(1, 5))):
+            if draw(st.booleans()):
+                lines.append(make_line(
+                    player_id=f"p{player}",
+                    game_id=gid,
+                    team=draw(st.sampled_from(("MAD", "BCN"))),
+                    minutes=draw(st.sampled_from((0.0, 12.5, 30.0))),
+                    t1c=draw(st.integers(0, 3)),
+                ))
+    return Dataset(games=games, lines=tuple(draw(st.permutations(lines))))
+
+
+@given(season=seasons(), min_games=st.integers(1, 9))
+def test_player_index_matches_naive_scan(season, min_games):
+    assert season.player_ids() == naive_player_ids(season)
+    for player_id in naive_player_ids(season) + ["nobody"]:
+        assert season.game_count(player_id) == naive_game_count(season, player_id)
+        mine = season.lines_for(player_id)
+        assert mine == naive_lines_for(season, player_id)
+        mine.reverse()
+        mine.append(None)
+        assert season.lines_for(player_id) == naive_lines_for(season, player_id)
+
+    filtered = filter_min_games(season, min_games)
+    kept = naive_filter_min_games(season, min_games)
+    assert filtered.lines == kept
+    assert filtered.games == season.games
+    assert (filtered is season) == (kept == season.lines)
+    for player_id in naive_player_ids(filtered):
+        assert filtered.lines_for(player_id) == naive_lines_for(filtered, player_id)

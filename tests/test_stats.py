@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from boxmetrics import (
@@ -76,6 +76,7 @@ def test_summarize_accepts_metric_series():
     values=st.lists(st.integers(1, 500).map(float), min_size=2, max_size=30),
     scale=st.floats(min_value=1e-3, max_value=1e3),
 )
+@example(values=[222.0] * 21, scale=835.765)
 def test_regularity_scale_invariant(values, scale):
     base = summarize(values)
     scaled = summarize([scale * v for v in values])
