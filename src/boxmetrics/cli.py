@@ -94,18 +94,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace):
-    dataset = load_dataset(args.games, args.lines, args.json_path)
-    if args.weights:
-        weights = WeightConfig.from_json(Path(args.weights).read_text(encoding="utf-8"))
-    else:
-        weights = WeightConfig.defaults()
+    # Flags first: a bad one fails at once, not after the whole season is read.
     if not 0.0 < args.alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {args.alpha}")
     if args.min_games < 1:
         raise ValueError(f"min-games must be >= 1, got {args.min_games}")
     if args.close_threshold < 0:
         raise ValueError(f"close-threshold must be >= 0, got {args.close_threshold}")
-    return dataset, weights
+    if args.weights:
+        weights = WeightConfig.from_json(Path(args.weights).read_text(encoding="utf-8"))
+    else:
+        weights = WeightConfig.defaults()
+    return load_dataset(args.games, args.lines, args.json_path), weights
 
 
 def _emit(payload: bytes, out: str | None) -> None:
@@ -141,7 +141,7 @@ def _cmd_validate(args) -> int:
     dataset, _ = _load(args)
     print(
         f"ok: {len(dataset.games)} games, {len(dataset.lines)} lines, "
-        f"{len(dataset.player_ids())} players"
+        f"{len({line.player_id for line in dataset.lines})} players"
     )
     return EXIT_OK
 

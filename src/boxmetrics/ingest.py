@@ -15,7 +15,8 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
-from typing import IO, Iterable, Mapping
+from operator import itemgetter
+from typing import IO, Iterable, Mapping, NoReturn
 
 from .model import BoxscoreLine, GameMeta, derived_points
 
@@ -55,6 +56,12 @@ LINES_HEADER = (
 # An optional trailing "points" column is accepted and checked against the
 # derived value, never stored.
 OPTIONAL_LINES_COLUMN = "points"
+_COUNT_COLUMNS = LINES_HEADER[5:20]  # t2c .. fpr
+_GAME_FIELDS = frozenset(GAMES_HEADER)
+_LINE_FIELDS = frozenset(LINES_HEADER)
+_LINE_FIELDS_WITH_POINTS = _LINE_FIELDS | {OPTIONAL_LINES_COLUMN}
+_game_cells = itemgetter(*GAMES_HEADER)
+_line_cells = itemgetter(*LINES_HEADER)
 
 
 class IngestError(ValueError):
@@ -108,24 +115,25 @@ class Dataset:
         object.__setattr__(self, "lines", tuple(self.lines))
         seen: set[tuple[str, str]] = set()
         for line in self.lines:
-            game = self.games.get(line.game_id)
-            if game is None:
-                raise DanglingGameRefError(
-                    f"line for player {line.player_id!r} references unknown "
-                    f"game_id {line.game_id!r}"
-                )
-            if line.team not in (game.home_team, game.away_team):
-                raise BadValueError(
-                    f"line for player {line.player_id!r} in game {line.game_id!r}: "
-                    f"team {line.team!r} did not play in that game"
-                )
-            key = (line.player_id, line.game_id)
-            if key in seen:
-                raise DuplicateLineError(
-                    f"duplicate line for player {line.player_id!r} in game "
-                    f"{line.game_id!r}"
-                )
-            seen.add(key)
+            try:
+                _check_references(self.games, seen, line.player_id, line.team, line.game_id)
+            except IngestError as exc:
+                raise _located(f"line for player {line.player_id!r}", exc) from None
+
+    @classmethod
+    def _from_checked(
+        cls,
+        games: dict[str, GameMeta],
+        lines: tuple[BoxscoreLine, ...],
+        provenance: Provenance,
+    ) -> "Dataset":
+        """A dataset whose lines already passed :func:`_check_references`
+        against ``games``, so ``__post_init__`` need not check them again."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "games", games)
+        object.__setattr__(dataset, "lines", lines)
+        object.__setattr__(dataset, "provenance", provenance)
+        return dataset
 
     @cached_property
     def _by_player(self) -> dict[str, tuple[BoxscoreLine, ...]]:
@@ -153,7 +161,7 @@ class Dataset:
         return list(self._by_player.get(player_id, ()))
 
     def game_count(self, player_id: str) -> int:
-        # A player has at most one line per game (checked in __post_init__).
+        # A player has at most one line per game (see _check_references).
         return len(self._by_player.get(player_id, ()))
 
 
@@ -168,28 +176,40 @@ def _as_text(stream: IO | str) -> io.TextIOBase:
     return io.StringIO(first)
 
 
-def _parse_int(raw: str, column: str, where: str) -> int:
+def _located(where: str, exc: ValueError) -> IngestError:
+    """``exc`` with ``where`` put in front of its message. A plain
+    ``ValueError`` (a model type rejecting a value) becomes a
+    :class:`BadValueError`; ingest errors keep their class."""
+    cls = type(exc) if isinstance(exc, IngestError) else BadValueError
+    return cls(f"{where}: {exc}")
+
+
+def _check_references(
+    games: Mapping[str, GameMeta],
+    seen: set[tuple[str, str]],
+    player_id: str,
+    team: str,
+    game_id: str,
+) -> None:
+    """The checks that tie a line to its season: its game exists, its team
+    played in it, and its player has no other line for that game. ``seen``
+    holds the (player_id, game_id) pairs of the lines checked before it."""
+    game = games.get(game_id)
+    if game is None:
+        raise DanglingGameRefError(f"unknown game_id {game_id!r}")
+    if team != game.home_team and team != game.away_team:
+        raise BadValueError(f"team {team!r} did not play in game {game_id!r}")
+    key = (player_id, game_id)
+    if key in seen:
+        raise DuplicateLineError(f"duplicate (player_id, game_id) = {key!r}")
+    seen.add(key)
+
+
+def _parse_int(raw: str, column: str) -> int:
     try:
         return int(raw)
-    except (TypeError, ValueError):
-        raise BadValueError(f"{where}: column {column!r} must be an integer, got {raw!r}")
-
-
-def _parse_count(raw: str, column: str, where: str) -> int:
-    value = _parse_int(raw, column, where)
-    if value < 0:
-        raise BadValueError(f"{where}: column {column!r} must be >= 0, got {value}")
-    return value
-
-
-def _parse_minutes(raw: str, where: str) -> float:
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise BadValueError(f"{where}: column 'minutes' must be decimal minutes, got {raw!r}")
-    if value < 0:
-        raise BadValueError(f"{where}: column 'minutes' must be >= 0, got {value}")
-    return value
+    except ValueError:
+        raise BadValueError(f"column {column!r} must be an integer, got {raw!r}") from None
 
 
 def _check_header(actual: Iterable[str], expected: tuple[str, ...], what: str) -> bool:
@@ -209,62 +229,40 @@ def _check_header(actual: Iterable[str], expected: tuple[str, ...], what: str) -
     )
 
 
-def _build_game(values: Mapping[str, object], where: str) -> GameMeta:
-    raw_date = values["date"]
+def _add_game(
+    games: dict[str, GameMeta],
+    game_id: str,
+    raw_date: object,
+    competition: str,
+    home_team: str,
+    away_team: str,
+    home_score: object,
+    away_score: object,
+) -> None:
+    """Build a game from its cells and add it to ``games``; a tied final
+    score or a repeated game_id is rejected."""
     try:
         parsed_date = date.fromisoformat(str(raw_date))
     except ValueError:
-        raise BadValueError(f"{where}: column 'date' must be ISO-8601, got {raw_date!r}")
-    if isinstance(values["home_score"], str):
-        home = _parse_count(values["home_score"], "home_score", where)
-        away = _parse_count(values["away_score"], "away_score", where)
-    else:
-        home = _json_count(values["home_score"], "home_score", where)
-        away = _json_count(values["away_score"], "away_score", where)
-    if home == away:
-        raise BadValueError(f"{where}: tied final score {home}-{away} is not a valid result")
-    try:
-        return GameMeta(
-            game_id=str(values["game_id"]),
-            date=parsed_date,
-            competition=str(values["competition"]),
-            home_team=str(values["home_team"]),
-            away_team=str(values["away_team"]),
-            home_score=home,
-            away_score=away,
-        )
-    except ValueError as exc:
-        raise BadValueError(f"{where}: {exc}")
+        raise BadValueError(f"column 'date' must be ISO-8601, got {raw_date!r}") from None
+    game = GameMeta(
+        game_id, parsed_date, competition, home_team, away_team, home_score, away_score
+    )
+    if game.home_score == game.away_score:
+        raise BadValueError(f"tied final score {home_score}-{away_score} is not a valid result")
+    if game_id in games:
+        raise DuplicateGameError(f"duplicate game_id {game_id!r}")
+    games[game_id] = game
 
 
-def _build_line(
-    values: Mapping[str, object],
-    counts: Mapping[str, int],
-    minutes: float,
-    plus_minus: int | None,
-    starter: bool,
-    points: int | None,
-    where: str,
-) -> BoxscoreLine:
-    try:
-        line = BoxscoreLine(
-            player_id=str(values["player_id"]),
-            player_name=str(values["player_name"]),
-            team=str(values["team"]),
-            game_id=str(values["game_id"]),
-            minutes=minutes,
-            plus_minus=plus_minus,
-            starter=starter,
-            **counts,
-        )
-    except ValueError as exc:
-        raise BadValueError(f"{where}: {exc}")
-    if points is not None and points != derived_points(line):
+def _check_points(points: int, line: BoxscoreLine) -> None:
+    """The optional points column must agree with the derived points."""
+    if points < 0:
+        raise BadValueError(f"column 'points' must be >= 0, got {points}")
+    if points != derived_points(line):
         raise PointsMismatchError(
-            f"{where}: points column says {points} but counts derive "
-            f"{derived_points(line)}"
+            f"points column says {points} but counts derive {derived_points(line)}"
         )
-    return line
 
 
 def parse_csv(games_stream: IO | str, lines_stream: IO | str, *, source: str = "<stream>") -> Dataset:
@@ -283,14 +281,16 @@ def parse_csv(games_stream: IO | str, lines_stream: IO | str, *, source: str = "
         raise MissingColumnError("games file is empty; expected a header row")
     _check_header(header, GAMES_HEADER, "games")
     for idx, row in enumerate(games_rows, start=2):
-        where = f"games row {idx}"
-        if len(row) != len(GAMES_HEADER):
-            raise BadValueError(f"{where}: expected {len(GAMES_HEADER)} fields, got {len(row)}")
-        values = dict(zip(GAMES_HEADER, row))
-        game = _build_game(values, where)
-        if game.game_id in games:
-            raise DuplicateGameError(f"{where}: duplicate game_id {game.game_id!r}")
-        games[game.game_id] = game
+        try:
+            if len(row) != len(GAMES_HEADER):
+                raise BadValueError(f"expected {len(GAMES_HEADER)} fields, got {len(row)}")
+            game_id, raw_date, competition, home_team, away_team, home, away = row
+            _add_game(
+                games, game_id, raw_date, competition, home_team, away_team,
+                _parse_int(home, "home_score"), _parse_int(away, "away_score"),
+            )
+        except ValueError as exc:
+            raise _located(f"games row {idx}", exc) from None
 
     lines: list[BoxscoreLine] = []
     seen: set[tuple[str, str]] = set()
@@ -301,50 +301,52 @@ def parse_csv(games_stream: IO | str, lines_stream: IO | str, *, source: str = "
         raise MissingColumnError("lines file is empty; expected a header row")
     has_points = _check_header(header, LINES_HEADER, "lines")
     expected_len = len(LINES_HEADER) + (1 if has_points else 0)
-    count_columns = LINES_HEADER[5:20]  # t2c .. fpr
     for idx, row in enumerate(lines_rows, start=2):
-        where = f"lines row {idx}"
-        if len(row) != expected_len:
-            raise BadValueError(f"{where}: expected {expected_len} fields, got {len(row)}")
-        values = dict(zip(LINES_HEADER, row))
-        counts = {c: _parse_count(values[c], c, where) for c in count_columns}
-        minutes = _parse_minutes(values["minutes"], where)
-        raw_pm = values["plus_minus"]
-        plus_minus = None if raw_pm == "" else _parse_int(raw_pm, "plus_minus", where)
-        raw_starter = values["starter"]
-        if raw_starter not in ("true", "false"):
-            raise BadValueError(
-                f"{where}: column 'starter' must be 'true' or 'false', got {raw_starter!r}"
+        try:
+            if len(row) != expected_len:
+                raise BadValueError(f"expected {expected_len} fields, got {len(row)}")
+            game_id, player_id, player_name, team, raw_minutes = row[:5]
+            raw_counts = row[5:20]
+            try:
+                counts = list(map(int, raw_counts))
+            except ValueError:
+                counts = [_parse_int(raw, c) for raw, c in zip(raw_counts, _COUNT_COLUMNS)]
+            try:
+                minutes = float(raw_minutes)
+            except ValueError:
+                raise BadValueError(
+                    f"column 'minutes' must be decimal minutes, got {raw_minutes!r}"
+                ) from None
+            raw_pm, raw_starter = row[20:22]
+            plus_minus = None if raw_pm == "" else _parse_int(raw_pm, "plus_minus")
+            if raw_starter not in ("true", "false"):
+                raise BadValueError(
+                    f"column 'starter' must be 'true' or 'false', got {raw_starter!r}"
+                )
+            points = _parse_int(row[22], "points") if has_points else None
+            _check_references(games, seen, player_id, team, game_id)
+            # LINES_HEADER lists the counts in BoxscoreLine's field order.
+            line = BoxscoreLine(
+                player_id, player_name, team, game_id, minutes, *counts,
+                plus_minus, raw_starter == "true",
             )
-        starter = raw_starter == "true"
-        points = _parse_count(row[-1], "points", where) if has_points else None
-        if values["game_id"] not in games:
-            raise DanglingGameRefError(
-                f"{where}: unknown game_id {values['game_id']!r}"
-            )
-        line = _build_line(values, counts, minutes, plus_minus, starter, points, where)
-        game = games[line.game_id]
-        if line.team not in (game.home_team, game.away_team):
-            raise BadValueError(
-                f"{where}: team {line.team!r} did not play in game {line.game_id!r}"
-            )
-        key = (line.player_id, line.game_id)
-        if key in seen:
-            raise DuplicateLineError(
-                f"{where}: duplicate (player_id, game_id) = {key!r}"
-            )
-        seen.add(key)
+            if points is not None:
+                _check_points(points, line)
+        except ValueError as exc:
+            raise _located(f"lines row {idx}", exc) from None
         lines.append(line)
 
-    return Dataset(games=games, lines=tuple(lines), provenance=Provenance(source, "csv"))
+    return Dataset._from_checked(games, tuple(lines), Provenance(source, "csv"))
 
 
-def _json_count(value: object, column: str, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BadValueError(f"{where}: field {column!r} must be an integer, got {value!r}")
-    if value < 0:
-        raise BadValueError(f"{where}: field {column!r} must be >= 0, got {value}")
-    return value
+def _reject_fields(entry: dict, header: tuple[str, ...], allowed: frozenset[str]) -> NoReturn:
+    """Raise for a JSON object whose fields are not ``header`` (plus any
+    others in ``allowed``), naming the missing or unknown ones."""
+    missing = [c for c in header if c not in entry]
+    if missing:
+        raise MissingColumnError(f"missing field(s) {', '.join(missing)}")
+    unknown = sorted(set(entry) - allowed)
+    raise BadValueError(f"unknown field(s) {', '.join(unknown)}")
 
 
 def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
@@ -364,68 +366,52 @@ def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
 
     games: dict[str, GameMeta] = {}
     for idx, entry in enumerate(doc["games"], start=1):
-        where = f"games entry {idx}"
-        if not isinstance(entry, dict):
-            raise BadValueError(f"{where}: must be an object")
-        missing = [c for c in GAMES_HEADER if c not in entry]
-        if missing:
-            raise MissingColumnError(f"{where}: missing field(s) {', '.join(missing)}")
-        unknown = sorted(set(entry) - set(GAMES_HEADER))
-        if unknown:
-            raise BadValueError(f"{where}: unknown field(s) {', '.join(unknown)}")
-        game = _build_game(entry, where)
-        if game.game_id in games:
-            raise DuplicateGameError(f"{where}: duplicate game_id {game.game_id!r}")
-        games[game.game_id] = game
+        try:
+            if not isinstance(entry, dict):
+                raise BadValueError("must be an object")
+            if entry.keys() != _GAME_FIELDS:
+                _reject_fields(entry, GAMES_HEADER, _GAME_FIELDS)
+            game_id, raw_date, competition, home_team, away_team, home, away = _game_cells(entry)
+            _add_game(
+                games, str(game_id), raw_date, str(competition), str(home_team),
+                str(away_team), home, away,
+            )
+        except ValueError as exc:
+            raise _located(f"games entry {idx}", exc) from None
 
     lines: list[BoxscoreLine] = []
     seen: set[tuple[str, str]] = set()
-    count_columns = LINES_HEADER[5:20]
-    allowed = set(LINES_HEADER) | {OPTIONAL_LINES_COLUMN}
     for idx, entry in enumerate(doc["lines"], start=1):
-        where = f"lines entry {idx}"
-        if not isinstance(entry, dict):
-            raise BadValueError(f"{where}: must be an object")
-        missing = [c for c in LINES_HEADER if c not in entry]
-        if missing:
-            raise MissingColumnError(f"{where}: missing field(s) {', '.join(missing)}")
-        unknown = sorted(set(entry) - allowed)
-        if unknown:
-            raise BadValueError(f"{where}: unknown field(s) {', '.join(unknown)}")
-        counts = {c: _json_count(entry[c], c, where) for c in count_columns}
-        raw_minutes = entry["minutes"]
-        if isinstance(raw_minutes, bool) or not isinstance(raw_minutes, (int, float)):
-            raise BadValueError(f"{where}: field 'minutes' must be a number, got {raw_minutes!r}")
-        minutes = _parse_minutes(str(raw_minutes), where)
-        raw_pm = entry["plus_minus"]
-        if raw_pm is None:
-            plus_minus = None
-        elif isinstance(raw_pm, bool) or not isinstance(raw_pm, int):
-            raise BadValueError(f"{where}: field 'plus_minus' must be an integer or null")
-        else:
-            plus_minus = raw_pm
-        if not isinstance(entry["starter"], bool):
-            raise BadValueError(f"{where}: field 'starter' must be a boolean")
-        points = (
-            _json_count(entry[OPTIONAL_LINES_COLUMN], "points", where)
-            if OPTIONAL_LINES_COLUMN in entry
-            else None
-        )
-        if entry["game_id"] not in games:
-            raise DanglingGameRefError(f"{where}: unknown game_id {entry['game_id']!r}")
-        line = _build_line(entry, counts, minutes, plus_minus, entry["starter"], points, where)
-        game = games[line.game_id]
-        if line.team not in (game.home_team, game.away_team):
-            raise BadValueError(
-                f"{where}: team {line.team!r} did not play in game {line.game_id!r}"
+        try:
+            if not isinstance(entry, dict):
+                raise BadValueError("must be an object")
+            keys = entry.keys()
+            if keys == _LINE_FIELDS:
+                points = None
+            elif keys == _LINE_FIELDS_WITH_POINTS:
+                points = entry[OPTIONAL_LINES_COLUMN]
+                if isinstance(points, bool) or not isinstance(points, int):
+                    raise BadValueError(f"field 'points' must be an integer, got {points!r}")
+            else:
+                _reject_fields(entry, LINES_HEADER, _LINE_FIELDS_WITH_POINTS)
+            (game_id, player_id, player_name, team, minutes,
+             *counts, plus_minus, starter) = _line_cells(entry)
+            if isinstance(minutes, bool) or not isinstance(minutes, (int, float)):
+                raise BadValueError(f"field 'minutes' must be a number, got {minutes!r}")
+            player_id, team = str(player_id), str(team)
+            # game_id is compared as given: only a string can name a game.
+            _check_references(games, seen, player_id, team, game_id)
+            line = BoxscoreLine(
+                player_id, str(player_name), team, game_id, minutes, *counts,
+                plus_minus, starter,
             )
-        key = (line.player_id, line.game_id)
-        if key in seen:
-            raise DuplicateLineError(f"{where}: duplicate (player_id, game_id) = {key!r}")
-        seen.add(key)
+            if points is not None:
+                _check_points(points, line)
+        except ValueError as exc:
+            raise _located(f"lines entry {idx}", exc) from None
         lines.append(line)
 
-    return Dataset(games=games, lines=tuple(lines), provenance=Provenance(source, "json"))
+    return Dataset._from_checked(games, tuple(lines), Provenance(source, "json"))
 
 
 def _format_minutes(minutes: float) -> str:
@@ -498,7 +484,7 @@ def serialize_json(dataset: Dataset) -> str:
     for line in dataset.lines:
         entry: dict[str, object] = dict(zip(LINES_HEADER, _line_row(line)))
         entry["minutes"] = line.minutes
-        for column in LINES_HEADER[5:20]:
+        for column in _COUNT_COLUMNS:
             entry[column] = getattr(line, column)
         entry["plus_minus"] = line.plus_minus
         entry["starter"] = line.starter
@@ -538,5 +524,6 @@ def filter_min_games(dataset: Dataset, min_games: int) -> Dataset:
     }
     if not dropped:
         return dataset
+    # A subset of checked lines against the same games needs no new check.
     kept = tuple(line for line in dataset.lines if line.player_id not in dropped)
-    return Dataset(games=dataset.games, lines=kept, provenance=dataset.provenance)
+    return Dataset._from_checked(dict(dataset.games), kept, dataset.provenance)

@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from datetime import date as _date
+from operator import attrgetter
 from typing import Mapping
 
 # Statistic keys grouped by the side of the game they describe. Order is
@@ -92,12 +94,39 @@ class BoxscoreLine:
     _COUNT_FIELDS = STAT_KEYS + ("tr",)
 
     def __post_init__(self) -> None:
+        # This is the one place a line's values are checked; the parsers only
+        # decode cells. A valid line passes in a few bulk tests; any other
+        # goes to _check_each_field, which names the first bad field.
+        minutes = self.minutes
+        counts = _counts_of(self)
+        if not (
+            self.player_id
+            and self.team
+            and self.game_id
+            and type(minutes) is float
+            and 0.0 <= minutes < math.inf
+            and {*map(type, counts)} == _INT_ONLY
+            and min(counts) >= 0
+            and (self.plus_minus is None or type(self.plus_minus) is int)
+            and type(self.starter) is bool
+        ):
+            self._check_each_field()
+
+    def _check_each_field(self) -> None:
+        """Raise for the first bad field in declaration order. A line with
+        none (say, with int minutes) gets its minutes stored as a float."""
         for name in ("player_id", "team", "game_id"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be a non-empty string")
-        object.__setattr__(self, "minutes", float(self.minutes))
-        if self.minutes < 0:
-            raise ValueError(f"minutes must be >= 0, got {self.minutes}")
+        try:
+            minutes = float(self.minutes)
+        except OverflowError:
+            raise ValueError(f"minutes must be finite, got {self.minutes!r}") from None
+        if not math.isfinite(minutes):
+            raise ValueError(f"minutes must be finite, got {minutes}")
+        if minutes < 0:
+            raise ValueError(f"minutes must be >= 0, got {minutes}")
+        object.__setattr__(self, "minutes", minutes)
         for name in self._COUNT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -115,6 +144,10 @@ class BoxscoreLine:
     def dnp(self) -> bool:
         """True for did-not-play lines (zero minutes)."""
         return self.minutes == 0.0
+
+
+_counts_of = attrgetter(*BoxscoreLine._COUNT_FIELDS)
+_INT_ONLY = {int}
 
 
 def derived_points(line: BoxscoreLine) -> int:

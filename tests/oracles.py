@@ -2,13 +2,32 @@
 
 Everything here is deliberately written as a direct transcription of the
 defining formula (literal expressions, explicit pair enumeration, numeric
-quadrature) and shares no code with the package under test.
+quadrature) and shares no code with the package under test. The naive
+parsers are the exception: they build the package's own types and raise its
+error classes, so that their results compare with the real parsers'.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 import math
+from datetime import date
 from typing import Sequence
+
+from boxmetrics import BoxscoreLine, Dataset, GameMeta, derived_points
+from boxmetrics.ingest import (
+    GAMES_HEADER,
+    LINES_HEADER,
+    BadValueError,
+    DanglingGameRefError,
+    DuplicateGameError,
+    DuplicateLineError,
+    MissingColumnError,
+    PointsMismatchError,
+    Provenance,
+)
 
 
 def naive_lines_for(dataset, player_id: str) -> list:
@@ -34,6 +53,239 @@ def naive_filter_min_games(dataset, min_games: int) -> tuple:
     return tuple(
         line for line in dataset.lines if len(counts[line.player_id]) >= min_games
     )
+
+
+def _naive_parse_int(raw: str, column: str, where: str) -> int:
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise BadValueError(f"{where}: column {column!r} must be an integer, got {raw!r}")
+
+
+def _naive_parse_count(raw: str, column: str, where: str) -> int:
+    value = _naive_parse_int(raw, column, where)
+    if value < 0:
+        raise BadValueError(f"{where}: column {column!r} must be >= 0, got {value}")
+    return value
+
+
+def _naive_parse_minutes(raw: str, where: str) -> float:
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise BadValueError(f"{where}: column 'minutes' must be decimal minutes, got {raw!r}")
+    if value < 0:
+        raise BadValueError(f"{where}: column 'minutes' must be >= 0, got {value}")
+    return value
+
+
+def _naive_json_count(value: object, column: str, where: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadValueError(f"{where}: field {column!r} must be an integer, got {value!r}")
+    if value < 0:
+        raise BadValueError(f"{where}: field {column!r} must be >= 0, got {value}")
+    return value
+
+
+def _naive_check_header(actual, expected: tuple, what: str) -> bool:
+    actual = tuple(actual)
+    if actual == expected:
+        return False
+    if what == "lines" and actual == expected + ("points",):
+        return True
+    missing = [c for c in expected if c not in actual]
+    if missing:
+        raise MissingColumnError(f"{what} header: missing column(s) {', '.join(missing)}")
+    raise BadValueError(f"{what} header: expected exactly {','.join(expected)}")
+
+
+def _naive_build_game(values: dict, where: str) -> GameMeta:
+    raw_date = values["date"]
+    try:
+        parsed_date = date.fromisoformat(str(raw_date))
+    except ValueError:
+        raise BadValueError(f"{where}: column 'date' must be ISO-8601, got {raw_date!r}")
+    if isinstance(values["home_score"], str):
+        home = _naive_parse_count(values["home_score"], "home_score", where)
+        away = _naive_parse_count(values["away_score"], "away_score", where)
+    else:
+        home = _naive_json_count(values["home_score"], "home_score", where)
+        away = _naive_json_count(values["away_score"], "away_score", where)
+    if home == away:
+        raise BadValueError(f"{where}: tied final score {home}-{away} is not a valid result")
+    try:
+        return GameMeta(
+            game_id=str(values["game_id"]),
+            date=parsed_date,
+            competition=str(values["competition"]),
+            home_team=str(values["home_team"]),
+            away_team=str(values["away_team"]),
+            home_score=home,
+            away_score=away,
+        )
+    except ValueError as exc:
+        raise BadValueError(f"{where}: {exc}")
+
+
+def _naive_line_checks(fields: dict) -> None:
+    """Every domain check of one line, field by field in declaration order."""
+    for name in ("player_id", "team", "game_id"):
+        if not fields[name]:
+            raise ValueError(f"{name} must be a non-empty string")
+    minutes = float(fields["minutes"])
+    if minutes < 0:
+        raise ValueError(f"minutes must be >= 0, got {minutes}")
+    for name in LINES_HEADER[5:20]:
+        value = fields[name]
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer count, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    plus_minus = fields["plus_minus"]
+    if plus_minus is not None and (isinstance(plus_minus, bool) or not isinstance(plus_minus, int)):
+        raise ValueError(f"plus_minus must be an integer or absent, got {plus_minus!r}")
+    if not isinstance(fields["starter"], bool):
+        raise ValueError(f"starter must be a boolean, got {fields['starter']!r}")
+
+
+def _naive_build_line(values, counts, minutes, plus_minus, starter, points, where):
+    fields = dict(
+        player_id=str(values["player_id"]),
+        player_name=str(values["player_name"]),
+        team=str(values["team"]),
+        game_id=str(values["game_id"]),
+        minutes=minutes,
+        plus_minus=plus_minus,
+        starter=starter,
+        **counts,
+    )
+    try:
+        _naive_line_checks(fields)
+    except ValueError as exc:
+        raise BadValueError(f"{where}: {exc}")
+    line = BoxscoreLine(**fields)
+    if points is not None and points != derived_points(line):
+        raise PointsMismatchError(
+            f"{where}: points column says {points} but counts derive {derived_points(line)}"
+        )
+    return line
+
+
+def _naive_check_references(games, seen, line, where) -> None:
+    game = games[line.game_id]
+    if line.team not in (game.home_team, game.away_team):
+        raise BadValueError(f"{where}: team {line.team!r} did not play in game {line.game_id!r}")
+    key = (line.player_id, line.game_id)
+    if key in seen:
+        raise DuplicateLineError(f"{where}: duplicate (player_id, game_id) = {key!r}")
+    seen.add(key)
+
+
+def naive_parse_csv(games_text: str, lines_text: str, *, source: str = "<stream>") -> Dataset:
+    """Decode and check every cell as it is read, then build the dataset
+    (whose constructor checks every reference a second time)."""
+    games: dict[str, GameMeta] = {}
+    games_rows = csv.reader(io.StringIO(games_text))
+    try:
+        header = next(games_rows)
+    except StopIteration:
+        raise MissingColumnError("games file is empty; expected a header row")
+    _naive_check_header(header, GAMES_HEADER, "games")
+    for idx, row in enumerate(games_rows, start=2):
+        where = f"games row {idx}"
+        if len(row) != len(GAMES_HEADER):
+            raise BadValueError(f"{where}: expected {len(GAMES_HEADER)} fields, got {len(row)}")
+        game = _naive_build_game(dict(zip(GAMES_HEADER, row)), where)
+        if game.game_id in games:
+            raise DuplicateGameError(f"{where}: duplicate game_id {game.game_id!r}")
+        games[game.game_id] = game
+
+    lines = []
+    seen: set[tuple[str, str]] = set()
+    lines_rows = csv.reader(io.StringIO(lines_text))
+    try:
+        header = next(lines_rows)
+    except StopIteration:
+        raise MissingColumnError("lines file is empty; expected a header row")
+    has_points = _naive_check_header(header, LINES_HEADER, "lines")
+    expected_len = len(LINES_HEADER) + (1 if has_points else 0)
+    for idx, row in enumerate(lines_rows, start=2):
+        where = f"lines row {idx}"
+        if len(row) != expected_len:
+            raise BadValueError(f"{where}: expected {expected_len} fields, got {len(row)}")
+        values = dict(zip(LINES_HEADER, row))
+        counts = {c: _naive_parse_count(values[c], c, where) for c in LINES_HEADER[5:20]}
+        minutes = _naive_parse_minutes(values["minutes"], where)
+        raw_pm = values["plus_minus"]
+        plus_minus = None if raw_pm == "" else _naive_parse_int(raw_pm, "plus_minus", where)
+        if values["starter"] not in ("true", "false"):
+            raise BadValueError(
+                f"{where}: column 'starter' must be 'true' or 'false', got {values['starter']!r}"
+            )
+        starter = values["starter"] == "true"
+        points = _naive_parse_count(row[-1], "points", where) if has_points else None
+        if values["game_id"] not in games:
+            raise DanglingGameRefError(f"{where}: unknown game_id {values['game_id']!r}")
+        line = _naive_build_line(values, counts, minutes, plus_minus, starter, points, where)
+        _naive_check_references(games, seen, line, where)
+        lines.append(line)
+    return Dataset(games=games, lines=tuple(lines), provenance=Provenance(source, "csv"))
+
+
+def naive_parse_json(text: str, *, source: str = "<stream>") -> Dataset:
+    """The JSON twin of :func:`naive_parse_csv`."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise BadValueError(f"invalid JSON: {exc}")
+    if not isinstance(doc, dict) or set(doc) != {"games", "lines"}:
+        raise MissingColumnError("top-level JSON must be an object with 'games' and 'lines'")
+    if not isinstance(doc["games"], list) or not isinstance(doc["lines"], list):
+        raise BadValueError("'games' and 'lines' must be arrays")
+
+    def check_fields(entry, header, allowed, where) -> None:
+        if not isinstance(entry, dict):
+            raise BadValueError(f"{where}: must be an object")
+        missing = [c for c in header if c not in entry]
+        if missing:
+            raise MissingColumnError(f"{where}: missing field(s) {', '.join(missing)}")
+        unknown = sorted(set(entry) - set(allowed))
+        if unknown:
+            raise BadValueError(f"{where}: unknown field(s) {', '.join(unknown)}")
+
+    games: dict[str, GameMeta] = {}
+    for idx, entry in enumerate(doc["games"], start=1):
+        where = f"games entry {idx}"
+        check_fields(entry, GAMES_HEADER, GAMES_HEADER, where)
+        game = _naive_build_game(entry, where)
+        if game.game_id in games:
+            raise DuplicateGameError(f"{where}: duplicate game_id {game.game_id!r}")
+        games[game.game_id] = game
+
+    lines = []
+    seen: set[tuple[str, str]] = set()
+    for idx, entry in enumerate(doc["lines"], start=1):
+        where = f"lines entry {idx}"
+        check_fields(entry, LINES_HEADER, LINES_HEADER + ("points",), where)
+        counts = {c: _naive_json_count(entry[c], c, where) for c in LINES_HEADER[5:20]}
+        raw_minutes = entry["minutes"]
+        if isinstance(raw_minutes, bool) or not isinstance(raw_minutes, (int, float)):
+            raise BadValueError(f"{where}: field 'minutes' must be a number, got {raw_minutes!r}")
+        minutes = _naive_parse_minutes(str(raw_minutes), where)
+        raw_pm = entry["plus_minus"]
+        if raw_pm is not None and (isinstance(raw_pm, bool) or not isinstance(raw_pm, int)):
+            raise BadValueError(f"{where}: field 'plus_minus' must be an integer or null")
+        if not isinstance(entry["starter"], bool):
+            raise BadValueError(f"{where}: field 'starter' must be a boolean")
+        points = (
+            _naive_json_count(entry["points"], "points", where) if "points" in entry else None
+        )
+        if entry["game_id"] not in games:
+            raise DanglingGameRefError(f"{where}: unknown game_id {entry['game_id']!r}")
+        line = _naive_build_line(entry, counts, minutes, raw_pm, entry["starter"], points, where)
+        _naive_check_references(games, seen, line, where)
+        lines.append(line)
+    return Dataset(games=games, lines=tuple(lines), provenance=Provenance(source, "json"))
 
 
 def formula_defensive(line) -> float:

@@ -29,7 +29,7 @@ def _base(season_files, *extra: str) -> list[str]:
 def test_validate_ok(season_files, capsys):
     assert main(_base(season_files, "validate")) == 0
     out = capsys.readouterr().out
-    assert "6 games" in out and "20 lines" in out
+    assert "6 games" in out and "20 lines" in out and "4 players" in out
 
 
 def test_validate_reports_dangling_ref(season_files, tmp_path, capsys):
@@ -188,3 +188,15 @@ def test_report_all_writes_directory(season_files, tmp_path):
 def test_invalid_alpha_rejected(season_files):
     args = _base(season_files, "rank", "rend") + ["--alpha", "1.5", "--min-games", "1"]
     assert main(args) == 2
+
+
+def test_bad_flag_rejected_before_input_is_read(tmp_path):
+    # The input does not exist: exit 2 (bad flag), not 3 (i/o), shows the
+    # flags are checked before the season is loaded.
+    missing = ["--games", "/nonexistent/g.csv", "--lines", "/nonexistent/l.csv"]
+    assert main(["rank", "rend", "--alpha", "1.5", *missing]) == 2
+    assert main(["validate", "--min-games", "0", *missing]) == 2
+    assert main(["validate", "--close-threshold", "-1", *missing]) == 2
+    weights = tmp_path / "weights.json"
+    weights.write_text(json.dumps({"zzz": 3.0}), encoding="utf-8")
+    assert main(["validate", "--weights", str(weights), *missing]) == 2

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import re
 from datetime import date
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxmetrics import Dataset, GameMeta, derived_points, filter_min_games
@@ -15,6 +18,7 @@ from boxmetrics.ingest import (
     DanglingGameRefError,
     DuplicateGameError,
     DuplicateLineError,
+    IngestError,
     MissingColumnError,
     PointsMismatchError,
     parse_csv,
@@ -27,6 +31,8 @@ from oracles import (
     naive_filter_min_games,
     naive_game_count,
     naive_lines_for,
+    naive_parse_csv,
+    naive_parse_json,
     naive_player_ids,
 )
 
@@ -92,6 +98,24 @@ def test_parse_csv_bad_values():
         parse_csv(GAMES_CSV, LINES_CSV.replace("G01,p1,Arco,MAD,25.5", "G01,p1,Arco,MAD,-1"))
     with pytest.raises(BadValueError, match="starter"):
         parse_csv(GAMES_CSV, LINES_CSV.replace("7,true", "7,TRUE"))
+
+
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999", "Infinity"])
+def test_parse_csv_rejects_non_finite_minutes(raw):
+    bad = LINES_CSV.replace("G02,p1,Arco,MAD,30.0", f"G02,p1,Arco,MAD,{raw}")
+    with pytest.raises(BadValueError, match=r"lines row 3: .*minutes"):
+        parse_csv(GAMES_CSV, bad)
+
+
+@pytest.mark.parametrize(
+    "raw", ["NaN", "Infinity", "-Infinity", "1e999", pytest.param("1" + "0" * 400, id="10**400")]
+)
+def test_parse_json_rejects_non_finite_minutes(raw):
+    text = serialize_json(parse_csv(GAMES_CSV, LINES_CSV))
+    bad = text.replace('"minutes": 30.0', f'"minutes": {raw}')
+    assert bad != text
+    with pytest.raises(BadValueError, match=r"lines entry 2: .*minutes"):
+        parse_json(bad)
 
 
 def test_parse_csv_duplicate_line():
@@ -280,3 +304,163 @@ def test_player_index_matches_naive_scan(season, min_games):
     assert (filtered is season) == (kept == season.lines)
     for player_id in naive_player_ids(filtered):
         assert filtered.lines_for(player_id) == naive_lines_for(filtered, player_id)
+
+
+_COUNTS = LINES_HEADER.split(",")[5:20]
+_GAMES_HEADER = GAMES_CSV.split("\r\n")[0].split(",")
+_FIELD_NAMES = {*LINES_HEADER.split(","), *_GAMES_HEADER, "points", "bonus"}
+
+# fault -> the bad values a cell takes, in CSV and in JSON
+_BAD_VALUES = {
+    "count_not_integer": (["x", "2.5", "true", ""], [True, 2.5, "3", None]),
+    "count_negative": (["-1", "-7"], [-1, -7]),
+    "minutes_bad": (["abc", "-1.5", ""], ["25", True, -1.5, None]),
+    "plus_minus_bad": (["1.5", "x"], [1.5, "3", True]),
+    "starter_bad": (["TRUE", "yes", "1", ""], ["true", 1, None]),
+}
+_FAULT_COLUMN = {"minutes_bad": "minutes", "plus_minus_bad": "plus_minus",
+                 "starter_bad": "starter"}
+_JSON_ONLY = ("missing_field", "unknown_field")
+_LINE_FAULTS = (*_BAD_VALUES, "empty_id", "dangling_game", "wrong_team", "duplicate_line",
+               "points_mismatch", "points_negative", *_JSON_ONLY)
+_GAME_FAULTS = ("tied", "negative_score", "bad_date", "same_teams", "duplicate_game")
+
+
+@st.composite
+def varied_seasons(draw) -> Dataset:
+    """Valid seasons with every line field varied: counts, DNP and
+    fractional minutes, null plus/minus, starters and bench players."""
+    game_ids = [f"G{i}" for i in range(draw(st.integers(1, 4)))]
+    games = {
+        gid: make_game(game_id=gid, date=date(2014, 1, 1 + i),
+                       away_score=draw(st.sampled_from((70, 85))))
+        for i, gid in enumerate(game_ids)
+    }
+    lines = [
+        make_line(
+            player_id=f"p{player}", player_name=f"N{player}", game_id=gid,
+            team=draw(st.sampled_from(("MAD", "BCN"))),
+            minutes=draw(st.sampled_from((0.0, 7.25, 12.5, 30.0))),
+            plus_minus=draw(st.none() | st.integers(-20, 20)),
+            starter=draw(st.booleans()),
+            **{c: draw(st.integers(0, 6)) for c in _COUNTS},
+        )
+        for gid in game_ids
+        for player in range(draw(st.integers(2, 4)))
+    ]
+    return Dataset(games=games, lines=tuple(draw(st.permutations(lines))))
+
+
+def _break_line(draw, fault: str, fmt: str, cells: dict, earlier: list[dict]) -> dict:
+    cells = dict(cells)
+    if fault in _BAD_VALUES:
+        column = _FAULT_COLUMN.get(fault) or draw(st.sampled_from(_COUNTS))
+        cells[column] = draw(st.sampled_from(_BAD_VALUES[fault][fmt == "json"]))
+    elif fault == "empty_id":
+        cells[draw(st.sampled_from(("player_id", "team", "game_id")))] = ""
+    elif fault == "dangling_game":
+        cells["game_id"] = "G999"
+    elif fault == "wrong_team":
+        cells["team"] = "XXX"
+    elif fault == "duplicate_line":
+        cells = dict(draw(st.sampled_from(earlier)))
+    elif fault == "points_mismatch":
+        cells["points"] += draw(st.integers(1, 5))
+    elif fault == "points_negative":
+        cells["points"] = -1
+    elif fault == "missing_field":
+        del cells[draw(st.sampled_from(sorted(cells)))]
+    else:
+        cells["bonus"] = 1
+    return cells
+
+
+def _break_game(draw, fault: str, games: list[dict]) -> None:
+    i = draw(st.integers(0, len(games) - 1))
+    game = games[i] = dict(games[i])
+    if fault == "tied":
+        game["away_score"] = game["home_score"]
+    elif fault == "negative_score":
+        game["home_score"] = -80
+    elif fault == "bad_date":
+        game["date"] = "2014-13-01"
+    elif fault == "same_teams":
+        game["away_team"] = game["home_team"]
+    else:
+        games.append(dict(game, date="2014-02-01"))
+
+
+@st.composite
+def season_inputs(draw, fault: str):
+    """(format, parser arguments) for a valid season, with ``fault`` put
+    into one of its games or one to three of its lines."""
+    season = draw(varied_seasons())
+    fmt = "json" if fault in _JSON_ONLY else draw(st.sampled_from(("csv", "json")))
+    with_points = fault.startswith("points") or draw(st.booleans())
+    if fmt == "csv":
+        games, lines = (list(csv.DictReader(io.StringIO(t))) for t in serialize_csv(season))
+    else:
+        doc = json.loads(serialize_json(season))
+        games, lines = doc["games"], doc["lines"]
+    for cells, line in zip(lines, season.lines):
+        if with_points:
+            cells["points"] = derived_points(line)
+        if fmt == "json" and line.minutes.is_integer() and draw(st.booleans()):
+            cells["minutes"] = int(line.minutes)
+    if fault in _GAME_FAULTS:
+        _break_game(draw, fault, games)
+    elif fault != "none":
+        first = 1 if fault == "duplicate_line" else 0
+        rows = draw(st.sets(st.integers(first, len(lines) - 1), min_size=1, max_size=3))
+        for i in sorted(rows):
+            lines[i] = _break_line(draw, fault, fmt, lines[i], lines[:i])
+    if fmt == "json":
+        return fmt, (json.dumps({"games": games, "lines": lines}),)
+    header = LINES_HEADER.split(",") + ["points"] * with_points
+    return fmt, (_csv_text(_GAMES_HEADER, games), _csv_text(header, lines))
+
+
+def _csv_text(header: list[str], rows: list[dict]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([cells[c] for c in header] for cells in rows)
+    return buf.getvalue()
+
+
+def _where_and_field(exc: Exception) -> tuple[str | None, str | None]:
+    """The row an ingest error names, and the first field name after it."""
+    match = re.match(r"((?:games|lines) (?:row|entry) \d+): (.*)", str(exc))
+    if match is None:
+        return None, None
+    message = match.group(2)
+    # "a" is a count column and an English word: it names the field only
+    # where a field name stands, quoted, first, or in a field list.
+    named_a = re.search(r"(^|'|field\(s\) )a\b", message) is not None
+    fields = (w for w in re.findall(r"\w+", message)
+              if w in _FIELD_NAMES and (w != "a" or named_a))
+    return match.group(1), next(fields, None)
+
+
+@pytest.mark.parametrize("fault", ("none", *_GAME_FAULTS, *_LINE_FAULTS))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_parsers_match_naive_parsers(fault, data):
+    """The parsers against the check-everything-twice parsers they replace:
+    equal datasets, or the same error class naming the same row and field."""
+    fmt, args = data.draw(season_inputs(fault))
+    fast, naive = (parse_csv, naive_parse_csv) if fmt == "csv" else (parse_json, naive_parse_json)
+    if fault == "none":
+        expected = naive(*args, source="s")
+        got = fast(*args, source="s")
+        assert got == expected
+        assert repr(got.lines) == repr(expected.lines)
+        assert got.provenance == expected.provenance
+        return
+    with pytest.raises(IngestError) as expected:
+        naive(*args, source="s")
+    with pytest.raises(IngestError) as raised:
+        fast(*args, source="s")
+    assert type(raised.value) is type(expected.value)
+    assert _where_and_field(raised.value) == _where_and_field(expected.value)
+    assert _where_and_field(expected.value)[0] is not None

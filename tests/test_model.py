@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from datetime import date
 
 import pytest
@@ -49,6 +50,19 @@ def test_line_rejects_negative_count():
 def test_line_rejects_negative_minutes():
     with pytest.raises(ValueError):
         make_line(minutes=-0.5)
+
+
+@pytest.mark.parametrize(
+    "minutes", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "10**400"]
+)
+def test_line_rejects_non_finite_minutes(minutes):
+    with pytest.raises(ValueError, match="minutes"):
+        make_line(minutes=minutes)
+
+
+def test_line_stores_minutes_as_float():
+    line = make_line(minutes=20)
+    assert line.minutes == 20.0 and type(line.minutes) is float
 
 
 def test_line_rejects_non_integer_count():
