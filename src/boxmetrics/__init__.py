@@ -38,12 +38,14 @@ from .indices import (
     IndexValue,
     ZeroMinutesError,
     defensive_index,
+    metric_function,
     metric_value,
     offensive_index,
     per_minute,
     player_mean,
     player_series,
     rendimiento,
+    series_values,
     valoracion_acb,
 )
 from .stats import (

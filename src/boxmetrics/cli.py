@@ -12,6 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .indices import parse_metric_name
 from .ingest import IngestError, filter_min_games, load_dataset
 from .model import UnknownPlayerError, WeightConfig
 from .report import (
@@ -78,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("splits", help="context split comparison for a player")
     p.add_argument("player", help="player_id, or 'all' for the plus/minus overview")
     p.add_argument("metric", help="e.g. rend_per_minute, points_per_minute, plus_minus")
-    p.add_argument("kind", nargs="?", default="win_loss", choices=SPLIT_KINDS)
+    p.add_argument("kind", nargs="?", choices=SPLIT_KINDS, help="default: win_loss")
     p.add_argument("--competition", help="competition name for the competition split")
     _add_input_options(p)
 
@@ -177,6 +178,13 @@ def _cmd_regularity(args) -> int:
 
 
 def _cmd_splits(args) -> int:
+    if args.player == "all" and (args.metric != "plus_minus" or args.kind is not None):
+        given = args.metric if args.kind is None else f"{args.metric} {args.kind}"
+        raise ValueError(
+            "splits all is the plus_minus overview: it takes the metric plus_minus "
+            f"and no split kind, got {given!r}"
+        )
+    kind = args.kind or "win_loss"
     dataset, weights = _load(args)
     if args.player == "all":
         table = plus_minus_overview(
@@ -192,7 +200,7 @@ def _cmd_splits(args) -> int:
         comparisons = split_compare(
             args.player,
             args.metric,
-            args.kind,
+            kind,
             dataset,
             weights,
             args.alpha,
@@ -218,7 +226,7 @@ def _cmd_splits(args) -> int:
         for c in comparisons
     )
     table = Table(
-        title=f"{args.metric} split by {args.kind} for {args.player}",
+        title=f"{args.metric} split by {kind} for {args.player}",
         columns=(
             "metric",
             "side_a",
@@ -245,9 +253,18 @@ def _cmd_splits(args) -> int:
     return EXIT_OK
 
 
+def _per_minute_form(metric_name: str) -> str:
+    metric, _ = parse_metric_name(metric_name)
+    if metric == "plus_minus":
+        raise ValueError("plus_minus has no per-minute form; drop --per-minute")
+    return f"{metric}_per_minute"
+
+
 def _cmd_correlate(args) -> int:
-    dataset, weights = _load(args)
     pair = (args.metric_x, args.metric_y)
+    if args.per_minute:
+        pair = (_per_minute_form(args.metric_x), _per_minute_form(args.metric_y))
+    dataset, weights = _load(args)
     table = correlation_table(
         dataset,
         [pair],

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from operator import attrgetter, mul, truediv
+from typing import Callable, Sequence
 
 from .model import (
     DEFENSIVE_KEYS,
@@ -28,6 +30,10 @@ logger = logging.getLogger(__name__)
 
 # Metric keys understood by series builders, rankings and splits.
 METRICS = ("points", "id", "io", "rend", "valoracion", "plus_minus")
+
+_defensive_counts = attrgetter(*DEFENSIVE_KEYS)
+_offensive_counts = attrgetter(*OFFENSIVE_KEYS)
+_minutes = attrgetter("minutes")
 
 
 class ZeroMinutesError(ValueError):
@@ -54,12 +60,12 @@ class IndexValue:
 
 def defensive_index(line: BoxscoreLine, weights: WeightConfig) -> float:
     """Weighted sum over the defensive keys (rd, tf, fpc, br)."""
-    return sum(weights[key] * getattr(line, key) for key in DEFENSIVE_KEYS)
+    return metric_function("id", weights)(line)
 
 
 def offensive_index(line: BoxscoreLine, weights: WeightConfig) -> float:
     """Weighted sum over the offensive keys (shooting, ro, a, fpr, bp)."""
-    return sum(weights[key] * getattr(line, key) for key in OFFENSIVE_KEYS)
+    return metric_function("io", weights)(line)
 
 
 def rendimiento(line: BoxscoreLine, weights: WeightConfig) -> IndexValue:
@@ -96,24 +102,67 @@ def per_minute(value: float, minutes: float) -> float:
     return value / minutes
 
 
+def metric_function(metric: str, weights: WeightConfig) -> Callable[[BoxscoreLine], float | None]:
+    """The raw per-game value of ``metric`` as a function of one line.
+
+    Resolve it once per series and apply it to every line. The id/io sums
+    multiply each coefficient by its count and add the products in the order
+    of ``DEFENSIVE_KEYS``/``OFFENSIVE_KEYS``. The function returns None for
+    plus_minus when the source did not report it.
+    """
+    defensive, offensive = weights.defensive, weights.offensive
+    if metric == "points":
+        return lambda line: float(derived_points(line))
+    if metric == "id":
+        return lambda line: sum(map(mul, defensive, _defensive_counts(line)))
+    if metric == "io":
+        return lambda line: sum(map(mul, offensive, _offensive_counts(line)))
+    if metric == "rend":
+        return lambda line: (
+            sum(map(mul, defensive, _defensive_counts(line)))
+            + sum(map(mul, offensive, _offensive_counts(line)))
+        )
+    if metric == "valoracion":
+        return valoracion_acb
+    if metric == "plus_minus":
+        return lambda line: None if line.plus_minus is None else float(line.plus_minus)
+    raise ValueError(f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}")
+
+
 def metric_value(line: BoxscoreLine, metric: str, weights: WeightConfig) -> float | None:
     """Raw per-game value of ``metric`` for one line.
 
     Returns None for plus_minus when the source did not report it.
     """
-    if metric == "points":
-        return float(derived_points(line))
-    if metric == "id":
-        return defensive_index(line, weights)
-    if metric == "io":
-        return offensive_index(line, weights)
-    if metric == "rend":
-        return defensive_index(line, weights) + offensive_index(line, weights)
-    if metric == "valoracion":
-        return valoracion_acb(line)
+    return metric_function(metric, weights)(line)
+
+
+def series_values(
+    lines: Sequence[BoxscoreLine],
+    metric: str,
+    weights: WeightConfig,
+    per_minute_values: bool = False,
+) -> tuple[list[float], Sequence[BoxscoreLine]]:
+    """Values of ``metric`` over ``lines`` and the lines they come from.
+
+    This is the one place lines are left out of a series: lines with no
+    reported plus_minus from a plus_minus series, and zero-minute (DNP)
+    lines from a per-minute series, whose values are divided by minutes.
+    """
+    if per_minute_values and metric == "plus_minus":
+        raise ValueError("plus_minus has no per-minute form")
+    value_of = metric_function(metric, weights)
     if metric == "plus_minus":
-        return None if line.plus_minus is None else float(line.plus_minus)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}")
+        kept = [line for line in lines if line.plus_minus is not None]
+    elif per_minute_values:
+        kept = [line for line in lines if line.minutes != 0.0]
+    else:
+        kept = lines
+    values = list(map(value_of, kept))
+    if per_minute_values:
+        # Every kept line has minutes > 0, so this is per_minute() per line.
+        values = list(map(truediv, values, map(_minutes, kept)))
+    return values, kept
 
 
 def parse_metric_name(name: str) -> tuple[str, bool]:
@@ -152,27 +201,13 @@ def player_series(
     lines = dataset.lines_for(player_id)
     if not lines:
         raise UnknownPlayerError(f"no lines for player {player_id!r}")
-    values: list[float] = []
-    game_ids: list[str] = []
-    excluded = 0
-    for line in lines:
-        raw = metric_value(line, metric, weights)
-        if raw is None:
-            excluded += 1
-            continue
-        if per_minute_values:
-            if line.dnp:
-                excluded += 1
-                continue
-            raw = per_minute(raw, line.minutes)
-        values.append(raw)
-        game_ids.append(line.game_id)
-    if excluded:
+    values, kept = series_values(lines, metric, weights, per_minute_values)
+    if len(kept) < len(lines):
         logger.debug(
             "player %s metric %s: excluded %d of %d lines (DNP or missing value)",
             player_id,
             metric,
-            excluded,
+            len(lines) - len(kept),
             len(lines),
         )
     if not values:
@@ -184,7 +219,7 @@ def player_series(
         player_id=player_id,
         metric_name=name,
         values=tuple(values),
-        game_ids=tuple(game_ids),
+        game_ids=tuple(line.game_id for line in kept),
     )
 
 

@@ -398,8 +398,9 @@ def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
              *counts, plus_minus, starter) = _line_cells(entry)
             if isinstance(minutes, bool) or not isinstance(minutes, (int, float)):
                 raise BadValueError(f"field 'minutes' must be a number, got {minutes!r}")
-            player_id, team = str(player_id), str(team)
-            # game_id is compared as given: only a string can name a game.
+            # Ids go through str() as in the games table, so "game_id": 1
+            # names the game whose "game_id" is 1.
+            player_id, team, game_id = str(player_id), str(team), str(game_id)
             _check_references(games, seen, player_id, team, game_id)
             line = BoxscoreLine(
                 player_id, str(player_name), team, game_id, minutes, *counts,

@@ -11,10 +11,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date as _date
-from operator import attrgetter
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 # Statistic keys grouped by the side of the game they describe. Order is
 # fixed: it drives index evaluation, serialization and fingerprints.
@@ -56,17 +55,8 @@ class TiedScoreError(ValueError):
     """A game with a tied final score reached an outcome computation."""
 
 
-@dataclass(frozen=True)
-class BoxscoreLine:
-    """One player's statistical line for one game.
-
-    All shot/rebound/assist/foul fields are nonnegative integer counts.
-    ``minutes`` is decimal minutes (23.5 means 23 minutes 30 seconds).
-    ``plus_minus`` is the team scoring margin while the player was on court;
-    ``None`` means the source did not report it. ``tr`` (blocks received)
-    only feeds the league valoracion and carries no weight in the
-    defensive/offensive indices. Points are always derived, never stored.
-    """
+class _LineFields(NamedTuple):
+    """The fields of :class:`BoxscoreLine`, in order, with their defaults."""
 
     player_id: str
     player_name: str
@@ -91,14 +81,45 @@ class BoxscoreLine:
     plus_minus: int | None = 0
     starter: bool = False
 
+
+class BoxscoreLine(_LineFields):
+    """One player's statistical line for one game.
+
+    All shot/rebound/assist/foul fields are nonnegative integer counts.
+    ``minutes`` is decimal minutes (23.5 means 23 minutes 30 seconds).
+    ``plus_minus`` is the team scoring margin while the player was on court;
+    ``None`` means the source did not report it. ``tr`` (blocks received)
+    only feeds the league valoracion and carries no weight in the
+    defensive/offensive indices. Points are always derived, never stored.
+
+    A line is an immutable tuple of its fields in the order above, so the
+    metric kernels read its counts at C speed; it equals only another
+    ``BoxscoreLine``, never a plain tuple.
+    """
+
+    __slots__ = ()
+
     _COUNT_FIELDS = STAT_KEYS + ("tr",)
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        line = _new_fields(cls, *args, **kwargs)
+        minutes = line.minutes
+        if type(minutes) is float:
+            return line
+        # Minutes that float() accepts (say, an int) are stored as that float;
+        # __init__ reports any other value.
+        try:
+            minutes = float(minutes)
+        except (TypeError, ValueError, OverflowError):
+            return line
+        return _new_fields(cls, *line[:4], minutes, *line[5:])
+
+    def __init__(self, *args, **kwargs) -> None:
         # This is the one place a line's values are checked; the parsers only
         # decode cells. A valid line passes in a few bulk tests; any other
         # goes to _check_each_field, which names the first bad field.
         minutes = self.minutes
-        counts = _counts_of(self)
+        counts = self[5:20]  # t2c .. fpr
         if not (
             self.player_id
             and self.team
@@ -113,8 +134,7 @@ class BoxscoreLine:
             self._check_each_field()
 
     def _check_each_field(self) -> None:
-        """Raise for the first bad field in declaration order. A line with
-        none (say, with int minutes) gets its minutes stored as a float."""
+        """Raise for the first bad field in declaration order."""
         for name in ("player_id", "team", "game_id"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be a non-empty string")
@@ -126,7 +146,6 @@ class BoxscoreLine:
             raise ValueError(f"minutes must be finite, got {minutes}")
         if minutes < 0:
             raise ValueError(f"minutes must be >= 0, got {minutes}")
-        object.__setattr__(self, "minutes", minutes)
         for name in self._COUNT_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
@@ -140,13 +159,27 @@ class BoxscoreLine:
         if not isinstance(self.starter, bool):
             raise ValueError(f"starter must be a boolean, got {self.starter!r}")
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return tuple.__eq__(self, other)
+        # A plain tuple would otherwise compare its fields with ours.
+        return False if isinstance(other, tuple) else NotImplemented
+
+    __ne__ = object.__ne__  # the negation of __eq__, not tuple's
+    __hash__ = tuple.__hash__
+
+    @classmethod
+    def _make(cls, iterable) -> "BoxscoreLine":
+        # _replace builds through _make: check its result like any other line.
+        return cls(*iterable)
+
     @property
     def dnp(self) -> bool:
         """True for did-not-play lines (zero minutes)."""
         return self.minutes == 0.0
 
 
-_counts_of = attrgetter(*BoxscoreLine._COUNT_FIELDS)
+_new_fields = _LineFields.__new__
 _INT_ONLY = {int}
 
 
@@ -199,6 +232,9 @@ class WeightConfig:
     """
 
     weights: Mapping[str, float]
+    # The coefficients of DEFENSIVE_KEYS and OFFENSIVE_KEYS, in that order.
+    defensive: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    offensive: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         normalized = {str(k).lower(): float(v) for k, v in self.weights.items()}
@@ -209,6 +245,8 @@ class WeightConfig:
         if missing:
             raise ValueError(f"missing statistic keys: {', '.join(missing)}")
         object.__setattr__(self, "weights", {k: normalized[k] for k in STAT_KEYS})
+        object.__setattr__(self, "defensive", tuple(normalized[k] for k in DEFENSIVE_KEYS))
+        object.__setattr__(self, "offensive", tuple(normalized[k] for k in OFFENSIVE_KEYS))
 
     def __getitem__(self, key: str) -> float:
         return self.weights[key]
@@ -258,7 +296,7 @@ class MetricSeries:
     game_ids: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
         object.__setattr__(self, "game_ids", tuple(self.game_ids))
         if len(self.values) != len(self.game_ids):
             raise ValueError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Mapping, Sequence
@@ -501,6 +502,8 @@ def format_display(value: Cell, decimals: int) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            return repr(value)
         quantum = Decimal(1).scaleb(-decimals)
         return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
     return str(value)
@@ -533,12 +536,22 @@ def _as_grid(table: RankedTable | Table) -> tuple[tuple[str, ...], list[tuple[Ce
     return tuple(columns), grid
 
 
+def _json_cells(cells: Mapping[str, Cell]) -> dict[str, Cell]:
+    """``cells`` with each non-finite float as null: strict JSON has no
+    Infinity or NaN (a table's flags, such as ``degenerate``, say why)."""
+    return {
+        key: None if isinstance(value, float) and not math.isfinite(value) else value
+        for key, value in cells.items()
+    }
+
+
 def render(table: RankedTable | Table, fmt: str = "text") -> bytes:
     """Render a table to UTF-8 bytes in csv, json or aligned-text format.
 
     Output is deterministic: identical tables render byte-identically. CSV
     is RFC-4180 with full-precision values and no metadata block; JSON and
-    text carry the table metadata.
+    text carry the table metadata. A non-finite value is written as null in
+    JSON and as ``inf``/``-inf``/``nan`` in CSV and text.
     """
     columns, grid = _as_grid(table)
     if fmt == "csv":
@@ -550,10 +563,11 @@ def render(table: RankedTable | Table, fmt: str = "text") -> bytes:
         return buf.getvalue().encode("utf-8")
     if fmt == "json":
         doc = {
-            "meta": {"title": table.title, **dict(table.meta)},
-            "rows": [dict(zip(columns, row)) for row in grid],
+            "meta": {"title": table.title, **_json_cells(table.meta)},
+            "rows": [_json_cells(dict(zip(columns, row))) for row in grid],
         }
-        return (json.dumps(doc, indent=2, ensure_ascii=False) + "\n").encode("utf-8")
+        text = json.dumps(doc, indent=2, ensure_ascii=False, allow_nan=False)
+        return (text + "\n").encode("utf-8")
     if fmt == "text":
         decimals = table.display_decimals
         header_lines = [f"# {table.title}"]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .indices import metric_value, parse_metric_name, per_minute
+from .indices import parse_metric_name, series_values
 from .ingest import Dataset
 from .model import (
     BoxscoreLine,
@@ -154,25 +154,6 @@ def plus_minus_summary(
     return PlusMinusSummary(player_id=player_id, overall=overall, by_label=stats)
 
 
-def _side_values(
-    pairs: list[tuple[BoxscoreLine, GameMeta]],
-    metric: str,
-    use_per_minute: bool,
-    weights: WeightConfig,
-) -> list[float]:
-    values: list[float] = []
-    for line, _ in pairs:
-        raw = metric_value(line, metric, weights)
-        if raw is None:
-            continue
-        if use_per_minute:
-            if line.dnp:
-                continue
-            raw = per_minute(raw, line.minutes)
-        values.append(raw)
-    return values
-
-
 def split_compare(
     player_id: str,
     metric_name: str,
@@ -203,8 +184,8 @@ def split_compare(
     pairs = [(line, dataset.games[line.game_id]) for line in lines]
 
     def compare(side_a: str, side_b: str, pairs_a, pairs_b, *, strict: bool):
-        values_a = _side_values(pairs_a, metric, use_per_minute, weights)
-        values_b = _side_values(pairs_b, metric, use_per_minute, weights)
+        values_a = series_values([ln for ln, g in pairs_a], metric, weights, use_per_minute)[0]
+        values_b = series_values([ln for ln, g in pairs_b], metric, weights, use_per_minute)[0]
         if len(values_a) < 2 or len(values_b) < 2:
             if strict:
                 raise InsufficientSplitError(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 from .distributions import normal_two_sided_p, student_t_two_sided_p
@@ -129,31 +130,61 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
-    """Kendall's tau-b (tie corrected), clamped into [-1, 1]."""
+    """Kendall's tau-b (tie corrected), clamped into [-1, 1].
+
+    Knight's (1966) O(n log n) count: sort the pairs by (x, y), then every
+    discordant pair is one inversion of the y order, counted by a merge
+    sort. The pair counts are exact integers, so tau is the same float the
+    pair-by-pair count gives.
+    """
     _check_paired(x, y)
     n = len(x)
-    concordant = discordant = tied_x = tied_y = 0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            dx = x[i] - x[j]
-            dy = y[i] - y[j]
-            if dx == 0:
-                tied_x += 1
-            if dy == 0:
-                tied_y += 1
-            if dx == 0 or dy == 0:
-                continue
-            if (dx > 0) == (dy > 0):
-                concordant += 1
-            else:
-                discordant += 1
+    pairs = sorted(zip(x, y))
+    tied_x = _tied_pairs([p[0] for p in pairs])
+    tied_xy = _tied_pairs(pairs)
+    ys, discordant = _sort_counting_inversions([p[1] for p in pairs])
+    tied_y = _tied_pairs(ys)
     total_pairs = n * (n - 1) // 2
     denom_x = total_pairs - tied_x
     denom_y = total_pairs - tied_y
     if denom_x == 0 or denom_y == 0:
         raise ConstantInputError("kendall tau undefined for a constant input")
+    concordant = total_pairs - tied_x - tied_y + tied_xy - discordant
     tau = (concordant - discordant) / math.sqrt(denom_x * denom_y)
     return max(-1.0, min(1.0, tau))
+
+
+def _tied_pairs(ordered: Sequence) -> int:
+    """Pairs of equal items in a sorted sequence."""
+    total = 0
+    for _, run in groupby(ordered):
+        t = len(list(run))
+        total += t * (t - 1) // 2
+    return total
+
+
+def _sort_counting_inversions(values: list[float]) -> tuple[list[float], int]:
+    """``values`` sorted, and the number of pairs i < j with values[i] > values[j]."""
+    if len(values) < 2:
+        return values, 0
+    mid = len(values) // 2
+    left, inversions_left = _sort_counting_inversions(values[:mid])
+    right, inversions_right = _sort_counting_inversions(values[mid:])
+    inversions = inversions_left + inversions_right
+    merged: list[float] = []
+    i = j = 0
+    while i < len(left) and j < len(right):
+        if right[j] < left[i]:
+            # right[j] is smaller than every left value not yet merged.
+            inversions += len(left) - i
+            merged.append(right[j])
+            j += 1
+        else:
+            merged.append(left[i])
+            i += 1
+    merged += left[i:]
+    merged += right[j:]
+    return merged, inversions
 
 
 def midranks(values: Sequence[float]) -> list[float]:

@@ -16,7 +16,15 @@ import math
 from datetime import date
 from typing import Sequence
 
-from boxmetrics import BoxscoreLine, Dataset, GameMeta, derived_points
+from boxmetrics import (
+    DEFENSIVE_KEYS,
+    OFFENSIVE_KEYS,
+    BoxscoreLine,
+    ConstantInputError,
+    Dataset,
+    GameMeta,
+    derived_points,
+)
 from boxmetrics.ingest import (
     GAMES_HEADER,
     LINES_HEADER,
@@ -280,8 +288,8 @@ def naive_parse_json(text: str, *, source: str = "<stream>") -> Dataset:
         points = (
             _naive_json_count(entry["points"], "points", where) if "points" in entry else None
         )
-        if entry["game_id"] not in games:
-            raise DanglingGameRefError(f"{where}: unknown game_id {entry['game_id']!r}")
+        if str(entry["game_id"]) not in games:
+            raise DanglingGameRefError(f"{where}: unknown game_id {str(entry['game_id'])!r}")
         line = _naive_build_line(entry, counts, minutes, raw_pm, entry["starter"], points, where)
         _naive_check_references(games, seen, line, where)
         lines.append(line)
@@ -342,6 +350,84 @@ def pair_count_kendall(x: Sequence[float], y: Sequence[float]) -> float:
     return (concordant - discordant) / math.sqrt(
         (total - tied_x_pairs) * (total - tied_y_pairs)
     )
+
+
+def naive_kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
+    """Tau-b by the O(n^2) loop over every pair, clamped into [-1, 1]."""
+    n = len(x)
+    concordant = discordant = tied_x = tied_y = 0
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            dx = x[i] - x[j]
+            dy = y[i] - y[j]
+            if dx == 0:
+                tied_x += 1
+            if dy == 0:
+                tied_y += 1
+            if dx == 0 or dy == 0:
+                continue
+            if (dx > 0) == (dy > 0):
+                concordant += 1
+            else:
+                discordant += 1
+    total_pairs = n * (n - 1) // 2
+    denom_x = total_pairs - tied_x
+    denom_y = total_pairs - tied_y
+    if denom_x == 0 or denom_y == 0:
+        raise ConstantInputError("kendall tau undefined for a constant input")
+    tau = (concordant - discordant) / math.sqrt(denom_x * denom_y)
+    return max(-1.0, min(1.0, tau))
+
+
+def naive_metric_value(line, metric: str, weights) -> float | None:
+    """One metric of one line, each weighted sum looked up key by key."""
+    defensive = sum(weights[key] * getattr(line, key) for key in DEFENSIVE_KEYS)
+    offensive = sum(weights[key] * getattr(line, key) for key in OFFENSIVE_KEYS)
+    if metric == "points":
+        return float(derived_points(line))
+    if metric == "id":
+        return defensive
+    if metric == "io":
+        return offensive
+    if metric == "rend":
+        return defensive + offensive
+    if metric == "valoracion":
+        return float(formula_valoracion(line))
+    if metric == "plus_minus":
+        return None if line.plus_minus is None else float(line.plus_minus)
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+def naive_player_series(dataset, player_id: str, metric: str, weights, per_minute_values: bool):
+    """(values, game_ids) of one player's series, deciding line by line
+    whether a missing value or a DNP leaves it out."""
+    values, game_ids = [], []
+    for line in naive_lines_for(dataset, player_id):
+        raw = naive_metric_value(line, metric, weights)
+        if raw is None:
+            continue
+        if per_minute_values:
+            if line.minutes == 0.0:
+                continue
+            raw = raw / line.minutes
+        values.append(raw)
+        game_ids.append(line.game_id)
+    return values, game_ids
+
+
+def naive_side_values(pairs, metric: str, use_per_minute: bool, weights) -> list[float]:
+    """The values of one side of a split, from its (line, game) pairs."""
+    values = []
+    for line, _ in pairs:
+        raw = naive_metric_value(line, metric, weights)
+        if raw is None:
+            continue
+        if use_per_minute:
+            if line.minutes == 0.0:
+                continue
+            raw = raw / line.minutes
+        values.append(raw)
+    return values
 
 
 def positional_midranks(values: Sequence[float]) -> list[float]:

@@ -200,3 +200,62 @@ def test_bad_flag_rejected_before_input_is_read(tmp_path):
     weights = tmp_path / "weights.json"
     weights.write_text(json.dumps({"zzz": 3.0}), encoding="utf-8")
     assert main(["validate", "--weights", str(weights), *missing]) == 2
+
+
+def _constant_sides_season(tmp_path: Path) -> str:
+    """Four games: the player's lines are identical within wins and within
+    losses, so the Welch t statistic of loss vs win is -inf."""
+    doc = tmp_path / "season.json"
+    doc.write_text(serialize_json(winloss_season([5, 5], [2, 2])), encoding="utf-8")
+    return str(doc)
+
+
+def _reject_non_finite(token: str):
+    raise AssertionError(f"non-finite JSON token {token}")
+
+
+def test_splits_json_writes_null_for_infinite_t_stat(tmp_path, capsys):
+    args = ["splits", "n1", "rend", "win_loss", "--json", _constant_sides_season(tmp_path),
+            "--min-games", "1", "--format", "json"]
+    assert main(args) == 0
+    doc = json.loads(capsys.readouterr().out, parse_constant=_reject_non_finite)
+    (row,) = doc["rows"]
+    assert row["t_stat"] is None
+    assert row["p_value"] == 0.0 and row["mean_a"] == 2.0 and row["mean_b"] == 5.0
+
+
+def test_splits_text_prints_infinite_t_stat(tmp_path, capsys):
+    args = ["splits", "n1", "rend", "win_loss", "--json", _constant_sides_season(tmp_path),
+            "--min-games", "1", "--format", "text"]
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1].split()[7] == "-inf"
+
+
+def test_correlate_per_minute_uses_per_minute_forms(season_files, capsys):
+    base = _base(season_files, "correlate") + ["--min-games", "1", "--format", "csv"]
+    assert main(base[:1] + ["rend_per_minute", "points_per_minute"] + base[1:]) == 0
+    explicit = capsys.readouterr().out
+    assert main(base[:1] + ["rend", "points"] + base[1:]) == 0
+    per_game = capsys.readouterr().out
+    assert main(base[:1] + ["rend", "points"] + base[1:] + ["--per-minute"]) == 0
+    flagged = capsys.readouterr().out
+    assert flagged == explicit != per_game
+
+
+def test_correlate_per_minute_rejects_plus_minus(season_files, capsys):
+    args = _base(season_files, "correlate", "plus_minus", "points") + [
+        "--min-games", "1", "--per-minute",
+    ]
+    assert main(args) == 2
+    assert "plus_minus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra", [["rend"], ["plus_minus", "close_game"], ["plus_minus", "win_loss"]],
+    ids=["metric", "kind", "default-kind-named"],
+)
+def test_splits_all_rejects_metric_or_kind(season_files, capsys, extra):
+    args = _base(season_files, "splits", "all", *extra) + ["--min-games", "1"]
+    assert main(args) == 2
+    assert "splits all" in capsys.readouterr().err

@@ -2,27 +2,41 @@
 
 from __future__ import annotations
 
+from datetime import date
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxmetrics import (
+    DEFENSIVE_KEYS,
+    METRICS,
+    OFFENSIVE_KEYS,
     STAT_KEYS,
     EmptySeriesError,
     UnknownPlayerError,
     WeightConfig,
     ZeroMinutesError,
     defensive_index,
+    metric_function,
     metric_value,
     offensive_index,
     per_minute,
     player_series,
     rendimiento,
+    series_values,
     valoracion_acb,
 )
 from boxmetrics.indices import parse_metric_name, player_mean
 from conftest import index_fixture_lines, make_line
-from oracles import formula_defensive, formula_offensive, formula_valoracion
+from oracles import (
+    formula_defensive,
+    formula_offensive,
+    formula_valoracion,
+    naive_metric_value,
+    naive_player_series,
+    naive_side_values,
+)
 
 counts = st.integers(min_value=0, max_value=40)
 
@@ -180,3 +194,85 @@ def test_player_mean_is_mean_of_per_game_values(season, weights):
     series = player_series(season, "p1", "points", weights)
     expected = sum(series.values) / len(series.values)
     assert player_mean(season, "p1", "points", weights) == expected
+
+
+# --- one series path against the per-line oracles ---------------------------
+
+coefficients = st.one_of(
+    st.floats(min_value=-8.0, max_value=8.0, allow_nan=False),
+    st.sampled_from([-2.5, -1.0, -0.75, 0.0, 0.1, 0.5, 1.0, 1.5, 3.0]),
+)
+line_values = st.fixed_dictionaries(
+    {
+        **{key: counts for key in (*STAT_KEYS, "tr")},
+        "minutes": st.one_of(
+            st.just(0.0), st.floats(min_value=0.1, max_value=48.0), st.integers(1, 48)
+        ),
+        "plus_minus": st.one_of(st.none(), st.integers(-40, 40)),
+        "starter": st.booleans(),
+    }
+)
+
+
+def _bits(values):
+    """Values as exact hex strings, so -0.0 and 0.0 or a last-bit change differ."""
+    return [v if v is None else float.hex(v) for v in values]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(coefficients, min_size=14, max_size=14).map(
+        lambda ws: WeightConfig(dict(zip(STAT_KEYS, ws)))
+    ),
+    rows=st.lists(line_values, min_size=1, max_size=12),
+    players=st.integers(1, 3),
+)
+def test_series_path_matches_per_line_oracles(weights, rows, players):
+    from boxmetrics import Dataset
+    from conftest import make_game
+
+    games = {f"G{i:02d}": make_game(game_id=f"G{i:02d}", date=date(2014, 1, 1 + i))
+             for i in range(len(rows))}
+    lines = tuple(
+        make_line(player_id=f"p{i % players}", game_id=f"G{i:02d}", **row)
+        for i, row in enumerate(rows)
+    )
+    dataset = Dataset(games=games, lines=lines)
+    for metric in METRICS:
+        assert _bits([metric_value(ln, metric, weights) for ln in lines]) == _bits(
+            [naive_metric_value(ln, metric, weights) for ln in lines]
+        )
+        for per_minute_values in (False, True) if metric != "plus_minus" else (False,):
+            expected = naive_side_values(
+                [(ln, games[ln.game_id]) for ln in lines], metric, per_minute_values, weights
+            )
+            values, kept = series_values(lines, metric, weights, per_minute_values)
+            assert _bits(values) == _bits(expected) and len(kept) == len(values)
+            for player_id in dataset.player_ids():
+                want_values, want_games = naive_player_series(
+                    dataset, player_id, metric, weights, per_minute_values
+                )
+                try:
+                    series = player_series(
+                        dataset, player_id, metric, weights, per_minute_values=per_minute_values
+                    )
+                except EmptySeriesError:
+                    assert want_values == []
+                    continue
+                assert _bits(series.values) == _bits(want_values)
+                assert list(series.game_ids) == want_games
+
+
+def test_defensive_and_offensive_coefficients_follow_key_order():
+    config = WeightConfig(dict(zip(STAT_KEYS, range(1, 15))))
+    assert config.defensive == tuple(config[key] for key in DEFENSIVE_KEYS)
+    assert config.offensive == tuple(config[key] for key in OFFENSIVE_KEYS)
+    # Key k has weight k + 1 and count k + 20, k = 0..13 in STAT_KEYS order.
+    line = make_line(**dict(zip(STAT_KEYS, range(20, 34))))
+    assert metric_function("id", config)(line) == sum((k + 1) * (k + 20) for k in range(4))
+    assert metric_function("io", config)(line) == sum((k + 1) * (k + 20) for k in range(4, 14))
+
+
+def test_metric_function_rejects_unknown_metric(weights):
+    with pytest.raises(ValueError, match="unknown metric"):
+        metric_function("steals", weights)

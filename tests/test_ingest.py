@@ -191,6 +191,21 @@ def test_parse_json_null_plus_minus():
     assert dataset.lines[0].plus_minus is None
 
 
+def test_parse_json_numeric_game_id():
+    # A number names a game in the games table and in a line alike.
+    doc = json.loads(serialize_json(parse_csv(GAMES_CSV, LINES_CSV)))
+    number = {game["game_id"]: i for i, game in enumerate(doc["games"], start=1)}
+    for game in doc["games"]:
+        game["game_id"] = number[game["game_id"]]
+    for line in doc["lines"]:
+        line["game_id"] = number[line["game_id"]]
+    text = json.dumps(doc)
+    dataset = parse_json(text)
+    assert sorted(dataset.games) == [str(i) for i in sorted(number.values())]
+    assert [ln.game_id for ln in dataset.lines] == [str(ln["game_id"]) for ln in doc["lines"]]
+    assert dataset == naive_parse_json(text)
+
+
 def test_csv_round_trip_identity():
     season = build_season()
     games_text, lines_text = serialize_csv(season)
@@ -369,7 +384,8 @@ def _break_line(draw, fault: str, fmt: str, cells: dict, earlier: list[dict]) ->
     elif fault == "points_negative":
         cells["points"] = -1
     elif fault == "missing_field":
-        del cells[draw(st.sampled_from(sorted(cells)))]
+        # "points" is optional: an entry without it is still valid.
+        del cells[draw(st.sampled_from(sorted(set(cells) - {"points"})))]
     else:
         cells["bonus"] = 1
     return cells

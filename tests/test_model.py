@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 from datetime import date
 
 import pytest
@@ -14,6 +15,7 @@ from boxmetrics import (
     DEFENSIVE_KEYS,
     OFFENSIVE_KEYS,
     STAT_KEYS,
+    BoxscoreLine,
     GameMeta,
     MetricSeries,
     SplitComparison,
@@ -165,3 +167,43 @@ def test_game_meta_margin_antisymmetry():
         home_team="AAA", away_team="BBB", home_score=93, away_score=88,
     )
     assert game.margin("AAA") == -game.margin("BBB")
+
+
+def test_line_record_semantics():
+    line = make_line(t2c=3, rd=2, plus_minus=None, starter=True)
+    with pytest.raises(AttributeError):
+        line.minutes = 30.0
+    with pytest.raises(AttributeError):
+        line.note = "x"
+    # Equal only to another line: a tuple of the same fields is not a line.
+    assert line != tuple(line) and tuple(line) != line
+    assert not line == tuple(line)
+    twin = make_line(t2c=3, rd=2, plus_minus=None, starter=True)
+    assert twin == line and twin is not line and hash(twin) == hash(line)
+    assert len({line, twin, make_line(t2c=4)}) == 2
+    restored = pickle.loads(pickle.dumps(line))
+    assert restored == line and type(restored) is BoxscoreLine
+    by_keyword = BoxscoreLine(
+        starter=True, plus_minus=None, rd=2, t2c=3, minutes=20, game_id="G01",
+        team="MAD", player_name="Arco", player_id="p1",
+    )
+    assert by_keyword == line and type(by_keyword.minutes) is float
+    assert line._replace(rd=5).rd == 5
+    with pytest.raises(ValueError, match="^rd must be >= 0, got -1$"):
+        line._replace(rd=-1)
+    assert repr(line) == (
+        "BoxscoreLine(player_id='p1', player_name='Arco', team='MAD', game_id='G01', "
+        "minutes=20.0, t2c=3, t2f=0, t3c=0, t3f=0, t1c=0, t1f=0, rd=2, ro=0, a=0, br=0, "
+        "bp=0, tf=0, tr=0, fpc=0, fpr=0, plus_minus=None, starter=True)"
+    )
+
+
+def test_line_construction_runs_the_checks_in_init():
+    # Tracing counts lines built by wrapping BoxscoreLine.__init__.
+    assert "__init__" in vars(BoxscoreLine)
+    with pytest.raises(ValueError, match="^fpc must be >= 0, got -2$"):
+        make_line(fpc=-2)
+    with pytest.raises(ValueError, match="^starter must be a boolean, got 'yes'$"):
+        make_line(starter="yes")
+    with pytest.raises(ValueError, match="^team must be a non-empty string$"):
+        make_line(team="", minutes=10**400)

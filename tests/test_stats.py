@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxmetrics import (
@@ -28,6 +28,7 @@ from boxmetrics.stats import (
 )
 from oracles import (
     direct_pearson,
+    naive_kendall_tau,
     pair_count_kendall,
     positional_midranks,
     t_two_sided_p_quadrature,
@@ -179,6 +180,30 @@ def test_kendall_equals_pair_count_oracle(xs, ys):
     except ConstantInputError:
         return
     assert ours == pair_count_kendall(xs, ys)
+
+
+heavy_ties = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 1e300, -1e300])
+
+
+@settings(max_examples=150)
+@given(
+    pairs=st.lists(
+        st.tuples(st.one_of(heavy_ties, finite_floats), st.one_of(heavy_ties, finite_floats)),
+        min_size=3,
+        max_size=60,
+    )
+)
+def test_kendall_equals_quadratic_loop(pairs):
+    # Knight's merge-sort count and the O(n^2) loop give the same float.
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
+    try:
+        expected = naive_kendall_tau(xs, ys)
+    except ConstantInputError:
+        with pytest.raises(ConstantInputError):
+            kendall_tau(xs, ys)
+        return
+    assert kendall_tau(xs, ys) == expected
 
 
 def test_midranks_average_positions():
