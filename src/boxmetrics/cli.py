@@ -33,6 +33,7 @@ from .stats import ConstantInputError, TooFewSamplesError
 EXIT_OK = 0
 EXIT_DOMAIN = 2
 EXIT_IO = 3
+DEFAULT_MIN_GAMES = 10
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:
@@ -41,7 +42,9 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--json", dest="json_path", help="single JSON dataset path")
     parser.add_argument("--weights", help="JSON file with weight overrides")
     parser.add_argument("--alpha", type=float, default=0.05, help="significance level")
-    parser.add_argument("--min-games", type=int, default=10, help="min games per player")
+    parser.add_argument(
+        "--min-games", type=int, default=DEFAULT_MIN_GAMES, help="min games per player"
+    )
     parser.add_argument(
         "--close-threshold",
         type=int,
@@ -82,6 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", nargs="?", choices=SPLIT_KINDS, help="default: win_loss")
     p.add_argument("--competition", help="competition name for the competition split")
     _add_input_options(p)
+    # None tells an explicit --min-games apart: one player's split rejects it.
+    p.set_defaults(min_games=None)
 
     p = sub.add_parser("correlate", help="correlate per-player means of two metrics")
     p.add_argument("metric_x")
@@ -116,26 +121,16 @@ def _emit(payload: bytes, out: str | None) -> None:
         sys.stdout.write(payload.decode("utf-8"))
 
 
+def _table_options(args) -> dict:
+    """The keyword options every table builder takes from the shared flags."""
+    return dict(min_games=args.min_games, alpha=args.alpha, close_threshold=args.close_threshold)
+
+
 def _rank_table(args, dataset, weights, metric: str):
+    build = rank_players
     if metric.endswith(":reg"):
-        return regularity_table(
-            dataset,
-            metric[: -len(":reg")],
-            weights,
-            per_minute=args.per_minute,
-            min_games=args.min_games,
-            alpha=args.alpha,
-            close_threshold=args.close_threshold,
-        )
-    return rank_players(
-        dataset,
-        metric,
-        weights,
-        per_minute=args.per_minute,
-        min_games=args.min_games,
-        alpha=args.alpha,
-        close_threshold=args.close_threshold,
-    )
+        build, metric = regularity_table, metric[: -len(":reg")]
+    return build(dataset, metric, weights, per_minute=args.per_minute, **_table_options(args))
 
 
 def _cmd_validate(args) -> int:
@@ -149,7 +144,8 @@ def _cmd_validate(args) -> int:
 
 def _cmd_rank(args) -> int:
     dataset, weights = _load(args)
-    table = _rank_table(args, dataset, weights, args.metric)
+    suffix = ":reg" if args.command == "regularity" else ""
+    table = _rank_table(args, dataset, weights, args.metric + suffix)
     _emit(render(table, args.format), args.out)
     return EXIT_OK
 
@@ -162,21 +158,6 @@ def _cmd_delta(args) -> int:
     return EXIT_OK
 
 
-def _cmd_regularity(args) -> int:
-    dataset, weights = _load(args)
-    table = regularity_table(
-        dataset,
-        args.metric,
-        weights,
-        per_minute=args.per_minute,
-        min_games=args.min_games,
-        alpha=args.alpha,
-        close_threshold=args.close_threshold,
-    )
-    _emit(render(table, args.format), args.out)
-    return EXIT_OK
-
-
 def _cmd_splits(args) -> int:
     if args.player == "all" and (args.metric != "plus_minus" or args.kind is not None):
         given = args.metric if args.kind is None else f"{args.metric} {args.kind}"
@@ -184,22 +165,21 @@ def _cmd_splits(args) -> int:
             "splits all is the plus_minus overview: it takes the metric plus_minus "
             f"and no split kind, got {given!r}"
         )
+    if args.player != "all" and args.min_games is not None:
+        raise ValueError("one player's split has no games filter; drop --min-games")
+    if args.min_games is None:
+        args.min_games = DEFAULT_MIN_GAMES
+    metric = _per_minute_form(args.metric) if args.per_minute else args.metric
     kind = args.kind or "win_loss"
     dataset, weights = _load(args)
     if args.player == "all":
-        table = plus_minus_overview(
-            dataset,
-            close_threshold=args.close_threshold,
-            alpha=args.alpha,
-            min_games=args.min_games,
-            weights=weights,
-        )
+        table = plus_minus_overview(dataset, weights=weights, **_table_options(args))
         _emit(render(table, args.format), args.out)
         return EXIT_OK
     try:
         comparisons = split_compare(
             args.player,
-            args.metric,
+            metric,
             kind,
             dataset,
             weights,
@@ -226,7 +206,7 @@ def _cmd_splits(args) -> int:
         for c in comparisons
     )
     table = Table(
-        title=f"{args.metric} split by {kind} for {args.player}",
+        title=f"{metric} split by {kind} for {args.player}",
         columns=(
             "metric",
             "side_a",
@@ -265,14 +245,7 @@ def _cmd_correlate(args) -> int:
     if args.per_minute:
         pair = (_per_minute_form(args.metric_x), _per_minute_form(args.metric_y))
     dataset, weights = _load(args)
-    table = correlation_table(
-        dataset,
-        [pair],
-        weights,
-        alpha=args.alpha,
-        min_games=args.min_games,
-        close_threshold=args.close_threshold,
-    )
+    table = correlation_table(dataset, [pair], weights, **_table_options(args))
     _emit(render(table, args.format), args.out)
     return EXIT_OK
 
@@ -285,11 +258,7 @@ def _cmd_report_all(args) -> int:
     out_dir = Path(args.out or "reports")
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = {"csv": "csv", "json": "json", "text": "txt"}[args.format]
-    common = dict(
-        min_games=args.min_games,
-        alpha=args.alpha,
-        close_threshold=args.close_threshold,
-    )
+    common = _table_options(args)
     written: list[str] = []
 
     def write(name: str, table) -> None:
@@ -311,16 +280,7 @@ def _cmd_report_all(args) -> int:
             regularity_table(dataset, metric, weights, per_minute=True, **common),
         )
     write("delta_valoracion_to_rend", rank_delta(ranked["valoracion"], ranked["rend"]))
-    write(
-        "plus_minus_overview",
-        plus_minus_overview(
-            dataset,
-            close_threshold=args.close_threshold,
-            alpha=args.alpha,
-            min_games=args.min_games,
-            weights=weights,
-        ),
-    )
+    write("plus_minus_overview", plus_minus_overview(dataset, weights=weights, **common))
     for metric in ("points_per_minute", "rend_per_minute", "id_per_minute", "io_per_minute"):
         write(f"win_loss_{metric}", win_loss_table(dataset, metric, weights, **common))
     write(
@@ -339,7 +299,7 @@ def _cmd_report_all(args) -> int:
 _COMMANDS = {
     "validate": _cmd_validate,
     "rank": _cmd_rank,
-    "regularity": _cmd_regularity,
+    "regularity": _cmd_rank,
     "delta": _cmd_delta,
     "splits": _cmd_splits,
     "correlate": _cmd_correlate,

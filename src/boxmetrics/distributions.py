@@ -2,7 +2,7 @@
 
 Self-contained double-precision implementations: the regularized incomplete
 beta function via the Lentz continued-fraction evaluation (drives Student's
-t), and the normal CDF via erfc. Accuracy is well inside 1e-10 over the
+t), and the normal two-sided tail via erfc. Accuracy is well inside 1e-10 over the
 ranges used for significance testing; no lookup tables anywhere.
 """
 
@@ -89,19 +89,6 @@ def student_t_two_sided_p(t: float, df: float) -> float:
         return 1.0
     x = df / (df + t * t)
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
-
-
-def student_t_cdf(t: float, df: float) -> float:
-    """P(T <= t) for Student's t with ``df`` degrees of freedom."""
-    p = student_t_two_sided_p(t, df)
-    if t >= 0:
-        return 1.0 - 0.5 * p
-    return 0.5 * p
-
-
-def normal_cdf(z: float) -> float:
-    """Standard normal CDF."""
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def normal_two_sided_p(z: float) -> float:

@@ -5,6 +5,11 @@ reference a known game and a team that actually played in it, and a player
 can appear at most once per game. Validation is total: either a fully
 checked :class:`Dataset` comes back, or a typed error naming the offending
 row/field is raised and nothing is returned.
+
+A tied final score is rejected when a season is parsed: every parsed game
+has a winner. A :class:`~boxmetrics.model.GameMeta` built in memory may
+still hold a tie, and asking for that game's outcome then raises
+:class:`~boxmetrics.model.TiedScoreError`.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import json
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Mapping, NoReturn
 
 from .model import BoxscoreLine, GameMeta, derived_points
@@ -62,6 +67,8 @@ _LINE_FIELDS = frozenset(LINES_HEADER)
 _LINE_FIELDS_WITH_POINTS = _LINE_FIELDS | {OPTIONAL_LINES_COLUMN}
 _game_cells = itemgetter(*GAMES_HEADER)
 _line_cells = itemgetter(*LINES_HEADER)
+_game_fields = attrgetter(*GAMES_HEADER)
+_line_fields = attrgetter(*LINES_HEADER)
 
 
 class IngestError(ValueError):
@@ -415,82 +422,46 @@ def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
     return Dataset._from_checked(games, tuple(lines), Provenance(source, "json"))
 
 
-def _format_minutes(minutes: float) -> str:
-    return repr(minutes)
+def cell_text(value: object) -> str:
+    """One value as full-precision cell text: None as the empty cell, a
+    boolean as true/false, a float by its repr, a date in ISO-8601, anything
+    else by str()."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, date):
+        return value.isoformat()
+    return str(value)
 
 
-def _game_row(game: GameMeta) -> list[str]:
-    return [
-        game.game_id,
-        game.date.isoformat(),
-        game.competition,
-        game.home_team,
-        game.away_team,
-        str(game.home_score),
-        str(game.away_score),
-    ]
-
-
-def _line_row(line: BoxscoreLine) -> list[str]:
-    return [
-        line.game_id,
-        line.player_id,
-        line.player_name,
-        line.team,
-        _format_minutes(line.minutes),
-        str(line.t2c),
-        str(line.t2f),
-        str(line.t3c),
-        str(line.t3f),
-        str(line.t1c),
-        str(line.t1f),
-        str(line.rd),
-        str(line.ro),
-        str(line.a),
-        str(line.br),
-        str(line.bp),
-        str(line.tf),
-        str(line.tr),
-        str(line.fpc),
-        str(line.fpr),
-        "" if line.plus_minus is None else str(line.plus_minus),
-        "true" if line.starter else "false",
-    ]
+def _csv_text(header: tuple[str, ...], fields_of, records: Iterable) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    for record in records:
+        writer.writerow([cell_text(value) for value in fields_of(record)])
+    return buf.getvalue()
 
 
 def serialize_csv(dataset: Dataset) -> tuple[str, str]:
     """Canonical CSV text for (games, lines), preserving dataset order."""
-    games_buf = io.StringIO()
-    writer = csv.writer(games_buf)
-    writer.writerow(GAMES_HEADER)
-    for game in dataset.games.values():
-        writer.writerow(_game_row(game))
-    lines_buf = io.StringIO()
-    writer = csv.writer(lines_buf)
-    writer.writerow(LINES_HEADER)
-    for line in dataset.lines:
-        writer.writerow(_line_row(line))
-    return games_buf.getvalue(), lines_buf.getvalue()
+    return (
+        _csv_text(GAMES_HEADER, _game_fields, dataset.games.values()),
+        _csv_text(LINES_HEADER, _line_fields, dataset.lines),
+    )
 
 
 def serialize_json(dataset: Dataset) -> str:
     """Canonical JSON text mirroring the CSV schema, preserving order."""
     doc = {
-        "games": [dict(zip(GAMES_HEADER, _game_row(g))) for g in dataset.games.values()],
-        "lines": [],
+        "games": [dict(zip(GAMES_HEADER, _game_fields(g))) for g in dataset.games.values()],
+        "lines": [dict(zip(LINES_HEADER, _line_fields(line))) for line in dataset.lines],
     }
-    for game_obj, game in zip(doc["games"], dataset.games.values()):
-        game_obj["home_score"] = game.home_score
-        game_obj["away_score"] = game.away_score
-    for line in dataset.lines:
-        entry: dict[str, object] = dict(zip(LINES_HEADER, _line_row(line)))
-        entry["minutes"] = line.minutes
-        for column in _COUNT_COLUMNS:
-            entry[column] = getattr(line, column)
-        entry["plus_minus"] = line.plus_minus
-        entry["starter"] = line.starter
-        doc["lines"].append(entry)
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    # The game dates are the only values JSON has no type for.
+    return json.dumps(doc, indent=2, ensure_ascii=False, default=cell_text) + "\n"
 
 
 def load_dataset(

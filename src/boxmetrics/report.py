@@ -15,11 +15,11 @@ import json
 import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .indices import EmptySeriesError, parse_metric_name, player_series
-from .ingest import Dataset, filter_min_games
-from .model import WeightConfig
+from .ingest import Dataset, cell_text, filter_min_games
+from .model import MetricSeries, WeightConfig
 from .splits import (
     DEFAULT_CLOSE_THRESHOLD,
     InsufficientSplitError,
@@ -162,6 +162,29 @@ def _player_names(dataset: Dataset) -> dict[str, str]:
     return names
 
 
+def _resolve_metric(metric_name: str, per_minute: bool = False) -> tuple[str, bool, str]:
+    """(base metric, per-minute flag, effective name) for a metric name;
+    ``per_minute`` asks for the per-minute form of any name."""
+    metric, suffix_per_minute = parse_metric_name(metric_name)
+    use_per_minute = per_minute or suffix_per_minute
+    return metric, use_per_minute, f"{metric}_per_minute" if use_per_minute else metric
+
+
+def _series_by_player(
+    dataset: Dataset, metric: str, weights: WeightConfig, use_per_minute: bool
+) -> Iterator[tuple[str, MetricSeries]]:
+    """(player_id, series) for each player in id order, skipping players
+    with no qualifying games."""
+    for player_id in dataset.player_ids():
+        try:
+            series = player_series(
+                dataset, player_id, metric, weights, per_minute_values=use_per_minute
+            )
+        except EmptySeriesError:
+            continue
+        yield player_id, series
+
+
 def rank_players(
     dataset: Dataset,
     metric_name: str,
@@ -179,26 +202,18 @@ def rank_players(
     qualifying games are dropped.
     """
     weights = weights or WeightConfig.defaults()
-    metric, suffix_per_minute = parse_metric_name(metric_name)
-    use_per_minute = per_minute or suffix_per_minute
+    metric, use_per_minute, effective_name = _resolve_metric(metric_name, per_minute)
     filtered = filter_min_games(dataset, min_games)
     names = _player_names(filtered)
     entries: list[tuple[str, str, float]] = []
     game_counts: list[Cell] = []
-    for player_id in filtered.player_ids():
-        try:
-            series = player_series(
-                filtered, player_id, metric, weights, per_minute_values=use_per_minute
-            )
-        except EmptySeriesError:
-            continue
+    for player_id, series in _series_by_player(filtered, metric, weights, use_per_minute):
         entries.append((player_id, names[player_id], mean(series.values)))
         game_counts.append(len(series))
     if not entries:
         raise EmptyAfterFilterError(
             f"no players with qualifying games for {metric_name!r} at min_games={min_games}"
         )
-    effective_name = f"{metric}_per_minute" if use_per_minute else metric
     return rank_values(
         effective_name,
         entries,
@@ -264,22 +279,15 @@ def regularity_table(
     regularity should only decide between players with similar means.
     """
     weights = weights or WeightConfig.defaults()
-    metric, suffix_per_minute = parse_metric_name(metric_name)
-    use_per_minute = per_minute or suffix_per_minute
+    metric, use_per_minute, effective_name = _resolve_metric(metric_name, per_minute)
     min_games = max(min_games, 2)
     filtered = filter_min_games(dataset, min_games)
     names = _player_names(filtered)
-    summaries: dict[str, SeriesSummary] = {}
-    for player_id in filtered.player_ids():
-        try:
-            series = player_series(
-                filtered, player_id, metric, weights, per_minute_values=use_per_minute
-            )
-        except EmptySeriesError:
-            continue
-        if len(series) < 2:
-            continue
-        summaries[player_id] = summarize(series)
+    summaries: dict[str, SeriesSummary] = {
+        player_id: summarize(series)
+        for player_id, series in _series_by_player(filtered, metric, weights, use_per_minute)
+        if len(series) >= 2
+    }
     if not summaries:
         raise EmptyAfterFilterError(
             f"no players with >= 2 qualifying games for {metric_name!r}"
@@ -296,7 +304,6 @@ def regularity_table(
     by_mean = sorted(summaries, key=lambda pid: (-summaries[pid].mean, names[pid], pid))
     mean_rank = {pid: i + 1 for i, pid in enumerate(by_mean)}
 
-    effective_name = f"{metric}_per_minute" if use_per_minute else metric
     rows = []
     for rank, player_id in enumerate(regular + constant, start=1):
         summary = summaries[player_id]
@@ -449,15 +456,15 @@ def correlation_table(
         )
     rows = []
     for metric_x, metric_y in metric_pairs:
-        xs, ys = [], []
-        for player_id in player_ids:
-            try:
-                x = _mean_for(filtered, player_id, metric_x, weights)
-                y = _mean_for(filtered, player_id, metric_y, weights)
-            except EmptySeriesError:
-                continue
-            xs.append(x)
-            ys.append(y)
+        means = []
+        for name in (metric_x, metric_y):
+            metric, use_per_minute, _ = _resolve_metric(name)
+            series = _series_by_player(filtered, metric, weights, use_per_minute)
+            means.append({player_id: mean(s.values) for player_id, s in series})
+        means_x, means_y = means
+        both = [player_id for player_id in means_x if player_id in means_y]
+        xs = [means_x[player_id] for player_id in both]
+        ys = [means_y[player_id] for player_id in both]
         if len(xs) < 4:
             raise EmptyAfterFilterError(
                 f"fewer than 4 players with qualifying games for {metric_x}/{metric_y}"
@@ -487,37 +494,15 @@ def correlation_table(
     )
 
 
-def _mean_for(dataset: Dataset, player_id: str, metric_name: str, weights: WeightConfig) -> float:
-    metric, use_per_minute = parse_metric_name(metric_name)
-    series = player_series(dataset, player_id, metric, weights, per_minute_values=use_per_minute)
-    return mean(series.values)
-
-
 # --- rendering -------------------------------------------------------------
 
 def format_display(value: Cell, decimals: int) -> str:
-    """Text-format cell: floats rounded half-away-from-zero to ``decimals``."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            return repr(value)
+    """Text-format cell: finite floats rounded half-away-from-zero to
+    ``decimals``, any other value as its full-precision cell text."""
+    if isinstance(value, float) and math.isfinite(value):
         quantum = Decimal(1).scaleb(-decimals)
         return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
-    return str(value)
-
-
-def format_full(value: Cell) -> str:
-    """Full-precision cell for CSV."""
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+    return cell_text(value)
 
 
 def _as_grid(table: RankedTable | Table) -> tuple[tuple[str, ...], list[tuple[Cell, ...]]]:
@@ -559,7 +544,7 @@ def render(table: RankedTable | Table, fmt: str = "text") -> bytes:
         writer = csv.writer(buf)
         writer.writerow(columns)
         for row in grid:
-            writer.writerow([format_full(cell) for cell in row])
+            writer.writerow([cell_text(cell) for cell in row])
         return buf.getvalue().encode("utf-8")
     if fmt == "json":
         doc = {
@@ -572,7 +557,7 @@ def render(table: RankedTable | Table, fmt: str = "text") -> bytes:
         decimals = table.display_decimals
         header_lines = [f"# {table.title}"]
         if table.meta:
-            parts = [f"{key}={format_full(value)}" for key, value in table.meta.items()]
+            parts = [f"{key}={cell_text(value)}" for key, value in table.meta.items()]
             header_lines.append("# " + "  ".join(parts))
         formatted = [tuple(format_display(cell, decimals) for cell in row) for row in grid]
         widths = [len(name) for name in columns]

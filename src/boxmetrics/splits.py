@@ -9,6 +9,7 @@ Welch test and reports the means with a significance verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .indices import parse_metric_name, series_values
 from .ingest import Dataset
@@ -20,7 +21,7 @@ from .model import (
     UnknownPlayerError,
     WeightConfig,
 )
-from .stats import welch_test
+from .stats import mean, welch_test
 
 DEFAULT_CLOSE_THRESHOLD = 5
 
@@ -32,6 +33,8 @@ _SIDES = {
     "home_away": ("home", "away"),
     "starter_bench": ("starter", "bench"),
 }
+# Any weights will do for a plus_minus series, which reads none of them.
+_NO_WEIGHTS = WeightConfig.defaults()
 
 
 class InsufficientSplitError(ValueError):
@@ -72,23 +75,23 @@ def is_close_game(game: GameMeta, threshold: int = DEFAULT_CLOSE_THRESHOLD) -> b
     return abs(game.home_score - game.away_score) <= threshold
 
 
-def matches_label(
+def side_of(
+    kind: str,
     line: BoxscoreLine,
     game: GameMeta,
-    label: SplitLabel,
-    *,
     close_threshold: int = DEFAULT_CLOSE_THRESHOLD,
-) -> bool:
-    """Whether this (line, game) belongs to the label's side of its split."""
-    if label.kind == "win_loss":
-        return game_outcome(line, game) == ("win" if label.side == "win" else "loss")
-    if label.kind == "close_game":
-        return is_close_game(game, close_threshold) == (label.side == "close")
-    if label.kind == "home_away":
-        return (line.team == game.home_team) == (label.side == "home")
-    if label.kind == "starter_bench":
-        return line.starter == (label.side == "starter")
-    return game.competition == label.side
+) -> str:
+    """The side of a ``kind`` split this (line, game) falls on: win/loss,
+    close/normal, home/away, starter/bench, or the game's competition."""
+    if kind == "win_loss":
+        return game_outcome(line, game)
+    if kind == "close_game":
+        return "close" if is_close_game(game, close_threshold) else "normal"
+    if kind == "home_away":
+        return "home" if line.team == game.home_team else "away"
+    if kind == "starter_bench":
+        return "starter" if line.starter else "bench"
+    return game.competition
 
 
 @dataclass(frozen=True)
@@ -108,15 +111,12 @@ class PlusMinusSummary:
     by_label: tuple[LabelStat, ...]
 
 
-def _pm_stat(
-    label: str, pairs: list[tuple[BoxscoreLine, GameMeta]]
-) -> LabelStat:
-    observed = [(ln, g) for ln, g in pairs if ln.plus_minus is not None]
-    if not observed:
+def _pm_stat(label: str, lines: Sequence[BoxscoreLine]) -> LabelStat:
+    values, kept = series_values(lines, "plus_minus", _NO_WEIGHTS)
+    if not values:
         return LabelStat(label=label, n=0, mean=None)
-    values = [float(ln.plus_minus) for ln, _ in observed]
-    dnp = sum(1 for ln, _ in observed if ln.dnp)
-    return LabelStat(label=label, n=len(values), mean=sum(values) / len(values), dnp_included=dnp)
+    dnp = sum(1 for line in kept if line.dnp)
+    return LabelStat(label=label, n=len(values), mean=mean(values), dnp_included=dnp)
 
 
 def plus_minus_summary(
@@ -142,12 +142,16 @@ def plus_minus_summary(
     lines = dataset.lines_for(player_id)
     if not lines:
         raise UnknownPlayerError(f"no lines for player {player_id!r}")
-    pairs = [(line, dataset.games[line.game_id]) for line in lines]
-    overall = _pm_stat("total", pairs)
+    games = dataset.games
+    overall = _pm_stat("total", lines)
     stats = tuple(
         _pm_stat(
             str(label),
-            [(ln, g) for ln, g in pairs if matches_label(ln, g, label, close_threshold=close_threshold)],
+            [
+                line
+                for line in lines
+                if side_of(label.kind, line, games[line.game_id], close_threshold) == label.side
+            ],
         )
         for label in labels
     )
@@ -181,11 +185,21 @@ def split_compare(
     lines = dataset.lines_for(player_id)
     if not lines:
         raise UnknownPlayerError(f"no lines for player {player_id!r}")
-    pairs = [(line, dataset.games[line.game_id]) for line in lines]
-
-    def compare(side_a: str, side_b: str, pairs_a, pairs_b, *, strict: bool):
-        values_a = series_values([ln for ln, g in pairs_a], metric, weights, use_per_minute)[0]
-        values_b = series_values([ln for ln, g in pairs_b], metric, weights, use_per_minute)[0]
+    games = dataset.games
+    sides = [side_of(split_kind, line, games[line.game_id], close_threshold) for line in lines]
+    if split_kind != "competition":
+        side_pairs = [_SIDES[split_kind]]
+    elif competition is not None:
+        side_pairs = [(competition, "rest")]
+    else:
+        side_pairs = [(name, "rest") for name in sorted(set(sides))]
+    strict = split_kind != "competition" or competition is not None
+    results = []
+    for side_a, side_b in side_pairs:
+        inside = [line for line, side in zip(lines, sides) if side == side_a]
+        outside = [line for line, side in zip(lines, sides) if side != side_a]
+        values_a = series_values(inside, metric, weights, use_per_minute)[0]
+        values_b = series_values(outside, metric, weights, use_per_minute)[0]
         if len(values_a) < 2 or len(values_b) < 2:
             if strict:
                 raise InsufficientSplitError(
@@ -193,41 +207,15 @@ def split_compare(
                     f"{len(values_a)} ({side_a}) and {len(values_b)} ({side_b}) "
                     "qualifying games; need at least 2 each"
                 )
-            return None
-        return welch_test(
-            values_a,
-            values_b,
-            alpha,
-            metric_name=metric_name,
-            group_a_label=side_a,
-            group_b_label=side_b,
-        )
-
-    if split_kind == "competition":
-        names = (
-            [competition]
-            if competition is not None
-            else sorted({g.competition for _, g in pairs})
-        )
-        results = []
-        for name in names:
-            inside = [(ln, g) for ln, g in pairs if g.competition == name]
-            outside = [(ln, g) for ln, g in pairs if g.competition != name]
-            comparison = compare(
-                name, "rest", inside, outside, strict=competition is not None
+            continue
+        results.append(
+            welch_test(
+                values_a,
+                values_b,
+                alpha,
+                metric_name=metric_name,
+                group_a_label=side_a,
+                group_b_label=side_b,
             )
-            if comparison is not None:
-                results.append(comparison)
-        return results
-
-    side_a, side_b = _SIDES[split_kind]
-    label_a = SplitLabel(split_kind, side_a)
-    pairs_a: list[tuple[BoxscoreLine, GameMeta]] = []
-    pairs_b: list[tuple[BoxscoreLine, GameMeta]] = []
-    for pair in pairs:
-        if matches_label(pair[0], pair[1], label_a, close_threshold=close_threshold):
-            pairs_a.append(pair)
-        else:
-            pairs_b.append(pair)
-    comparison = compare(side_a, side_b, pairs_a, pairs_b, strict=True)
-    return [comparison]
+        )
+    return results

@@ -59,18 +59,22 @@ def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
+def _squared_deviations(values: Sequence[float]) -> tuple[float, float]:
+    """(mean, sum of squared deviations from the mean) of ``values``."""
+    center = mean(values)
+    return center, sum((v - center) ** 2 for v in values)
+
+
 def sample_sd(values: Sequence[float]) -> float:
     """Standard deviation with divisor n-1 (requires n >= 2)."""
     if len(values) < 2:
         raise TooFewSamplesError("sample standard deviation requires n >= 2")
-    center = mean(values)
-    return math.sqrt(sum((v - center) ** 2 for v in values) / (len(values) - 1))
+    return math.sqrt(_squared_deviations(values)[1] / (len(values) - 1))
 
 
 def population_sd(values: Sequence[float]) -> float:
     """Standard deviation with divisor n."""
-    center = mean(values)
-    return math.sqrt(sum((v - center) ** 2 for v in values) / len(values))
+    return math.sqrt(_squared_deviations(values)[1] / len(values))
 
 
 def summarize(series: MetricSeries | Sequence[float]) -> SeriesSummary:
@@ -78,17 +82,18 @@ def summarize(series: MetricSeries | Sequence[float]) -> SeriesSummary:
     values = tuple(series.values if isinstance(series, MetricSeries) else series)
     if not values:
         raise TooFewSamplesError("cannot summarize an empty series")
-    center = mean(values)
+    n = len(values)
+    center, spread = _squared_deviations(values)
     # Equal values have no spread even when their mean rounds: 21 copies of
     # 222 * 835.765 give a computed sample sd near 6e-11.
     equal = all(v == values[0] for v in values)
-    sd = None if len(values) < 2 else 0.0 if equal else sample_sd(values)
+    sd = None if n < 2 else 0.0 if equal else math.sqrt(spread / (n - 1))
     constant = equal or sd == 0.0
     return SeriesSummary(
-        n=len(values),
+        n=n,
         mean=center,
         sd_sample=sd,
-        sd_population=0.0 if equal else population_sd(values),
+        sd_population=0.0 if equal else math.sqrt(spread / n),
         regularity=None if constant else center / sd,
         constant_series=constant,
     )
@@ -271,9 +276,10 @@ def welch_test(
             f"welch test requires n >= 2 per group, got {len(a)} and {len(b)}"
         )
     n_a, n_b = len(a), len(b)
-    mean_a, mean_b = mean(a), mean(b)
-    var_a = sum((v - mean_a) ** 2 for v in a) / (n_a - 1)
-    var_b = sum((v - mean_b) ** 2 for v in b) / (n_b - 1)
+    mean_a, spread_a = _squared_deviations(a)
+    mean_b, spread_b = _squared_deviations(b)
+    var_a = spread_a / (n_a - 1)
+    var_b = spread_b / (n_b - 1)
     se_sq = var_a / n_a + var_b / n_b
     if se_sq == 0.0:
         diff = mean_a - mean_b

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import strategies as st
 
 from boxmetrics import BoxscoreLine, Dataset, GameMeta, WeightConfig
 
@@ -171,3 +172,44 @@ def winloss_season(win_points: list[int], loss_points: list[int], minutes: float
             minutes=minutes, t1c=pts, starter=True,
         ))
     return Dataset(games=games, lines=tuple(lines))
+
+
+@st.composite
+def random_seasons(draw, max_games: int = 8, max_players: int = 4) -> tuple[Dataset, int]:
+    """(season, close threshold): two teams, two competitions, final margins
+    at, just above and well above the threshold (never tied), starters and
+    bench players, DNP lines (with and without a plus_minus), missing
+    plus_minus, and minutes given as floats or ints."""
+    threshold = draw(st.integers(0, 6))
+    margins = sorted({threshold, threshold + 1, threshold + 9} - {0})
+    games = {}
+    for i in range(draw(st.integers(1, max_games))):
+        margin = draw(st.sampled_from(margins))
+        base = draw(st.integers(40, 90))
+        home, away = draw(st.sampled_from([("MAD", "BCN"), ("BCN", "MAD")]))
+        home_wins = draw(st.booleans())
+        games[f"G{i}"] = GameMeta(
+            game_id=f"G{i}",
+            date=date(2014, 1, 1) + timedelta(days=draw(st.integers(0, 40))),
+            competition=draw(st.sampled_from(["liga", "copa"])),
+            home_team=home,
+            away_team=away,
+            home_score=base + margin if home_wins else base,
+            away_score=base if home_wins else base + margin,
+        )
+    lines = []
+    for p in range(draw(st.integers(1, max_players))):
+        team = draw(st.sampled_from(["MAD", "BCN"]))
+        for game_id in games:
+            if not draw(st.booleans()):
+                continue
+            lines.append(BoxscoreLine(
+                f"p{p}", f"Player {p}", team, game_id,
+                draw(st.one_of(
+                    st.just(0.0), st.floats(0.5, 40.0), st.integers(1, 40)
+                )),
+                *draw(st.lists(st.integers(0, 9), min_size=15, max_size=15)),
+                draw(st.one_of(st.none(), st.integers(-20, 20))),
+                draw(st.booleans()),
+            ))
+    return Dataset(games=games, lines=tuple(lines)), threshold

@@ -4,7 +4,10 @@ Everything here is deliberately written as a direct transcription of the
 defining formula (literal expressions, explicit pair enumeration, numeric
 quadrature) and shares no code with the package under test. The naive
 parsers are the exception: they build the package's own types and raise its
-error classes, so that their results compare with the real parsers'.
+error classes, so that their results compare with the real parsers'. So are
+the split, plus/minus and serializer references, which are the code those
+modules ran before each decision got a single owner (side of a split,
+exclusion from a series, cell text), and the CDFs only the tests use.
 """
 
 from __future__ import annotations
@@ -19,12 +22,21 @@ from typing import Sequence
 from boxmetrics import (
     DEFENSIVE_KEYS,
     OFFENSIVE_KEYS,
+    SPLIT_KINDS,
     BoxscoreLine,
     ConstantInputError,
     Dataset,
     GameMeta,
+    InsufficientSplitError,
+    UnknownPlayerError,
+    WeightConfig,
     derived_points,
+    series_values,
+    welch_test,
 )
+from boxmetrics.distributions import student_t_two_sided_p
+from boxmetrics.indices import parse_metric_name
+from boxmetrics.splits import LabelStat, PlusMinusSummary, SplitLabel
 from boxmetrics.ingest import (
     GAMES_HEADER,
     LINES_HEADER,
@@ -488,3 +500,225 @@ def t_two_sided_p_quadrature(t: float, df: float, tol: float = 1e-13) -> float:
         return 1.0
     inner = _adaptive_simpson(lambda u: _t_pdf(u, df), 0.0, t, tol)
     return max(0.0, 1.0 - 2.0 * inner)
+
+
+def student_t_cdf(t: float, df: float) -> float:
+    """P(T <= t) for Student's t, from the package's two-sided p-value."""
+    p = student_t_two_sided_p(t, df)
+    if t >= 0:
+        return 1.0 - 0.5 * p
+    return 0.5 * p
+
+
+def normal_cdf(z: float) -> float:
+    """Standard normal CDF."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+_NAIVE_SIDES = {
+    "win_loss": ("loss", "win"),
+    "close_game": ("close", "normal"),
+    "home_away": ("home", "away"),
+    "starter_bench": ("starter", "bench"),
+}
+
+
+def naive_matches_label(line, game, label, *, close_threshold: int = 5) -> bool:
+    """Whether this (line, game) belongs to the label's side of its split,
+    one branch per kind, each written out from the game's scores."""
+    if label.kind == "win_loss":
+        own, other = (
+            (game.home_score, game.away_score)
+            if line.team == game.home_team
+            else (game.away_score, game.home_score)
+        )
+        return (own > other) == (label.side == "win")
+    if label.kind == "close_game":
+        close = abs(game.home_score - game.away_score) <= close_threshold
+        return close == (label.side == "close")
+    if label.kind == "home_away":
+        return (line.team == game.home_team) == (label.side == "home")
+    if label.kind == "starter_bench":
+        return line.starter == (label.side == "starter")
+    return game.competition == label.side
+
+
+def naive_split_compare(
+    player_id: str,
+    metric_name: str,
+    split_kind: str,
+    dataset,
+    weights=None,
+    alpha: float = 0.05,
+    *,
+    close_threshold: int = 5,
+    competition: str | None = None,
+) -> list:
+    """A split comparison with (line, game) pair lists: one branch for the
+    competition kind, one for the two-sided kinds."""
+    if split_kind not in SPLIT_KINDS:
+        raise ValueError(f"unknown split kind {split_kind!r}")
+    weights = weights or WeightConfig.defaults()
+    metric, use_per_minute = parse_metric_name(metric_name)
+    lines = dataset.lines_for(player_id)
+    if not lines:
+        raise UnknownPlayerError(f"no lines for player {player_id!r}")
+    pairs = [(line, dataset.games[line.game_id]) for line in lines]
+
+    def compare(side_a, side_b, pairs_a, pairs_b, *, strict):
+        values_a = series_values([ln for ln, g in pairs_a], metric, weights, use_per_minute)[0]
+        values_b = series_values([ln for ln, g in pairs_b], metric, weights, use_per_minute)[0]
+        if len(values_a) < 2 or len(values_b) < 2:
+            if strict:
+                raise InsufficientSplitError(
+                    f"player {player_id!r}, split {split_kind!r}: sides have "
+                    f"{len(values_a)} ({side_a}) and {len(values_b)} ({side_b}) "
+                    "qualifying games; need at least 2 each"
+                )
+            return None
+        return welch_test(
+            values_a,
+            values_b,
+            alpha,
+            metric_name=metric_name,
+            group_a_label=side_a,
+            group_b_label=side_b,
+        )
+
+    if split_kind == "competition":
+        names = (
+            [competition]
+            if competition is not None
+            else sorted({g.competition for _, g in pairs})
+        )
+        results = []
+        for name in names:
+            inside = [(ln, g) for ln, g in pairs if g.competition == name]
+            outside = [(ln, g) for ln, g in pairs if g.competition != name]
+            comparison = compare(name, "rest", inside, outside, strict=competition is not None)
+            if comparison is not None:
+                results.append(comparison)
+        return results
+
+    side_a, side_b = _NAIVE_SIDES[split_kind]
+    label_a = SplitLabel(split_kind, side_a)
+    pairs_a, pairs_b = [], []
+    for pair in pairs:
+        if naive_matches_label(pair[0], pair[1], label_a, close_threshold=close_threshold):
+            pairs_a.append(pair)
+        else:
+            pairs_b.append(pair)
+    return [compare(side_a, side_b, pairs_a, pairs_b, strict=True)]
+
+
+def _naive_pm_stat(label: str, pairs) -> LabelStat:
+    observed = [(ln, g) for ln, g in pairs if ln.plus_minus is not None]
+    if not observed:
+        return LabelStat(label=label, n=0, mean=None)
+    values = [float(ln.plus_minus) for ln, _ in observed]
+    dnp = sum(1 for ln, _ in observed if ln.minutes == 0.0)
+    return LabelStat(label=label, n=len(values), mean=sum(values) / len(values), dnp_included=dnp)
+
+
+def naive_plus_minus_summary(
+    player_id: str, dataset, labels=None, *, close_threshold: int = 5
+) -> PlusMinusSummary:
+    """Mean plus_minus overall and per label, filtering missing values itself."""
+    if labels is None:
+        labels = (
+            SplitLabel("close_game", "close"),
+            SplitLabel("win_loss", "win"),
+            SplitLabel("win_loss", "loss"),
+        )
+    lines = dataset.lines_for(player_id)
+    if not lines:
+        raise UnknownPlayerError(f"no lines for player {player_id!r}")
+    pairs = [(line, dataset.games[line.game_id]) for line in lines]
+    stats = tuple(
+        _naive_pm_stat(
+            str(label),
+            [
+                (ln, g)
+                for ln, g in pairs
+                if naive_matches_label(ln, g, label, close_threshold=close_threshold)
+            ],
+        )
+        for label in labels
+    )
+    return PlusMinusSummary(
+        player_id=player_id, overall=_naive_pm_stat("total", pairs), by_label=stats
+    )
+
+
+def _naive_game_row(game) -> list[str]:
+    return [
+        game.game_id,
+        game.date.isoformat(),
+        game.competition,
+        game.home_team,
+        game.away_team,
+        str(game.home_score),
+        str(game.away_score),
+    ]
+
+
+def _naive_line_row(line) -> list[str]:
+    return [
+        line.game_id,
+        line.player_id,
+        line.player_name,
+        line.team,
+        repr(line.minutes),
+        str(line.t2c),
+        str(line.t2f),
+        str(line.t3c),
+        str(line.t3f),
+        str(line.t1c),
+        str(line.t1f),
+        str(line.rd),
+        str(line.ro),
+        str(line.a),
+        str(line.br),
+        str(line.bp),
+        str(line.tf),
+        str(line.tr),
+        str(line.fpc),
+        str(line.fpr),
+        "" if line.plus_minus is None else str(line.plus_minus),
+        "true" if line.starter else "false",
+    ]
+
+
+def naive_serialize_csv(dataset) -> tuple[str, str]:
+    """(games, lines) CSV text, every field of every row written by hand."""
+    games_buf = io.StringIO()
+    writer = csv.writer(games_buf)
+    writer.writerow(GAMES_HEADER)
+    for game in dataset.games.values():
+        writer.writerow(_naive_game_row(game))
+    lines_buf = io.StringIO()
+    writer = csv.writer(lines_buf)
+    writer.writerow(LINES_HEADER)
+    for line in dataset.lines:
+        writer.writerow(_naive_line_row(line))
+    return games_buf.getvalue(), lines_buf.getvalue()
+
+
+def naive_serialize_json(dataset) -> str:
+    """JSON text built from the CSV rows, with the numeric fields' types put back."""
+    doc = {
+        "games": [dict(zip(GAMES_HEADER, _naive_game_row(g))) for g in dataset.games.values()],
+        "lines": [],
+    }
+    for game_obj, game in zip(doc["games"], dataset.games.values()):
+        game_obj["home_score"] = game.home_score
+        game_obj["away_score"] = game.away_score
+    for line in dataset.lines:
+        entry = dict(zip(LINES_HEADER, _naive_line_row(line)))
+        entry["minutes"] = line.minutes
+        for column in LINES_HEADER[5:20]:
+            entry[column] = getattr(line, column)
+        entry["plus_minus"] = line.plus_minus
+        entry["starter"] = line.starter
+        doc["lines"].append(entry)
+    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"

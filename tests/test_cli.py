@@ -99,8 +99,7 @@ def test_splits_command_significant_star(tmp_path, capsys):
     losses = [10, 9, 10, 11, 10, 9, 10, 10, 11, 9, 10, 10, 9, 10, 11]
     doc = tmp_path / "season.json"
     doc.write_text(serialize_json(winloss_season(wins, losses)), encoding="utf-8")
-    code = main(["splits", "n1", "points_per_minute", "win_loss", "--json", str(doc),
-                 "--min-games", "1"])
+    code = main(["splits", "n1", "points_per_minute", "win_loss", "--json", str(doc)])
     assert code == 0
     out = capsys.readouterr().out
     assert "*" in out
@@ -108,16 +107,33 @@ def test_splits_command_significant_star(tmp_path, capsys):
 
 
 def test_splits_insufficient_is_warning_not_failure(season_files, capsys):
-    code = main(_base(season_files, "splits", "p4", "points_per_minute", "win_loss")
-                + ["--min-games", "1"])
+    code = main(_base(season_files, "splits", "p4", "points_per_minute", "win_loss"))
     assert code == 0
     assert "warning" in capsys.readouterr().err
 
 
 def test_splits_unknown_player(season_files):
-    code = main(_base(season_files, "splits", "ghost", "points_per_minute", "win_loss")
-                + ["--min-games", "1"])
+    code = main(_base(season_files, "splits", "ghost", "points_per_minute", "win_loss"))
     assert code == 2
+
+
+def test_splits_per_minute_flag_uses_per_minute_form(season_files, capsys):
+    base = _base(season_files, "splits", "p1") + ["--format", "csv"]
+    assert main(base[:2] + ["rend_per_minute", "home_away"] + base[2:]) == 0
+    explicit = capsys.readouterr().out
+    assert main(base[:2] + ["rend", "home_away"] + base[2:]) == 0
+    per_game = capsys.readouterr().out
+    assert main(base[:2] + ["rend", "home_away"] + base[2:] + ["--per-minute"]) == 0
+    flagged = capsys.readouterr().out
+    assert flagged == explicit != per_game
+    assert main(base[:2] + ["plus_minus"] + base[2:] + ["--per-minute"]) == 2
+    assert "plus_minus" in capsys.readouterr().err
+
+
+def test_splits_one_player_rejects_min_games_before_input_is_read(capsys):
+    missing = ["--games", "/nonexistent/g.csv", "--lines", "/nonexistent/l.csv"]
+    assert main(["splits", "p1", "rend", "--min-games", "1", *missing]) == 2
+    assert "--min-games" in capsys.readouterr().err
 
 
 def test_splits_all_plus_minus_overview(season_files, capsys):
@@ -216,7 +232,7 @@ def _reject_non_finite(token: str):
 
 def test_splits_json_writes_null_for_infinite_t_stat(tmp_path, capsys):
     args = ["splits", "n1", "rend", "win_loss", "--json", _constant_sides_season(tmp_path),
-            "--min-games", "1", "--format", "json"]
+            "--format", "json"]
     assert main(args) == 0
     doc = json.loads(capsys.readouterr().out, parse_constant=_reject_non_finite)
     (row,) = doc["rows"]
@@ -226,7 +242,7 @@ def test_splits_json_writes_null_for_infinite_t_stat(tmp_path, capsys):
 
 def test_splits_text_prints_infinite_t_stat(tmp_path, capsys):
     args = ["splits", "n1", "rend", "win_loss", "--json", _constant_sides_season(tmp_path),
-            "--min-games", "1", "--format", "text"]
+            "--format", "text"]
     assert main(args) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[-1].split()[7] == "-inf"

@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from boxmetrics.distributions import (
-    normal_cdf,
     normal_two_sided_p,
     regularized_incomplete_beta,
-    student_t_cdf,
     student_t_two_sided_p,
 )
-from oracles import t_two_sided_p_quadrature
+from oracles import normal_cdf, student_t_cdf, t_two_sided_p_quadrature
 
 DFS = (1.0, 2.0, 3.7, 8.0, 30.0, 219.0)
 TS = (0.0, 0.37, -0.5, 1.632993161855452, -2.0, 3.0, -5.5, 10.0, -25.0)

@@ -26,7 +26,7 @@ from boxmetrics.ingest import (
     serialize_csv,
     serialize_json,
 )
-from conftest import build_season, make_game, make_line
+from conftest import build_season, make_game, make_line, random_seasons
 from oracles import (
     naive_filter_min_games,
     naive_game_count,
@@ -34,6 +34,8 @@ from oracles import (
     naive_parse_csv,
     naive_parse_json,
     naive_player_ids,
+    naive_serialize_csv,
+    naive_serialize_json,
 )
 
 GAMES_CSV = (
@@ -220,6 +222,14 @@ def test_json_round_trip_identity():
     reparsed = parse_json(text)
     assert reparsed == season
     assert serialize_json(reparsed) == text
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=random_seasons())
+def test_serializers_match_row_by_row_writers(data):
+    season, _ = data
+    assert serialize_csv(season) == naive_serialize_csv(season)
+    assert serialize_json(season) == naive_serialize_json(season)
 
 
 def test_provenance_not_part_of_equality():

@@ -2,21 +2,28 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxmetrics import (
+    SPLIT_KINDS,
     InsufficientSplitError,
     SplitLabel,
     TiedScoreError,
     UnknownPlayerError,
     UnknownTeamError,
+    WeightConfig,
     game_outcome,
     is_close_game,
     plus_minus_summary,
     split_compare,
 )
 from boxmetrics.indices import player_series
-from conftest import make_game, make_line, winloss_season
+from conftest import make_game, make_line, random_seasons, winloss_season
+from oracles import naive_plus_minus_summary, naive_split_compare
 
 
 def test_game_outcome_sides():
@@ -190,3 +197,64 @@ def test_split_compare_per_minute_excludes_dnp(season, weights):
     # p3 has two DNP games; they never enter per-minute series
     comparison = split_compare("p3", "points_per_minute", "win_loss", season, weights)[0]
     assert comparison.n_a + comparison.n_b == 4
+
+
+def _exact(record) -> tuple:
+    """Every field of a result dataclass, floats by their exact bits."""
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in (getattr(record, f.name) for f in dataclasses.fields(record))
+    )
+
+
+def _comparisons(compare, *args, **kwargs):
+    try:
+        return [_exact(c) for c in compare(*args, **kwargs)]
+    except InsufficientSplitError as exc:
+        return ("insufficient", str(exc))
+
+
+SPLIT_METRICS = (
+    "points", "rend", "valoracion", "plus_minus",
+    "id_per_minute", "io_per_minute", "rend_per_minute",
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=random_seasons(), metric_name=st.sampled_from(SPLIT_METRICS))
+def test_split_compare_matches_pair_list_code(data, metric_name):
+    season, threshold = data
+    weights = WeightConfig.defaults()
+    for player_id in season.player_ids():
+        for kind in SPLIT_KINDS:
+            for competition in (None, "liga", "copa"):
+                args = (player_id, metric_name, kind, season, weights)
+                options = dict(close_threshold=threshold, competition=competition)
+                assert _comparisons(split_compare, *args, **options) == _comparisons(
+                    naive_split_compare, *args, **options
+                ), (player_id, kind, competition)
+
+
+ALL_LABELS = (
+    SplitLabel("win_loss", "win"), SplitLabel("win_loss", "loss"),
+    SplitLabel("close_game", "close"), SplitLabel("close_game", "normal"),
+    SplitLabel("home_away", "home"), SplitLabel("home_away", "away"),
+    SplitLabel("starter_bench", "starter"), SplitLabel("starter_bench", "bench"),
+    SplitLabel("competition", "liga"), SplitLabel("competition", "copa"),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=random_seasons())
+def test_plus_minus_summary_matches_own_filter_code(data):
+    season, threshold = data
+    for player_id in season.player_ids():
+        for labels in (None, ALL_LABELS):
+            summary = plus_minus_summary(player_id, season, labels, close_threshold=threshold)
+            expected = naive_plus_minus_summary(
+                player_id, season, labels, close_threshold=threshold
+            )
+            assert summary.player_id == expected.player_id
+            assert [_exact(s) for s in (summary.overall, *summary.by_label)] == [
+                _exact(s) for s in (expected.overall, *expected.by_label)
+            ]
