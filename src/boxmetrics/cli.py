@@ -12,12 +12,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .indices import parse_metric_name
-from .ingest import IngestError, filter_min_games, load_dataset
-from .model import UnknownPlayerError, WeightConfig
+from .indices import combined_metric_name, parse_metric_name
+from .ingest import filter_min_games, load_dataset
+from .model import WeightConfig
 from .report import (
-    EmptyAfterFilterError,
-    PlayerSetMismatchError,
     Table,
     correlation_table,
     plus_minus_overview,
@@ -28,7 +26,6 @@ from .report import (
     win_loss_table,
 )
 from .splits import DEFAULT_CLOSE_THRESHOLD, SPLIT_KINDS, InsufficientSplitError, split_compare
-from .stats import ConstantInputError, TooFewSamplesError
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -51,7 +48,13 @@ def _add_input_options(parser: argparse.ArgumentParser) -> None:
         default=DEFAULT_CLOSE_THRESHOLD,
         help="max final margin of a close game",
     )
-    parser.add_argument("--per-minute", action="store_true", help="normalize by minutes")
+
+
+def _add_report_options(parser: argparse.ArgumentParser, per_minute: bool = True) -> None:
+    """The input options plus the flags of a command that writes a report."""
+    _add_input_options(parser)
+    if per_minute:
+        parser.add_argument("--per-minute", action="store_true", help="normalize by minutes")
     parser.add_argument("--format", choices=("csv", "json", "text"), default="text")
     parser.add_argument("--out", help="output file (or directory for report-all)")
 
@@ -68,33 +71,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rank", help="rank players by a metric mean")
     p.add_argument("metric", help="points|id|io|rend|valoracion (suffix :reg for regularity)")
-    _add_input_options(p)
+    _add_report_options(p)
 
     p = sub.add_parser("regularity", help="regularity table for a metric")
     p.add_argument("metric")
-    _add_input_options(p)
+    _add_report_options(p)
 
     p = sub.add_parser("delta", help="rank movement between two metrics")
     p.add_argument("metric_a")
     p.add_argument("metric_b")
-    _add_input_options(p)
+    _add_report_options(p)
 
     p = sub.add_parser("splits", help="context split comparison for a player")
     p.add_argument("player", help="player_id, or 'all' for the plus/minus overview")
     p.add_argument("metric", help="e.g. rend_per_minute, points_per_minute, plus_minus")
     p.add_argument("kind", nargs="?", choices=SPLIT_KINDS, help="default: win_loss")
     p.add_argument("--competition", help="competition name for the competition split")
-    _add_input_options(p)
+    _add_report_options(p)
     # None tells an explicit --min-games apart: one player's split rejects it.
     p.set_defaults(min_games=None)
 
     p = sub.add_parser("correlate", help="correlate per-player means of two metrics")
     p.add_argument("metric_x")
     p.add_argument("metric_y")
-    _add_input_options(p)
+    _add_report_options(p)
 
     p = sub.add_parser("report-all", help="write the full report set to a directory")
-    _add_input_options(p)
+    _add_report_options(p, per_minute=False)
 
     return parser
 
@@ -167,9 +170,11 @@ def _cmd_splits(args) -> int:
         )
     if args.player != "all" and args.min_games is not None:
         raise ValueError("one player's split has no games filter; drop --min-games")
+    if args.competition is not None and args.kind != "competition":
+        raise ValueError("--competition names the side of the competition split only")
     if args.min_games is None:
         args.min_games = DEFAULT_MIN_GAMES
-    metric = _per_minute_form(args.metric) if args.per_minute else args.metric
+    metric = combined_metric_name(*parse_metric_name(args.metric, args.per_minute))
     kind = args.kind or "win_loss"
     dataset, weights = _load(args)
     if args.player == "all":
@@ -225,7 +230,6 @@ def _cmd_splits(args) -> int:
             "alpha": args.alpha,
             "close_threshold": args.close_threshold,
             "weights_fingerprint": weights.fingerprint(),
-            "min_games": args.min_games,
         },
         display_decimals=3,
     )
@@ -233,17 +237,11 @@ def _cmd_splits(args) -> int:
     return EXIT_OK
 
 
-def _per_minute_form(metric_name: str) -> str:
-    metric, _ = parse_metric_name(metric_name)
-    if metric == "plus_minus":
-        raise ValueError("plus_minus has no per-minute form; drop --per-minute")
-    return f"{metric}_per_minute"
-
-
 def _cmd_correlate(args) -> int:
-    pair = (args.metric_x, args.metric_y)
-    if args.per_minute:
-        pair = (_per_minute_form(args.metric_x), _per_minute_form(args.metric_y))
+    pair = tuple(
+        combined_metric_name(*parse_metric_name(name, args.per_minute))
+        for name in (args.metric_x, args.metric_y)
+    )
     dataset, weights = _load(args)
     table = correlation_table(dataset, [pair], weights, **_table_options(args))
     _emit(render(table, args.format), args.out)
@@ -315,15 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (
-        IngestError,
-        EmptyAfterFilterError,
-        PlayerSetMismatchError,
-        UnknownPlayerError,
-        ConstantInputError,
-        TooFewSamplesError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

@@ -30,6 +30,7 @@ logger = logging.getLogger(__name__)
 
 # Metric keys understood by series builders, rankings and splits.
 METRICS = ("points", "id", "io", "rend", "valoracion", "plus_minus")
+_PER_MINUTE = "_per_minute"
 
 _defensive_counts = attrgetter(*DEFENSIVE_KEYS)
 _offensive_counts = attrgetter(*OFFENSIVE_KEYS)
@@ -165,19 +166,25 @@ def series_values(
     return values, kept
 
 
-def parse_metric_name(name: str) -> tuple[str, bool]:
+def parse_metric_name(name: str, per_minute: bool = False) -> tuple[str, bool]:
     """Split a combined metric name into (base metric, per_minute flag).
 
-    Accepts the base keys plus the ``*_per_minute`` forms; plus_minus has no
-    per-minute variant.
+    Accepts the base keys plus the ``*_per_minute`` forms; ``per_minute``
+    asks for the per-minute form of either. plus_minus has no per-minute
+    variant.
     """
-    if name in METRICS:
-        return name, False
-    if name.endswith("_per_minute"):
-        base = name[: -len("_per_minute")]
-        if base in METRICS and base != "plus_minus":
-            return base, True
-    raise ValueError(f"unknown metric {name!r}")
+    base = name.removesuffix(_PER_MINUTE)
+    suffixed = base != name
+    if base not in METRICS or (suffixed and base == "plus_minus"):
+        raise ValueError(f"unknown metric {name!r}")
+    if per_minute and base == "plus_minus":
+        raise ValueError("plus_minus has no per-minute form")
+    return base, per_minute or suffixed
+
+
+def combined_metric_name(metric: str, per_minute: bool) -> str:
+    """The name :func:`parse_metric_name` splits into ``(metric, per_minute)``."""
+    return metric + _PER_MINUTE if per_minute else metric
 
 
 def player_series(
@@ -195,8 +202,6 @@ def player_series(
     plus_minus series. Raises UnknownPlayerError for absent players and
     EmptySeriesError when no qualifying games remain.
     """
-    if per_minute_values and metric == "plus_minus":
-        raise ValueError("plus_minus has no per-minute form")
     weights = weights or WeightConfig.defaults()
     lines = dataset.lines_for(player_id)
     if not lines:
@@ -214,10 +219,9 @@ def player_series(
         raise EmptySeriesError(
             f"player {player_id!r} has no qualifying games for metric {metric!r}"
         )
-    name = f"{metric}_per_minute" if per_minute_values else metric
     return MetricSeries(
         player_id=player_id,
-        metric_name=name,
+        metric_name=combined_metric_name(metric, per_minute_values),
         values=tuple(values),
         game_ids=tuple(line.game_id for line in kept),
     )

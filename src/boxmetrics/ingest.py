@@ -19,7 +19,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from datetime import date
-from functools import cached_property
+from functools import cached_property, partial
 from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Mapping, NoReturn
 
@@ -219,57 +219,109 @@ def _parse_int(raw: str, column: str) -> int:
         raise BadValueError(f"column {column!r} must be an integer, got {raw!r}") from None
 
 
-def _check_header(actual: Iterable[str], expected: tuple[str, ...], what: str) -> bool:
-    """Validate an exact, ordered header. Returns True when the optional
-    points column is present on the lines table."""
-    actual = tuple(actual)
-    if actual == expected:
-        return False
-    if what == "lines" and actual == expected + (OPTIONAL_LINES_COLUMN,):
-        return True
-    missing = [c for c in expected if c not in actual]
+def _parse_games(rows: Iterable, cells_of, where: str, start: int) -> dict[str, GameMeta]:
+    """Games keyed by id from ``rows``, each decoded by ``cells_of`` with its
+    date still raw; a tie or a repeated game_id is rejected. An error names
+    ``where`` and the row's number counted from ``start``."""
+    games: dict[str, GameMeta] = {}
+    for idx, row in enumerate(rows, start=start):
+        try:
+            game_id, raw_date, competition, home_team, away_team, home, away = cells_of(row)
+            try:
+                parsed_date = date.fromisoformat(str(raw_date))
+            except ValueError:
+                raise BadValueError(f"column 'date' must be ISO-8601, got {raw_date!r}") from None
+            game = GameMeta(game_id, parsed_date, competition, home_team, away_team, home, away)
+            if game.home_score == game.away_score:
+                raise BadValueError(f"tied final score {home}-{away} is not a valid result")
+            if game_id in games:
+                raise DuplicateGameError(f"duplicate game_id {game_id!r}")
+        except ValueError as exc:
+            raise _located(f"{where} {idx}", exc) from None
+        games[game_id] = game
+    return games
+
+
+def _parse_lines(
+    games: dict[str, GameMeta], rows: Iterable, cells_of, where: str, start: int,
+    provenance: Provenance,
+) -> Dataset:
+    """The season of ``games`` and ``rows``, each decoded by ``cells_of`` into
+    (line fields, points or None). An error names ``where`` and the row's
+    number counted from ``start``."""
+    lines: list[BoxscoreLine] = []
+    seen: set[tuple[str, str]] = set()
+    for idx, row in enumerate(rows, start=start):
+        try:
+            fields, points = cells_of(row)
+            _check_references(games, seen, fields[0], fields[2], fields[3])
+            line = BoxscoreLine(*fields)
+            if points is not None:
+                if points < 0:
+                    raise BadValueError(f"column 'points' must be >= 0, got {points}")
+                if points != derived_points(line):
+                    raise PointsMismatchError(
+                        f"points column says {points} but counts derive {derived_points(line)}"
+                    )
+        except ValueError as exc:
+            raise _located(f"{where} {idx}", exc) from None
+        lines.append(line)
+    return Dataset._from_checked(games, tuple(lines), provenance)
+
+
+def _csv_rows(stream: IO | str, header: tuple[str, ...], what: str) -> tuple[Iterable, bool]:
+    """The rows after a CSV table's header, which must be exactly ``header``,
+    and whether the lines table carries the optional points column."""
+    rows = csv.reader(_as_text(stream))
+    try:
+        actual = tuple(next(rows))
+    except StopIteration:
+        raise MissingColumnError(f"{what} file is empty; expected a header row")
+    if actual == header:
+        return rows, False
+    if what == "lines" and actual == header + (OPTIONAL_LINES_COLUMN,):
+        return rows, True
+    missing = [c for c in header if c not in actual]
     if missing:
         raise MissingColumnError(f"{what} header: missing column(s) {', '.join(missing)}")
     raise BadValueError(
-        f"{what} header: expected exactly {','.join(expected)}"
+        f"{what} header: expected exactly {','.join(header)}"
         f"{' (optionally + points)' if what == 'lines' else ''}, got {','.join(actual)}"
     )
 
 
-def _add_game(
-    games: dict[str, GameMeta],
-    game_id: str,
-    raw_date: object,
-    competition: str,
-    home_team: str,
-    away_team: str,
-    home_score: object,
-    away_score: object,
-) -> None:
-    """Build a game from its cells and add it to ``games``; a tied final
-    score or a repeated game_id is rejected."""
+def _csv_game(row: list[str]) -> tuple:
+    if len(row) != len(GAMES_HEADER):
+        raise BadValueError(f"expected {len(GAMES_HEADER)} fields, got {len(row)}")
+    return (*row[:5], _parse_int(row[5], "home_score"), _parse_int(row[6], "away_score"))
+
+
+def _csv_line(has_points: bool, row: list[str]) -> tuple[tuple, int | None]:
+    expected_len = len(LINES_HEADER) + has_points
+    if len(row) != expected_len:
+        raise BadValueError(f"expected {expected_len} fields, got {len(row)}")
+    game_id, player_id, player_name, team, raw_minutes = row[:5]
+    raw_counts = row[5:20]
     try:
-        parsed_date = date.fromisoformat(str(raw_date))
+        counts = list(map(int, raw_counts))
     except ValueError:
-        raise BadValueError(f"column 'date' must be ISO-8601, got {raw_date!r}") from None
-    game = GameMeta(
-        game_id, parsed_date, competition, home_team, away_team, home_score, away_score
-    )
-    if game.home_score == game.away_score:
-        raise BadValueError(f"tied final score {home_score}-{away_score} is not a valid result")
-    if game_id in games:
-        raise DuplicateGameError(f"duplicate game_id {game_id!r}")
-    games[game_id] = game
-
-
-def _check_points(points: int, line: BoxscoreLine) -> None:
-    """The optional points column must agree with the derived points."""
-    if points < 0:
-        raise BadValueError(f"column 'points' must be >= 0, got {points}")
-    if points != derived_points(line):
-        raise PointsMismatchError(
-            f"points column says {points} but counts derive {derived_points(line)}"
+        counts = [_parse_int(raw, c) for raw, c in zip(raw_counts, _COUNT_COLUMNS)]
+    try:
+        minutes = float(raw_minutes)
+    except ValueError:
+        raise BadValueError(
+            f"column 'minutes' must be decimal minutes, got {raw_minutes!r}"
+        ) from None
+    raw_pm, raw_starter = row[20:22]
+    plus_minus = None if raw_pm == "" else _parse_int(raw_pm, "plus_minus")
+    if raw_starter not in ("true", "false"):
+        raise BadValueError(
+            f"column 'starter' must be 'true' or 'false', got {raw_starter!r}"
         )
+    points = _parse_int(row[22], "points") if has_points else None
+    # LINES_HEADER lists the counts in BoxscoreLine's field order.
+    starter = raw_starter == "true"
+    return (player_id, player_name, team, game_id, minutes, *counts, plus_minus, starter), points
 
 
 def parse_csv(games_stream: IO | str, lines_stream: IO | str, *, source: str = "<stream>") -> Dataset:
@@ -280,70 +332,13 @@ def parse_csv(games_stream: IO | str, lines_stream: IO | str, *, source: str = "
     verified against the derived value). Decimal separator is ``.`` and the
     encoding is UTF-8 regardless of locale.
     """
-    games: dict[str, GameMeta] = {}
-    games_rows = csv.reader(_as_text(games_stream))
-    try:
-        header = next(games_rows)
-    except StopIteration:
-        raise MissingColumnError("games file is empty; expected a header row")
-    _check_header(header, GAMES_HEADER, "games")
-    for idx, row in enumerate(games_rows, start=2):
-        try:
-            if len(row) != len(GAMES_HEADER):
-                raise BadValueError(f"expected {len(GAMES_HEADER)} fields, got {len(row)}")
-            game_id, raw_date, competition, home_team, away_team, home, away = row
-            _add_game(
-                games, game_id, raw_date, competition, home_team, away_team,
-                _parse_int(home, "home_score"), _parse_int(away, "away_score"),
-            )
-        except ValueError as exc:
-            raise _located(f"games row {idx}", exc) from None
-
-    lines: list[BoxscoreLine] = []
-    seen: set[tuple[str, str]] = set()
-    lines_rows = csv.reader(_as_text(lines_stream))
-    try:
-        header = next(lines_rows)
-    except StopIteration:
-        raise MissingColumnError("lines file is empty; expected a header row")
-    has_points = _check_header(header, LINES_HEADER, "lines")
-    expected_len = len(LINES_HEADER) + (1 if has_points else 0)
-    for idx, row in enumerate(lines_rows, start=2):
-        try:
-            if len(row) != expected_len:
-                raise BadValueError(f"expected {expected_len} fields, got {len(row)}")
-            game_id, player_id, player_name, team, raw_minutes = row[:5]
-            raw_counts = row[5:20]
-            try:
-                counts = list(map(int, raw_counts))
-            except ValueError:
-                counts = [_parse_int(raw, c) for raw, c in zip(raw_counts, _COUNT_COLUMNS)]
-            try:
-                minutes = float(raw_minutes)
-            except ValueError:
-                raise BadValueError(
-                    f"column 'minutes' must be decimal minutes, got {raw_minutes!r}"
-                ) from None
-            raw_pm, raw_starter = row[20:22]
-            plus_minus = None if raw_pm == "" else _parse_int(raw_pm, "plus_minus")
-            if raw_starter not in ("true", "false"):
-                raise BadValueError(
-                    f"column 'starter' must be 'true' or 'false', got {raw_starter!r}"
-                )
-            points = _parse_int(row[22], "points") if has_points else None
-            _check_references(games, seen, player_id, team, game_id)
-            # LINES_HEADER lists the counts in BoxscoreLine's field order.
-            line = BoxscoreLine(
-                player_id, player_name, team, game_id, minutes, *counts,
-                plus_minus, raw_starter == "true",
-            )
-            if points is not None:
-                _check_points(points, line)
-        except ValueError as exc:
-            raise _located(f"lines row {idx}", exc) from None
-        lines.append(line)
-
-    return Dataset._from_checked(games, tuple(lines), Provenance(source, "csv"))
+    games_rows, _ = _csv_rows(games_stream, GAMES_HEADER, "games")
+    games = _parse_games(games_rows, _csv_game, "games row", 2)
+    lines_rows, has_points = _csv_rows(lines_stream, LINES_HEADER, "lines")
+    return _parse_lines(
+        games, lines_rows, partial(_csv_line, has_points), "lines row", 2,
+        Provenance(source, "csv"),
+    )
 
 
 def _reject_fields(entry: dict, header: tuple[str, ...], allowed: frozenset[str]) -> NoReturn:
@@ -354,6 +349,37 @@ def _reject_fields(entry: dict, header: tuple[str, ...], allowed: frozenset[str]
         raise MissingColumnError(f"missing field(s) {', '.join(missing)}")
     unknown = sorted(set(entry) - allowed)
     raise BadValueError(f"unknown field(s) {', '.join(unknown)}")
+
+
+def _json_game(entry: object) -> tuple:
+    if not isinstance(entry, dict):
+        raise BadValueError("must be an object")
+    if entry.keys() != _GAME_FIELDS:
+        _reject_fields(entry, GAMES_HEADER, _GAME_FIELDS)
+    game_id, raw_date, competition, home_team, away_team, home, away = _game_cells(entry)
+    return str(game_id), raw_date, str(competition), str(home_team), str(away_team), home, away
+
+
+def _json_line(entry: object) -> tuple[tuple, int | None]:
+    if not isinstance(entry, dict):
+        raise BadValueError("must be an object")
+    keys = entry.keys()
+    if keys == _LINE_FIELDS:
+        points = None
+    elif keys == _LINE_FIELDS_WITH_POINTS:
+        points = entry[OPTIONAL_LINES_COLUMN]
+        if isinstance(points, bool) or not isinstance(points, int):
+            raise BadValueError(f"field 'points' must be an integer, got {points!r}")
+    else:
+        _reject_fields(entry, LINES_HEADER, _LINE_FIELDS_WITH_POINTS)
+    (game_id, player_id, player_name, team, minutes,
+     *counts, plus_minus, starter) = _line_cells(entry)
+    if isinstance(minutes, bool) or not isinstance(minutes, (int, float)):
+        raise BadValueError(f"field 'minutes' must be a number, got {minutes!r}")
+    # Ids go through str() as in the games table, so "game_id": 1
+    # names the game whose "game_id" is 1.
+    texts = str(player_id), str(player_name), str(team), str(game_id)
+    return (*texts, minutes, *counts, plus_minus, starter), points
 
 
 def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
@@ -370,56 +396,10 @@ def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
         raise MissingColumnError("top-level JSON must be an object with 'games' and 'lines'")
     if not isinstance(doc["games"], list) or not isinstance(doc["lines"], list):
         raise BadValueError("'games' and 'lines' must be arrays")
-
-    games: dict[str, GameMeta] = {}
-    for idx, entry in enumerate(doc["games"], start=1):
-        try:
-            if not isinstance(entry, dict):
-                raise BadValueError("must be an object")
-            if entry.keys() != _GAME_FIELDS:
-                _reject_fields(entry, GAMES_HEADER, _GAME_FIELDS)
-            game_id, raw_date, competition, home_team, away_team, home, away = _game_cells(entry)
-            _add_game(
-                games, str(game_id), raw_date, str(competition), str(home_team),
-                str(away_team), home, away,
-            )
-        except ValueError as exc:
-            raise _located(f"games entry {idx}", exc) from None
-
-    lines: list[BoxscoreLine] = []
-    seen: set[tuple[str, str]] = set()
-    for idx, entry in enumerate(doc["lines"], start=1):
-        try:
-            if not isinstance(entry, dict):
-                raise BadValueError("must be an object")
-            keys = entry.keys()
-            if keys == _LINE_FIELDS:
-                points = None
-            elif keys == _LINE_FIELDS_WITH_POINTS:
-                points = entry[OPTIONAL_LINES_COLUMN]
-                if isinstance(points, bool) or not isinstance(points, int):
-                    raise BadValueError(f"field 'points' must be an integer, got {points!r}")
-            else:
-                _reject_fields(entry, LINES_HEADER, _LINE_FIELDS_WITH_POINTS)
-            (game_id, player_id, player_name, team, minutes,
-             *counts, plus_minus, starter) = _line_cells(entry)
-            if isinstance(minutes, bool) or not isinstance(minutes, (int, float)):
-                raise BadValueError(f"field 'minutes' must be a number, got {minutes!r}")
-            # Ids go through str() as in the games table, so "game_id": 1
-            # names the game whose "game_id" is 1.
-            player_id, team, game_id = str(player_id), str(team), str(game_id)
-            _check_references(games, seen, player_id, team, game_id)
-            line = BoxscoreLine(
-                player_id, str(player_name), team, game_id, minutes, *counts,
-                plus_minus, starter,
-            )
-            if points is not None:
-                _check_points(points, line)
-        except ValueError as exc:
-            raise _located(f"lines entry {idx}", exc) from None
-        lines.append(line)
-
-    return Dataset._from_checked(games, tuple(lines), Provenance(source, "json"))
+    games = _parse_games(doc["games"], _json_game, "games entry", 1)
+    return _parse_lines(
+        games, doc["lines"], _json_line, "lines entry", 1, Provenance(source, "json")
+    )
 
 
 def cell_text(value: object) -> str:

@@ -237,16 +237,17 @@ class WeightConfig:
     offensive: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        normalized = {str(k).lower(): float(v) for k, v in self.weights.items()}
+        normalized = {str(k).lower(): v for k, v in self.weights.items()}
         unknown = sorted(set(normalized) - set(STAT_KEYS))
         if unknown:
             raise ValueError(f"unknown statistic keys: {', '.join(unknown)}")
         missing = [k for k in STAT_KEYS if k not in normalized]
         if missing:
             raise ValueError(f"missing statistic keys: {', '.join(missing)}")
-        object.__setattr__(self, "weights", {k: normalized[k] for k in STAT_KEYS})
-        object.__setattr__(self, "defensive", tuple(normalized[k] for k in DEFENSIVE_KEYS))
-        object.__setattr__(self, "offensive", tuple(normalized[k] for k in OFFENSIVE_KEYS))
+        weights = {k: float(normalized[k]) for k in STAT_KEYS}
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "defensive", tuple(weights[k] for k in DEFENSIVE_KEYS))
+        object.__setattr__(self, "offensive", tuple(weights[k] for k in OFFENSIVE_KEYS))
 
     def __getitem__(self, key: str) -> float:
         return self.weights[key]
@@ -258,13 +259,8 @@ class WeightConfig:
     @classmethod
     def with_overrides(cls, overrides: Mapping[str, float]) -> "WeightConfig":
         """Default weights with ``overrides`` applied; keys may be any case."""
-        merged = dict(DEFAULT_WEIGHTS)
-        for key, value in overrides.items():
-            lowered = str(key).lower()
-            if lowered not in merged:
-                raise ValueError(f"unknown statistic key: {key!r}")
-            merged[lowered] = float(value)
-        return cls(merged)
+        lowered = {str(key).lower(): value for key, value in overrides.items()}
+        return cls({**DEFAULT_WEIGHTS, **lowered})
 
     @classmethod
     def from_json(cls, text: str) -> "WeightConfig":

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterator, Mapping, Sequence
 
-from .indices import EmptySeriesError, parse_metric_name, player_series
+from .indices import EmptySeriesError, combined_metric_name, parse_metric_name, player_series
 from .ingest import Dataset, cell_text, filter_min_games
 from .model import MetricSeries, WeightConfig
 from .splits import (
@@ -162,14 +162,6 @@ def _player_names(dataset: Dataset) -> dict[str, str]:
     return names
 
 
-def _resolve_metric(metric_name: str, per_minute: bool = False) -> tuple[str, bool, str]:
-    """(base metric, per-minute flag, effective name) for a metric name;
-    ``per_minute`` asks for the per-minute form of any name."""
-    metric, suffix_per_minute = parse_metric_name(metric_name)
-    use_per_minute = per_minute or suffix_per_minute
-    return metric, use_per_minute, f"{metric}_per_minute" if use_per_minute else metric
-
-
 def _series_by_player(
     dataset: Dataset, metric: str, weights: WeightConfig, use_per_minute: bool
 ) -> Iterator[tuple[str, MetricSeries]]:
@@ -202,7 +194,8 @@ def rank_players(
     qualifying games are dropped.
     """
     weights = weights or WeightConfig.defaults()
-    metric, use_per_minute, effective_name = _resolve_metric(metric_name, per_minute)
+    metric, use_per_minute = parse_metric_name(metric_name, per_minute)
+    effective_name = combined_metric_name(metric, use_per_minute)
     filtered = filter_min_games(dataset, min_games)
     names = _player_names(filtered)
     entries: list[tuple[str, str, float]] = []
@@ -279,7 +272,8 @@ def regularity_table(
     regularity should only decide between players with similar means.
     """
     weights = weights or WeightConfig.defaults()
-    metric, use_per_minute, effective_name = _resolve_metric(metric_name, per_minute)
+    metric, use_per_minute = parse_metric_name(metric_name, per_minute)
+    effective_name = combined_metric_name(metric, use_per_minute)
     min_games = max(min_games, 2)
     filtered = filter_min_games(dataset, min_games)
     names = _player_names(filtered)
@@ -458,7 +452,7 @@ def correlation_table(
     for metric_x, metric_y in metric_pairs:
         means = []
         for name in (metric_x, metric_y):
-            metric, use_per_minute, _ = _resolve_metric(name)
+            metric, use_per_minute = parse_metric_name(name)
             series = _series_by_player(filtered, metric, weights, use_per_minute)
             means.append({player_id: mean(s.values) for player_id, s in series})
         means_x, means_y = means

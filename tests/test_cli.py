@@ -275,3 +275,52 @@ def test_splits_all_rejects_metric_or_kind(season_files, capsys, extra):
     args = _base(season_files, "splits", "all", *extra) + ["--min-games", "1"]
     assert main(args) == 2
     assert "splits all" in capsys.readouterr().err
+
+
+def _exit_code(argv: list[str]) -> int:
+    """The exit code of ``main``, also when argparse rejects the flags."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["splits", "p1", "rend_per_minute", "home_away", "--competition", "copa"],
+        ["splits", "all", "plus_minus", "--competition", "nosuch", "--min-games", "1"],
+        ["validate", "--per-minute"],
+        ["validate", "--format", "json"],
+        ["validate", "--out", "x.json"],
+        ["report-all", "--per-minute", "--min-games", "1"],
+    ],
+    ids=["splits-kind", "splits-all", "validate-per-minute", "validate-format",
+         "validate-out", "report-all-per-minute"],
+)
+def test_flag_the_command_cannot_use_is_rejected(season_files, tmp_path, monkeypatch, argv):
+    # Every file a run might write lands in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    assert _exit_code(_base(season_files, *argv)) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["games.csv", "lines.csv"]
+    missing = ["--games", "/nonexistent/g.csv", "--lines", "/nonexistent/l.csv"]
+    assert _exit_code([*argv, *missing]) == 2
+
+
+def test_splits_competition_flag_kept_for_the_competition_kind(season_files, capsys):
+    args = _base(season_files, "splits", "p1", "rend", "competition", "--competition", "copa")
+    assert main(args) == 0
+    # p1 played one copa game: the split runs and is reported as too small.
+    assert "warning" in capsys.readouterr().err
+
+
+def test_split_meta_names_min_games_only_where_it_filters(season_files, capsys):
+    one = _base(season_files, "splits", "p1", "rend", "home_away") + ["--format", "json"]
+    assert main(one) == 0
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert "min_games" not in meta and meta["player"] == "p1"
+    overview = _base(season_files, "splits", "all", "plus_minus") + [
+        "--format", "json", "--min-games", "1",
+    ]
+    assert main(overview) == 0
+    assert json.loads(capsys.readouterr().out)["meta"]["min_games"] == 1

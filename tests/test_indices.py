@@ -276,3 +276,12 @@ def test_defensive_and_offensive_coefficients_follow_key_order():
 def test_metric_function_rejects_unknown_metric(weights):
     with pytest.raises(ValueError, match="unknown metric"):
         metric_function("steals", weights)
+
+
+def test_parse_metric_name_per_minute_flag():
+    assert parse_metric_name("rend", per_minute=True) == ("rend", True)
+    assert parse_metric_name("rend_per_minute", per_minute=True) == ("rend", True)
+    with pytest.raises(ValueError, match="^plus_minus has no per-minute form$"):
+        parse_metric_name("plus_minus", per_minute=True)
+    with pytest.raises(ValueError, match="^unknown metric 'plus_minus_per_minute'$"):
+        parse_metric_name("plus_minus_per_minute", per_minute=True)

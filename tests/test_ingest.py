@@ -21,6 +21,7 @@ from boxmetrics.ingest import (
     IngestError,
     MissingColumnError,
     PointsMismatchError,
+    cell_text,
     parse_csv,
     parse_json,
     serialize_csv,
@@ -490,3 +491,48 @@ def test_parsers_match_naive_parsers(fault, data):
     assert type(raised.value) is type(expected.value)
     assert _where_and_field(raised.value) == _where_and_field(expected.value)
     assert _where_and_field(expected.value)[0] is not None
+
+
+# Faults a shared check finds; the decoders' own faults differ by format.
+_SHARED_FAULTS = ("dangling_game", "wrong_team", "duplicate_line", "empty_id", "count_negative",
+                  "minutes_negative", *_GAME_FAULTS, "points_mismatch", "points_negative")
+_LOCATED = re.compile(r"(games|lines) (row|entry) (\d+): (.*)", re.DOTALL)
+
+
+def _cell_texts(rows: list[dict]) -> list[dict]:
+    return [{k: cell_text(v) for k, v in cells.items()} for cells in rows]
+
+
+@pytest.mark.parametrize("fault", _SHARED_FAULTS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_csv_and_json_report_a_shared_fault_alike(fault, data):
+    """One season with one fault, written as CSV and as JSON: the same error
+    class and message, at CSV row N + 1 for JSON entry N."""
+    season = data.draw(varied_seasons())
+    doc = json.loads(serialize_json(season))
+    games, lines = doc["games"], doc["lines"]
+    with_points = fault.startswith("points") or data.draw(st.booleans())
+    if with_points:
+        for cells, line in zip(lines, season.lines):
+            cells["points"] = derived_points(line)
+    if fault in _GAME_FAULTS:
+        _break_game(data.draw, fault, games)
+    else:
+        i = data.draw(st.integers(1 if fault == "duplicate_line" else 0, len(lines) - 1))
+        if fault == "minutes_negative":
+            lines[i] = dict(lines[i], minutes=-1.5)
+        else:
+            lines[i] = _break_line(data.draw, fault, "json", lines[i], lines[:i])
+    header = LINES_HEADER.split(",") + ["points"] * with_points
+    csv_args = (_csv_text(_GAMES_HEADER, _cell_texts(games)), _csv_text(header, _cell_texts(lines)))
+    with pytest.raises(IngestError) as from_csv:
+        parse_csv(*csv_args)
+    with pytest.raises(IngestError) as from_json:
+        parse_json(json.dumps({"games": games, "lines": lines}))
+    assert type(from_csv.value) is type(from_json.value)
+    table, kind, row, message = _LOCATED.fullmatch(str(from_csv.value)).groups()
+    assert kind == "row"
+    assert _LOCATED.fullmatch(str(from_json.value)).groups() == (
+        table, "entry", str(int(row) - 1), message,
+    )

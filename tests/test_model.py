@@ -207,3 +207,10 @@ def test_line_construction_runs_the_checks_in_init():
         make_line(starter="yes")
     with pytest.raises(ValueError, match="^team must be a non-empty string$"):
         make_line(team="", minutes=10**400)
+
+
+def test_weight_overrides_are_checked_with_the_full_mapping():
+    with pytest.raises(ValueError, match="^unknown statistic keys: zzz$"):
+        WeightConfig.with_overrides({"A": 3.0, "ZZZ": "not a number"})
+    with pytest.raises(ValueError, match="could not convert"):
+        WeightConfig.with_overrides({"A": "not a number"})
