@@ -4,7 +4,9 @@ Two-file relational layout: a games table and a lines table. Every line must
 reference a known game and a team that actually played in it, and a player
 can appear at most once per game. Validation is total: either a fully
 checked :class:`Dataset` comes back, or a typed error naming the offending
-row/field is raised and nothing is returned.
+row/field is raised and nothing is returned. Lines are checked a block of
+rows at a time, column by column; a block that fails is read again row by
+row to name its first bad row and field.
 
 A tied final score is rejected when a season is parsed: every parsed game
 has a winner. A :class:`~boxmetrics.model.GameMeta` built in memory may
@@ -17,10 +19,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property, partial
-from operator import attrgetter, itemgetter
+from itertools import chain, islice, repeat
+from operator import attrgetter, itemgetter, ne
 from typing import IO, Iterable, Mapping, NoReturn
 
 from .model import BoxscoreLine, GameMeta, derived_points
@@ -67,8 +71,12 @@ _LINE_FIELDS = frozenset(LINES_HEADER)
 _LINE_FIELDS_WITH_POINTS = _LINE_FIELDS | {OPTIONAL_LINES_COLUMN}
 _game_cells = itemgetter(*GAMES_HEADER)
 _line_cells = itemgetter(*LINES_HEADER)
+_line_cells_with_points = itemgetter(*LINES_HEADER, OPTIONAL_LINES_COLUMN)
 _game_fields = attrgetter(*GAMES_HEADER)
 _line_fields = attrgetter(*LINES_HEADER)
+# Rows per block of the lines table: enough that a block's checks run at C
+# speed, few enough that its decoded columns stay small next to the season.
+_BLOCK_ROWS = 1024
 
 
 class IngestError(ValueError):
@@ -243,14 +251,56 @@ def _parse_games(rows: Iterable, cells_of, where: str, start: int) -> dict[str, 
 
 
 def _parse_lines(
-    games: dict[str, GameMeta], rows: Iterable, cells_of, where: str, start: int,
+    games: dict[str, GameMeta], rows: Iterable, cells_of, columns_of, where: str, start: int,
     provenance: Provenance,
 ) -> Dataset:
-    """The season of ``games`` and ``rows``, each decoded by ``cells_of`` into
-    (line fields, points or None). An error names ``where`` and the row's
-    number counted from ``start``."""
+    """The season of ``games`` and ``rows``, read :data:`_BLOCK_ROWS` rows at a
+    time and decoded by ``columns_of``; a block that it or :func:`_block_keys`
+    rejects goes through :func:`_row_lines` and ``cells_of``. An error names
+    ``where`` and the row's number counted from ``start``."""
+    pairs = {(gid, team) for gid, g in games.items() for team in (g.home_team, g.away_team)}
     lines: list[BoxscoreLine] = []
     seen: set[tuple[str, str]] = set()
+    rows = iter(rows)
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        try:
+            columns, points = columns_of(block)
+            seen |= _block_keys(pairs, seen, columns, points)
+        except (ValueError, OverflowError):
+            lines += _row_lines(games, seen, block, cells_of, where, start + len(lines))
+        else:
+            # Checked above, so built without BoxscoreLine's own checks.
+            lines += map(tuple.__new__, repeat(BoxscoreLine), zip(*columns))
+        # Freed before the next block is read, so two never coexist.
+        del block
+    return Dataset._from_checked(games, tuple(lines), provenance)
+
+
+def _block_keys(pairs: set, seen: set, columns: list, points: list | None) -> set:
+    """The (player_id, game_id) keys of a decoded block that passes every
+    check the row path makes, given each (game_id, team) that played and the
+    keys of earlier blocks; ValueError for any other block."""
+    player_ids, _, teams, game_ids, minutes = columns[:5]
+    counts = columns[5:20]
+    keys = set(zip(player_ids, game_ids))
+    # min() can miss a NaN that is not first; the sum is NaN or inf then.
+    if not (
+        all(player_ids) and all(teams) and all(game_ids)
+        and min(minutes) >= 0.0 and sum(minutes) < math.inf
+        and min(map(min, counts)) >= 0
+        and pairs.issuperset(zip(game_ids, teams))
+        and len(keys) == len(player_ids) and keys.isdisjoint(seen)
+        # counts[0:5:2] is t2c, t3c, t1c
+        and (points is None or points == [2 * a + 3 * b + c for a, b, c in zip(*counts[0:5:2])])
+    ):
+        raise ValueError("the block needs the row path")
+    return keys
+
+
+def _row_lines(games: dict, seen: set, rows: Iterable, cells_of, where: str, start: int) -> list:
+    """The lines of ``rows``, each decoded by ``cells_of`` into (line fields,
+    points or None) and checked on its own, so the first bad row is named."""
+    lines: list[BoxscoreLine] = []
     for idx, row in enumerate(rows, start=start):
         try:
             fields, points = cells_of(row)
@@ -266,7 +316,7 @@ def _parse_lines(
         except ValueError as exc:
             raise _located(f"{where} {idx}", exc) from None
         lines.append(line)
-    return Dataset._from_checked(games, tuple(lines), provenance)
+    return lines
 
 
 def _csv_rows(stream: IO | str, header: tuple[str, ...], what: str) -> tuple[Iterable, bool]:
@@ -301,11 +351,7 @@ def _csv_line(has_points: bool, row: list[str]) -> tuple[tuple, int | None]:
     if len(row) != expected_len:
         raise BadValueError(f"expected {expected_len} fields, got {len(row)}")
     game_id, player_id, player_name, team, raw_minutes = row[:5]
-    raw_counts = row[5:20]
-    try:
-        counts = list(map(int, raw_counts))
-    except ValueError:
-        counts = [_parse_int(raw, c) for raw, c in zip(raw_counts, _COUNT_COLUMNS)]
+    counts = [_parse_int(raw, c) for raw, c in zip(row[5:20], _COUNT_COLUMNS)]
     try:
         minutes = float(raw_minutes)
     except ValueError:
@@ -324,6 +370,24 @@ def _csv_line(has_points: bool, row: list[str]) -> tuple[tuple, int | None]:
     return (player_id, player_name, team, game_id, minutes, *counts, plus_minus, starter), points
 
 
+def _csv_columns(has_points: bool, block: list[list[str]]) -> tuple[list, list | None]:
+    """A block of rows as line-field columns and the points column or None;
+    ValueError for a block with any cell the row path must report."""
+    if {*map(len, block)} != {len(LINES_HEADER) + has_points}:
+        raise ValueError("a row has the wrong length")
+    cells = list(zip(*block))
+    game_id, player_id, name, team, minutes, *counts, plus_minus, starter = cells[:22]
+    if not {"true", "false"}.issuperset(starter):
+        raise ValueError("a starter cell is not true or false")
+    columns = [
+        player_id, name, team, game_id, list(map(float, minutes)),
+        *(list(map(int, column)) for column in counts),
+        [int(raw) if raw else None for raw in plus_minus],
+        list(map("true".__eq__, starter)),
+    ]
+    return columns, list(map(int, cells[22])) if has_points else None
+
+
 def parse_csv(games_stream: IO | str, lines_stream: IO | str, *, source: str = "<stream>") -> Dataset:
     """Parse and validate the two-file CSV layout into a dataset.
 
@@ -336,8 +400,8 @@ def parse_csv(games_stream: IO | str, lines_stream: IO | str, *, source: str = "
     games = _parse_games(games_rows, _csv_game, "games row", 2)
     lines_rows, has_points = _csv_rows(lines_stream, LINES_HEADER, "lines")
     return _parse_lines(
-        games, lines_rows, partial(_csv_line, has_points), "lines row", 2,
-        Provenance(source, "csv"),
+        games, lines_rows, partial(_csv_line, has_points), partial(_csv_columns, has_points),
+        "lines row", 2, Provenance(source, "csv"),
     )
 
 
@@ -382,6 +446,32 @@ def _json_line(entry: object) -> tuple[tuple, int | None]:
     return (*texts, minutes, *counts, plus_minus, starter), points
 
 
+def _json_columns(block: list) -> tuple[list, list | None]:
+    """:func:`_csv_columns` for JSON entries; also ValueError when only some
+    entries carry points, and OverflowError for too large minutes."""
+    if {*map(type, block)} != {dict}:
+        raise ValueError("an entry is not an object")
+    has_points = OPTIONAL_LINES_COLUMN in block[0]
+    fields = _LINE_FIELDS_WITH_POINTS if has_points else _LINE_FIELDS
+    if any(map(ne, map(dict.keys, block), repeat(fields))):
+        raise ValueError("an entry has other fields")
+    cells = list(zip(*map(_line_cells_with_points if has_points else _line_cells, block)))
+    game_id, player_id, name, team, minutes, *counts, plus_minus, starter = cells[:22]
+    # Exact types, so no bool passes as a number.
+    if not (
+        {*map(type, chain(*counts, *cells[22:]))} == {int}
+        and {int, float}.issuperset(map(type, minutes))
+        and {int, type(None)}.issuperset(map(type, plus_minus))
+        and {*map(type, starter)} == {bool}
+    ):
+        raise ValueError("a field has the wrong type")
+    columns = [
+        *(list(map(str, column)) for column in (player_id, name, team, game_id)),
+        list(map(float, minutes)), *counts, plus_minus, starter,
+    ]
+    return columns, list(cells[22]) if has_points else None
+
+
 def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
     """Parse a single JSON document mirroring the CSV layout one-to-one.
 
@@ -398,7 +488,7 @@ def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
         raise BadValueError("'games' and 'lines' must be arrays")
     games = _parse_games(doc["games"], _json_game, "games entry", 1)
     return _parse_lines(
-        games, doc["lines"], _json_line, "lines entry", 1, Provenance(source, "json")
+        games, doc["lines"], _json_line, _json_columns, "lines entry", 1, Provenance(source, "json")
     )
 
 

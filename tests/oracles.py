@@ -94,6 +94,8 @@ def _naive_parse_minutes(raw: str, where: str) -> float:
         value = float(raw)
     except (TypeError, ValueError):
         raise BadValueError(f"{where}: column 'minutes' must be decimal minutes, got {raw!r}")
+    if not math.isfinite(value):
+        raise BadValueError(f"{where}: column 'minutes' must be finite, got {value}")
     if value < 0:
         raise BadValueError(f"{where}: column 'minutes' must be >= 0, got {value}")
     return value

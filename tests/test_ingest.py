@@ -5,14 +5,16 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from datetime import date
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxmetrics import Dataset, GameMeta, derived_points, filter_min_games
+from boxmetrics import BoxscoreLine, Dataset, GameMeta, derived_points, filter_min_games, ingest
 from boxmetrics.ingest import (
     BadValueError,
     DanglingGameRefError,
@@ -28,6 +30,7 @@ from boxmetrics.ingest import (
     serialize_json,
 )
 from conftest import build_season, make_game, make_line, random_seasons
+from test_acceptance import _synthetic_season
 from oracles import (
     naive_filter_min_games,
     naive_game_count,
@@ -536,3 +539,144 @@ def test_csv_and_json_report_a_shared_fault_alike(fault, data):
     assert _LOCATED.fullmatch(str(from_json.value)).groups() == (
         table, "entry", str(int(row) - 1), message,
     )
+
+
+# Edits that put a value at the edge of a block check; besides these, every
+# line fault of the naive-parser test is placed at a block's first or last row.
+_VALID_EDITS = ("minutes_negative_zero", "minutes_huge_pair", "count_signed", "points_dropped")
+_EDGE_EDITS = (*_VALID_EDITS, "minutes_non_finite", "json_bool", "duplicate_across",
+               "short_row")
+_NON_FINITE = (["nan", "inf", "-inf", "1e999"], [math.nan, math.inf, -math.inf, 10**400])
+_BLOCK_SIZES = (1, 2, 3, 5)
+
+
+def _edit_line(draw, edit: str, fmt: str, lines: list, i: int, k: int) -> None:
+    """Apply ``edit`` to row ``i`` of ``lines``, in a block of ``k`` rows."""
+    cells = lines[i] = dict(lines[i])
+    if edit == "minutes_negative_zero":
+        cells["minutes"] = "-0.0" if fmt == "csv" else -0.0
+    elif edit == "minutes_huge_pair":
+        # Each is finite, but two of them in one block sum to inf.
+        for j in {i, min(i + 1, len(lines) - 1)}:
+            lines[j] = dict(lines[j], minutes="1e+308" if fmt == "csv" else 1e308)
+    elif edit == "count_signed":
+        # int() reads both as 3; a scoring count would change the points.
+        column = draw(st.sampled_from([c for c in _COUNTS if c not in ("t2c", "t3c", "t1c")]))
+        cells[column] = draw(st.sampled_from((" 3", "+3")))
+    elif edit == "points_dropped":
+        del cells["points"]
+    elif edit == "minutes_non_finite":
+        cells["minutes"] = draw(st.sampled_from(_NON_FINITE[fmt == "json"]))
+    elif edit == "json_bool":
+        cells[draw(st.sampled_from((*_COUNTS, "minutes", "points")))] = True
+    elif edit == "duplicate_across":
+        # At a block's first row, a copy of a row of the block before.
+        lines[i] = dict(lines[max(i - draw(st.integers(1, k)), 0)])
+    elif edit == "short_row":
+        # A CSV row loses its last cell; a JSON entry becomes an array.
+        lines[i] = list(cells.values())[: -1 if fmt == "csv" else None]
+    else:
+        lines[i] = _break_line(draw, edit, fmt, cells, lines[:i])
+
+
+@st.composite
+def block_edge_inputs(draw, edit: str):
+    """(format, parser arguments) for a valid season with ``edit`` made at the
+    first or last row of one or two blocks of 2, 3 or 5 rows."""
+    season = draw(varied_seasons())
+    if edit in (*_JSON_ONLY, "json_bool", "points_dropped"):
+        fmt = "json"
+    else:
+        fmt = "csv" if edit == "count_signed" else draw(st.sampled_from(("csv", "json")))
+    with_points = edit.startswith("points") or edit == "json_bool" or draw(st.booleans())
+    if fmt == "csv":
+        games, lines = (list(csv.DictReader(io.StringIO(t))) for t in serialize_csv(season))
+    else:
+        doc = json.loads(serialize_json(season))
+        games, lines = doc["games"], doc["lines"]
+    if with_points:
+        for cells, line in zip(lines, season.lines):
+            cells["points"] = derived_points(line)
+    k = draw(st.sampled_from((2, 3, 5)))
+    offsets = (0,) if edit == "duplicate_across" else (0, k - 1)
+    first = 1 if edit in ("duplicate_line", "duplicate_across") else 0
+    blocks = draw(st.sets(st.sampled_from(range(0, len(lines), k)), min_size=1, max_size=2))
+    for block in sorted(blocks):
+        i = min(max(block + draw(st.sampled_from(offsets)), first), len(lines) - 1)
+        _edit_line(draw, edit, fmt, lines, i, k)
+    if fmt == "json":
+        return fmt, (json.dumps({"games": games, "lines": lines}),)
+    header = LINES_HEADER.split(",") + ["points"] * with_points
+    buf = io.StringIO()
+    csv.writer(buf).writerows(
+        [header, *(row if isinstance(row, list) else [row[c] for c in header] for row in lines)]
+    )
+    return fmt, (_csv_text(_GAMES_HEADER, games), buf.getvalue())
+
+
+def _outcome(parse, args):
+    try:
+        return parse(*args, source="s")
+    except ValueError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("edit", (*_LINE_FAULTS, *_EDGE_EDITS))
+@settings(max_examples=10)
+@given(data=st.data())
+def test_parsers_match_naive_parsers_at_every_block_size(edit, data):
+    """At block sizes 1, 2, 3, 5 and the default: the naive parsers' season,
+    or their error class naming the same row and field, and at every block
+    size the same error and message."""
+    fmt, args = data.draw(block_edge_inputs(edit))
+    fast, naive = (parse_csv, naive_parse_csv) if fmt == "csv" else (parse_json, naive_parse_json)
+    expected = _outcome(naive, args)
+    outcomes = []
+    for rows in (*_BLOCK_SIZES, ingest._BLOCK_ROWS):
+        with patch.object(ingest, "_BLOCK_ROWS", rows):
+            outcomes.append(_outcome(fast, args))
+    if isinstance(expected, Dataset):
+        for got in outcomes:
+            assert got == expected
+            assert repr(got.lines) == repr(expected.lines)
+        return
+    assert isinstance(expected, IngestError), expected
+    assert edit not in _VALID_EDITS
+    assert _where_and_field(expected)[0] is not None
+    for got in outcomes:
+        assert type(got) is type(expected)
+        assert (type(got), str(got)) == (type(outcomes[0]), str(outcomes[0]))
+        assert _where_and_field(got) == _where_and_field(expected)
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+@pytest.mark.parametrize("with_points", (False, True))
+def test_full_season_parses_to_checked_records(fmt, with_points):
+    """A 221x34 season, 8 blocks at the default size, parses to the season
+    and the naive parsers' result, as records equal to checked ones."""
+    season = _synthetic_season(221, 34)
+    assert -(-len(season.lines) // ingest._BLOCK_ROWS) == 8
+    if fmt == "csv":
+        games_text, lines_text = serialize_csv(season)
+        if with_points:
+            rows = lines_text.splitlines()
+            lines_text = "\r\n".join(
+                [rows[0] + ",points"]
+                + [f"{row},{derived_points(line)}" for row, line in zip(rows[1:], season.lines)]
+            ) + "\r\n"
+        args, fast, naive = (games_text, lines_text), parse_csv, naive_parse_csv
+    else:
+        doc = json.loads(serialize_json(season))
+        if with_points:
+            for cells, line in zip(doc["lines"], season.lines):
+                cells["points"] = derived_points(line)
+        args, fast, naive = (json.dumps(doc),), parse_json, naive_parse_json
+    parsed = fast(*args)
+    assert parsed == season
+    assert parsed == naive(*args)
+    assert repr(parsed.lines) == repr(season.lines)
+    for line in parsed.lines:
+        assert type(line) is BoxscoreLine and type(line.minutes) is float
+        rebuilt = BoxscoreLine(*line)
+        assert rebuilt == line
+        assert (hash(rebuilt), repr(rebuilt)) == (hash(line), repr(line))
