@@ -680,3 +680,52 @@ def test_full_season_parses_to_checked_records(fmt, with_points):
         rebuilt = BoxscoreLine(*line)
         assert rebuilt == line
         assert (hash(rebuilt), repr(rebuilt)) == (hash(line), repr(line))
+
+
+@pytest.mark.parametrize("at", ("first", "last"))
+@pytest.mark.parametrize("fault", ("dangling_game", "wrong_team", "duplicate_line"))
+def test_dataset_built_in_memory_names_the_bad_line(fault, at):
+    """A season built in memory, with one bad reference at its first or last
+    line of 1,122: the same error class, naming the line's player."""
+    season = _synthetic_season(102, 11)
+    lines = list(season.lines)
+    i = 1 if (fault, at) == ("duplicate_line", "first") else 0 if at == "first" else -1
+    line = lines[i]
+    if fault == "dangling_game":
+        lines[i] = line._replace(game_id="G999")
+        error, message = DanglingGameRefError, "unknown game_id 'G999'"
+    elif fault == "wrong_team":
+        lines[i] = line._replace(team="XXX")
+        error, message = BadValueError, f"team 'XXX' did not play in game {line.game_id!r}"
+    else:
+        line = lines[i] = lines[0]
+        error, message = DuplicateLineError, (
+            f"duplicate (player_id, game_id) = {(line.player_id, line.game_id)!r}"
+        )
+    with pytest.raises(error) as raised:
+        Dataset(games=season.games, lines=lines)
+    assert type(raised.value) is error
+    assert str(raised.value) == f"line for player {line.player_id!r}: {message}"
+
+
+# One bad field each, as a JSON value and as a BoxscoreLine argument.
+_DOMAIN_FAULTS = [
+    ("player_id", ""), ("minutes", -1.5), ("minutes", -0.25), ("minutes", math.nan),
+    ("minutes", math.inf), ("minutes", -math.inf), ("minutes", 10**400), ("t2c", -1),
+    ("fpr", -7), ("rd", True), ("tr", 2.5), ("a", "3"), ("bp", None), ("plus_minus", 1.5),
+    ("plus_minus", "3"), ("plus_minus", True), ("starter", "true"), ("starter", 1),
+    ("starter", None),
+]
+
+
+@pytest.mark.parametrize("name,value", _DOMAIN_FAULTS, ids=[f"{n}={v!r:.12}" for n, v in _DOMAIN_FAULTS])
+def test_line_built_in_memory_reports_a_bad_field_as_the_parser_does(name, value):
+    doc = json.loads(serialize_json(parse_csv(GAMES_CSV, LINES_CSV)))
+    doc["lines"][1][name] = value
+    with pytest.raises(BadValueError) as parsed:
+        parse_json(json.dumps(doc))
+    fields = dict(zip(BoxscoreLine._fields, parse_csv(GAMES_CSV, LINES_CSV).lines[1]))
+    with pytest.raises(ValueError) as built:
+        BoxscoreLine(**{**fields, name: value})
+    assert type(built.value) is ValueError
+    assert str(parsed.value) == f"lines entry 2: {built.value}"
