@@ -4,9 +4,15 @@ Two-file relational layout: a games table and a lines table. Every line must
 reference a known game and a team that actually played in it, and a player
 can appear at most once per game. Validation is total: either a fully
 checked :class:`Dataset` comes back, or a typed error naming the offending
-row/field is raised and nothing is returned. Lines are checked a block of
-rows at a time, column by column; a block that fails is read again row by
-row to name its first bad row and field.
+row/field is raised and nothing is returned. Lines are decoded and checked
+a block of rows at a time, column by column; a block that fails is read
+again one row at a time, through the same decoder and the same checks, and
+the first row that fails is the error. Each rule has one home: value types
+in :func:`~boxmetrics.model.check_types` (JSON; the CSV decoder makes the
+types itself), value domains in :func:`~boxmetrics.model.check_fields`,
+references in :func:`_check_references`, and the points column in
+:func:`_block_lines`. A :class:`~boxmetrics.model.BoxscoreLine` and a
+:class:`Dataset` built in memory run the same functions.
 
 A tied final score is rejected when a season is parsed: every parsed game
 has a winner. A :class:`~boxmetrics.model.GameMeta` built in memory may
@@ -19,15 +25,16 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
+import sys
+from contextlib import suppress
 from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property, partial
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 from operator import attrgetter, itemgetter, ne
-from typing import IO, Iterable, Mapping, NoReturn
+from typing import IO, Iterable, Mapping, NoReturn, Sequence
 
-from .model import BoxscoreLine, GameMeta, derived_points
+from .model import BoxscoreLine, GameMeta, check_fields, check_types
 
 GAMES_HEADER = (
     "game_id",
@@ -128,12 +135,20 @@ class Dataset:
     def __post_init__(self) -> None:
         object.__setattr__(self, "games", dict(self.games))
         object.__setattr__(self, "lines", tuple(self.lines))
-        seen: set[tuple[str, str]] = set()
-        for line in self.lines:
-            try:
-                _check_references(self.games, seen, line.player_id, line.team, line.game_id)
-            except IngestError as exc:
-                raise _located(f"line for player {line.player_id!r}", exc) from None
+        pairs = _pairs(self.games)
+        columns = [list(map(attrgetter(n), self.lines)) for n in ("player_id", "team", "game_id")]
+        try:
+            _check_references(self.games, pairs, set(), *columns)
+        except IngestError:
+            # Line by line, to name the first bad line's player.
+            seen: set[tuple[str, str]] = set()
+            for line in self.lines:
+                try:
+                    seen |= _check_references(
+                        self.games, pairs, seen, (line.player_id,), (line.team,), (line.game_id,)
+                    )
+                except IngestError as exc:
+                    raise _located(f"line for player {line.player_id!r}", exc) from None
 
     @classmethod
     def _from_checked(
@@ -199,32 +214,49 @@ def _located(where: str, exc: ValueError) -> IngestError:
     return cls(f"{where}: {exc}")
 
 
+def _pairs(games: Mapping[str, GameMeta]) -> set[tuple[str, str]]:
+    """Each (game_id, team) of a team that played in one of ``games``."""
+    return {(gid, team) for gid, game in games.items() for team in (game.home_team, game.away_team)}
+
+
 def _check_references(
     games: Mapping[str, GameMeta],
+    pairs: set[tuple[str, str]],
     seen: set[tuple[str, str]],
-    player_id: str,
-    team: str,
-    game_id: str,
-) -> None:
-    """The checks that tie a line to its season: its game exists, its team
-    played in it, and its player has no other line for that game. ``seen``
-    holds the (player_id, game_id) pairs of the lines checked before it."""
-    game = games.get(game_id)
-    if game is None:
-        raise DanglingGameRefError(f"unknown game_id {game_id!r}")
-    if team != game.home_team and team != game.away_team:
-        raise BadValueError(f"team {team!r} did not play in game {game_id!r}")
-    key = (player_id, game_id)
-    if key in seen:
-        raise DuplicateLineError(f"duplicate (player_id, game_id) = {key!r}")
-    seen.add(key)
+    player_ids: Sequence[str],
+    teams: Sequence[str],
+    game_ids: Sequence[str],
+) -> set[tuple[str, str]]:
+    """The (player_id, game_id) keys of the lines in these columns. Each line
+    must name one of ``games``, a team that played in it (one of ``pairs``) and
+    a key unseen in ``seen`` and in the other lines; the error names the bad one."""
+    keys = set(zip(player_ids, game_ids))
+    if (
+        pairs.issuperset(zip(game_ids, teams))
+        and len(keys) == len(game_ids) and keys.isdisjoint(seen)
+    ):
+        return keys
+    for player_id, team, game_id in zip(player_ids, teams, game_ids):
+        if game_id not in games:
+            raise DanglingGameRefError(f"unknown game_id {game_id!r}")
+        if (game_id, team) not in pairs:
+            raise BadValueError(f"team {team!r} did not play in game {game_id!r}")
+    raise DuplicateLineError(f"duplicate (player_id, game_id) = {(player_id, game_id)!r}")
 
 
-def _parse_int(raw: str, column: str) -> int:
+def _cells(convert, column: Sequence[str], name: str, kind: str) -> list:
+    """``convert`` mapped over the cells of a CSV ``column``. The first cell it
+    rejects, by ValueError or (for a lookup) KeyError, is named in a
+    BadValueError that says it must be ``kind``."""
     try:
-        return int(raw)
-    except ValueError:
-        raise BadValueError(f"column {column!r} must be an integer, got {raw!r}") from None
+        return list(map(convert, column))
+    except (ValueError, KeyError):
+        for raw in column:
+            try:
+                convert(raw)
+            except (ValueError, KeyError):
+                raise BadValueError(f"column {name!r} must be {kind}, got {raw!r}") from None
+        raise
 
 
 def _parse_games(rows: Iterable, cells_of, where: str, start: int) -> dict[str, GameMeta]:
@@ -251,72 +283,51 @@ def _parse_games(rows: Iterable, cells_of, where: str, start: int) -> dict[str, 
 
 
 def _parse_lines(
-    games: dict[str, GameMeta], rows: Iterable, cells_of, columns_of, where: str, start: int,
+    games: dict[str, GameMeta], rows: Iterable, columns_of, where: str, start: int,
     provenance: Provenance,
 ) -> Dataset:
     """The season of ``games`` and ``rows``, read :data:`_BLOCK_ROWS` rows at a
-    time and decoded by ``columns_of``; a block that it or :func:`_block_keys`
-    rejects goes through :func:`_row_lines` and ``cells_of``. An error names
-    ``where`` and the row's number counted from ``start``."""
-    pairs = {(gid, team) for gid, g in games.items() for team in (g.home_team, g.away_team)}
+    time. A block that fails is read again a row at a time, and the first row
+    that fails is the error, named by ``where`` and the row's number counted
+    from ``start``."""
+    pairs = _pairs(games)
     lines: list[BoxscoreLine] = []
     seen: set[tuple[str, str]] = set()
     rows = iter(rows)
     while block := list(islice(rows, _BLOCK_ROWS)):
         try:
-            columns, points = columns_of(block)
-            seen |= _block_keys(pairs, seen, columns, points)
-        except (ValueError, OverflowError):
-            lines += _row_lines(games, seen, block, cells_of, where, start + len(lines))
-        else:
-            # Checked above, so built without BoxscoreLine's own checks.
-            lines += map(tuple.__new__, repeat(BoxscoreLine), zip(*columns))
+            lines += _block_lines(games, pairs, seen, columns_of(block))
+        except ValueError:
+            for idx, row in enumerate(block, start=start + len(lines)):
+                try:
+                    lines += _block_lines(games, pairs, seen, columns_of([row]))
+                except ValueError as exc:
+                    raise _located(f"{where} {idx}", exc) from None
         # Freed before the next block is read, so two never coexist.
         del block
     return Dataset._from_checked(games, tuple(lines), provenance)
 
 
-def _block_keys(pairs: set, seen: set, columns: list, points: list | None) -> set:
-    """The (player_id, game_id) keys of a decoded block that passes every
-    check the row path makes, given each (game_id, team) that played and the
-    keys of earlier blocks; ValueError for any other block."""
-    player_ids, _, teams, game_ids, minutes = columns[:5]
-    counts = columns[5:20]
-    keys = set(zip(player_ids, game_ids))
-    # min() can miss a NaN that is not first; the sum is NaN or inf then.
-    if not (
-        all(player_ids) and all(teams) and all(game_ids)
-        and min(minutes) >= 0.0 and sum(minutes) < math.inf
-        and min(map(min, counts)) >= 0
-        and pairs.issuperset(zip(game_ids, teams))
-        and len(keys) == len(player_ids) and keys.isdisjoint(seen)
-        # counts[0:5:2] is t2c, t3c, t1c
-        and (points is None or points == [2 * a + 3 * b + c for a, b, c in zip(*counts[0:5:2])])
-    ):
-        raise ValueError("the block needs the row path")
-    return keys
-
-
-def _row_lines(games: dict, seen: set, rows: Iterable, cells_of, where: str, start: int) -> list:
-    """The lines of ``rows``, each decoded by ``cells_of`` into (line fields,
-    points or None) and checked on its own, so the first bad row is named."""
-    lines: list[BoxscoreLine] = []
-    for idx, row in enumerate(rows, start=start):
-        try:
-            fields, points = cells_of(row)
-            _check_references(games, seen, fields[0], fields[2], fields[3])
-            line = BoxscoreLine(*fields)
-            if points is not None:
-                if points < 0:
-                    raise BadValueError(f"column 'points' must be >= 0, got {points}")
-                if points != derived_points(line):
-                    raise PointsMismatchError(
-                        f"points column says {points} but counts derive {derived_points(line)}"
-                    )
-        except ValueError as exc:
-            raise _located(f"{where} {idx}", exc) from None
-        lines.append(line)
-    return lines
+def _block_lines(games: dict, pairs: set, seen: set, decoded: tuple[list, list | None]) -> list:
+    """The records of a block ``decoded`` into line-field columns and the
+    points column or None, once every check passes; their keys join ``seen``.
+    The error names the first bad row of a block of one."""
+    columns, points = decoded
+    # Each id text is held once, however many lines (and keys) repeat it.
+    columns[:4] = [list(map(sys.intern, column)) for column in columns[:4]]
+    keys = _check_references(games, pairs, seen, columns[0], columns[2], columns[3])
+    check_fields(columns)
+    if points is not None:
+        # columns[5:10:2] is t2c, t3c, t1c
+        derived = [2 * a + 3 * b + c for a, b, c in zip(*columns[5:10:2])]
+        if points != derived:
+            got, want = next((p, d) for p, d in zip(points, derived) if p != d)
+            if got < 0:
+                raise BadValueError(f"column 'points' must be >= 0, got {got}")
+            raise PointsMismatchError(f"points column says {got} but counts derive {want}")
+    seen |= keys
+    # Checked above, so built without BoxscoreLine's own checks.
+    return list(map(tuple.__new__, repeat(BoxscoreLine), zip(*columns)))
 
 
 def _csv_rows(stream: IO | str, header: tuple[str, ...], what: str) -> tuple[Iterable, bool]:
@@ -343,49 +354,30 @@ def _csv_rows(stream: IO | str, header: tuple[str, ...], what: str) -> tuple[Ite
 def _csv_game(row: list[str]) -> tuple:
     if len(row) != len(GAMES_HEADER):
         raise BadValueError(f"expected {len(GAMES_HEADER)} fields, got {len(row)}")
-    return (*row[:5], _parse_int(row[5], "home_score"), _parse_int(row[6], "away_score"))
+    home, away = (_cells(int, [row[i]], GAMES_HEADER[i], "an integer")[0] for i in (5, 6))
+    return (*row[:5], home, away)
 
 
-def _csv_line(has_points: bool, row: list[str]) -> tuple[tuple, int | None]:
-    expected_len = len(LINES_HEADER) + has_points
-    if len(row) != expected_len:
-        raise BadValueError(f"expected {expected_len} fields, got {len(row)}")
-    game_id, player_id, player_name, team, raw_minutes = row[:5]
-    counts = [_parse_int(raw, c) for raw, c in zip(row[5:20], _COUNT_COLUMNS)]
-    try:
-        minutes = float(raw_minutes)
-    except ValueError:
-        raise BadValueError(
-            f"column 'minutes' must be decimal minutes, got {raw_minutes!r}"
-        ) from None
-    raw_pm, raw_starter = row[20:22]
-    plus_minus = None if raw_pm == "" else _parse_int(raw_pm, "plus_minus")
-    if raw_starter not in ("true", "false"):
-        raise BadValueError(
-            f"column 'starter' must be 'true' or 'false', got {raw_starter!r}"
-        )
-    points = _parse_int(row[22], "points") if has_points else None
-    # LINES_HEADER lists the counts in BoxscoreLine's field order.
-    starter = raw_starter == "true"
-    return (player_id, player_name, team, game_id, minutes, *counts, plus_minus, starter), points
+_STARTER = {"true": True, "false": False}
 
 
 def _csv_columns(has_points: bool, block: list[list[str]]) -> tuple[list, list | None]:
-    """A block of rows as line-field columns and the points column or None;
-    ValueError for a block with any cell the row path must report."""
-    if {*map(len, block)} != {len(LINES_HEADER) + has_points}:
-        raise ValueError("a row has the wrong length")
-    cells = list(zip(*block))
-    game_id, player_id, name, team, minutes, *counts, plus_minus, starter = cells[:22]
-    if not {"true", "false"}.issuperset(starter):
-        raise ValueError("a starter cell is not true or false")
+    """A block of rows as line-field columns and the points column or None.
+    The error names the first bad cell of a block of one row."""
+    width = len(LINES_HEADER) + has_points
+    if {*map(len, block)} != {width}:
+        raise BadValueError(f"expected {width} fields, got {len(block[0])}")
+    game_id, player_id, name, team, minutes, *cells = zip(*block)
+    # LINES_HEADER lists the counts in BoxscoreLine's field order.
+    counts = [_cells(int, column, c, "an integer") for column, c in zip(cells, _COUNT_COLUMNS)]
     columns = [
-        player_id, name, team, game_id, list(map(float, minutes)),
-        *(list(map(int, column)) for column in counts),
-        [int(raw) if raw else None for raw in plus_minus],
-        list(map("true".__eq__, starter)),
+        player_id, name, team, game_id,
+        _cells(float, minutes, "minutes", "decimal minutes"),
+        *counts,
+        _cells(lambda raw: int(raw) if raw else None, cells[15], "plus_minus", "an integer"),
+        _cells(_STARTER.__getitem__, cells[16], "starter", "'true' or 'false'"),
     ]
-    return columns, list(map(int, cells[22])) if has_points else None
+    return columns, _cells(int, cells[17], "points", "an integer") if has_points else None
 
 
 def parse_csv(games_stream: IO | str, lines_stream: IO | str, *, source: str = "<stream>") -> Dataset:
@@ -400,8 +392,8 @@ def parse_csv(games_stream: IO | str, lines_stream: IO | str, *, source: str = "
     games = _parse_games(games_rows, _csv_game, "games row", 2)
     lines_rows, has_points = _csv_rows(lines_stream, LINES_HEADER, "lines")
     return _parse_lines(
-        games, lines_rows, partial(_csv_line, has_points), partial(_csv_columns, has_points),
-        "lines row", 2, Provenance(source, "csv"),
+        games, lines_rows, partial(_csv_columns, has_points), "lines row", 2,
+        Provenance(source, "csv"),
     )
 
 
@@ -424,51 +416,32 @@ def _json_game(entry: object) -> tuple:
     return str(game_id), raw_date, str(competition), str(home_team), str(away_team), home, away
 
 
-def _json_line(entry: object) -> tuple[tuple, int | None]:
-    if not isinstance(entry, dict):
-        raise BadValueError("must be an object")
-    keys = entry.keys()
-    if keys == _LINE_FIELDS:
-        points = None
-    elif keys == _LINE_FIELDS_WITH_POINTS:
-        points = entry[OPTIONAL_LINES_COLUMN]
-        if isinstance(points, bool) or not isinstance(points, int):
-            raise BadValueError(f"field 'points' must be an integer, got {points!r}")
-    else:
-        _reject_fields(entry, LINES_HEADER, _LINE_FIELDS_WITH_POINTS)
-    (game_id, player_id, player_name, team, minutes,
-     *counts, plus_minus, starter) = _line_cells(entry)
-    if isinstance(minutes, bool) or not isinstance(minutes, (int, float)):
-        raise BadValueError(f"field 'minutes' must be a number, got {minutes!r}")
-    # Ids go through str() as in the games table, so "game_id": 1
-    # names the game whose "game_id" is 1.
-    texts = str(player_id), str(player_name), str(team), str(game_id)
-    return (*texts, minutes, *counts, plus_minus, starter), points
-
-
 def _json_columns(block: list) -> tuple[list, list | None]:
-    """:func:`_csv_columns` for JSON entries; also ValueError when only some
-    entries carry points, and OverflowError for too large minutes."""
+    """:func:`_csv_columns` for JSON entries: each an object with exactly the
+    line fields, or those and points."""
     if {*map(type, block)} != {dict}:
-        raise ValueError("an entry is not an object")
+        raise BadValueError("must be an object")
     has_points = OPTIONAL_LINES_COLUMN in block[0]
     fields = _LINE_FIELDS_WITH_POINTS if has_points else _LINE_FIELDS
     if any(map(ne, map(dict.keys, block), repeat(fields))):
-        raise ValueError("an entry has other fields")
+        _reject_fields(block[0], LINES_HEADER, _LINE_FIELDS_WITH_POINTS)
     cells = list(zip(*map(_line_cells_with_points if has_points else _line_cells, block)))
-    game_id, player_id, name, team, minutes, *counts, plus_minus, starter = cells[:22]
+    game_id, player_id, name, team, minutes = cells[:5]
     # Exact types, so no bool passes as a number.
-    if not (
-        {*map(type, chain(*counts, *cells[22:]))} == {int}
-        and {int, float}.issuperset(map(type, minutes))
-        and {int, type(None)}.issuperset(map(type, plus_minus))
-        and {*map(type, starter)} == {bool}
-    ):
-        raise ValueError("a field has the wrong type")
-    columns = [
-        *(list(map(str, column)) for column in (player_id, name, team, game_id)),
-        list(map(float, minutes)), *counts, plus_minus, starter,
-    ]
+    if has_points and {*map(type, cells[22])} != {int}:
+        bad = next(value for value in cells[22] if type(value) is not int)
+        raise BadValueError(f"field 'points' must be an integer, got {bad!r}")
+    if not {int, float}.issuperset(map(type, minutes)):
+        bad = next(value for value in minutes if type(value) not in (int, float))
+        raise BadValueError(f"field 'minutes' must be a number, got {bad!r}")
+    check_types(cells)
+    with suppress(OverflowError):
+        # A too large int stays as it is, for check_fields to report.
+        minutes = list(map(float, minutes))
+    # Ids go through str() as in the games table, so "game_id": 1
+    # names the game whose "game_id" is 1.
+    columns = [*(list(map(str, column)) for column in (player_id, name, team, game_id)),
+               minutes, *cells[5:22]]
     return columns, list(cells[22]) if has_points else None
 
 
@@ -488,7 +461,7 @@ def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
         raise BadValueError("'games' and 'lines' must be arrays")
     games = _parse_games(doc["games"], _json_game, "games entry", 1)
     return _parse_lines(
-        games, doc["lines"], _json_line, _json_columns, "lines entry", 1, Provenance(source, "json")
+        games, doc["lines"], _json_columns, "lines entry", 1, Provenance(source, "json")
     )
 
 

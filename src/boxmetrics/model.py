@@ -13,7 +13,8 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date as _date
-from typing import Mapping, NamedTuple
+from itertools import chain
+from typing import Mapping, NamedTuple, Sequence
 
 # Statistic keys grouped by the side of the game they describe. Order is
 # fixed: it drives index evaluation, serialization and fingerprints.
@@ -99,8 +100,6 @@ class BoxscoreLine(_LineFields):
 
     __slots__ = ()
 
-    _COUNT_FIELDS = STAT_KEYS + ("tr",)
-
     def __new__(cls, *args, **kwargs):
         line = _new_fields(cls, *args, **kwargs)
         minutes = line.minutes
@@ -115,49 +114,11 @@ class BoxscoreLine(_LineFields):
         return _new_fields(cls, *line[:4], minutes, *line[5:])
 
     def __init__(self, *args, **kwargs) -> None:
-        # This is the one place a line's values are checked; the parsers only
-        # decode cells. A valid line passes in a few bulk tests; any other
-        # goes to _check_each_field, which names the first bad field.
-        minutes = self.minutes
-        counts = self[5:20]  # t2c .. fpr
-        if not (
-            self.player_id
-            and self.team
-            and self.game_id
-            and type(minutes) is float
-            and 0.0 <= minutes < math.inf
-            and {*map(type, counts)} == _INT_ONLY
-            and min(counts) >= 0
-            and (self.plus_minus is None or type(self.plus_minus) is int)
-            and type(self.starter) is bool
-        ):
-            self._check_each_field()
-
-    def _check_each_field(self) -> None:
-        """Raise for the first bad field in declaration order."""
-        for name in ("player_id", "team", "game_id"):
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be a non-empty string")
-        try:
-            minutes = float(self.minutes)
-        except OverflowError:
-            raise ValueError(f"minutes must be finite, got {self.minutes!r}") from None
-        if not math.isfinite(minutes):
-            raise ValueError(f"minutes must be finite, got {minutes}")
-        if minutes < 0:
-            raise ValueError(f"minutes must be >= 0, got {minutes}")
-        for name in self._COUNT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer count, got {value!r}")
-            if value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
-        if self.plus_minus is not None and (
-            isinstance(self.plus_minus, bool) or not isinstance(self.plus_minus, int)
-        ):
-            raise ValueError(f"plus_minus must be an integer or absent, got {self.plus_minus!r}")
-        if not isinstance(self.starter, bool):
-            raise ValueError(f"starter must be a boolean, got {self.starter!r}")
+        # A line is checked as a block of one row, by the same rules the
+        # parsers run on whole columns.
+        columns = list(zip(self))
+        check_types(columns)
+        check_fields(columns)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -180,7 +141,61 @@ class BoxscoreLine(_LineFields):
 
 
 _new_fields = _LineFields.__new__
-_INT_ONLY = {int}
+# Each count's position in a line, in the order its checks run.
+_COUNT_INDEX = tuple((name, _LineFields._fields.index(name)) for name in STAT_KEYS + ("tr",))
+_INT, _INT_OR_NONE, _BOOL, _FLOAT = {int}, {int, type(None)}, {bool}, {float}
+
+
+def check_types(columns: Sequence[Sequence]) -> None:
+    """Raise ValueError for the first value of a wrong type in ``columns``, one
+    per line field: a count that is no int (a bool is none), a plus_minus that
+    is neither an int nor None, a starter that is no bool."""
+    plus_minus, starter = columns[20:22]
+    if (
+        {*map(type, chain(*columns[5:20]))} == _INT
+        and _INT_OR_NONE.issuperset(map(type, plus_minus))
+        and {*map(type, starter)} == _BOOL
+    ):
+        return
+    for name, index in _COUNT_INDEX:
+        for value in columns[index]:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer count, got {value!r}")
+    for value in plus_minus:
+        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            raise ValueError(f"plus_minus must be an integer or absent, got {value!r}")
+    for value in starter:
+        if not isinstance(value, bool):
+            raise ValueError(f"starter must be a boolean, got {value!r}")
+
+
+def check_fields(columns: Sequence[Sequence]) -> None:
+    """Raise ValueError for the first value outside its domain in ``columns``,
+    one per line field, whose counts are ints (see :func:`check_types`): an
+    empty id, minutes that are no finite float >= 0, a negative count."""
+    player_ids, _, teams, game_ids, minutes = columns[:5]
+    # min() can miss a NaN that is not first; the sum is NaN or inf then.
+    if (
+        all(player_ids) and all(teams) and all(game_ids) and {*map(type, minutes)} == _FLOAT
+        and min(minutes) >= 0.0 and sum(minutes) < math.inf
+        and min(chain(*columns[5:20])) >= 0
+    ):
+        return
+    for name, column in (("player_id", player_ids), ("team", teams), ("game_id", game_ids)):
+        if not all(column):
+            raise ValueError(f"{name} must be a non-empty string")
+    for value in minutes:
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ValueError(f"minutes must be finite, got {value!r}") from None
+        if not math.isfinite(number):
+            raise ValueError(f"minutes must be finite, got {number}")
+        if number < 0:
+            raise ValueError(f"minutes must be >= 0, got {number}")
+    for name, index in _COUNT_INDEX:
+        if min(columns[index]) < 0:
+            raise ValueError(f"{name} must be >= 0, got {min(columns[index])}")
 
 
 def derived_points(line: BoxscoreLine) -> int:
@@ -221,6 +236,17 @@ class GameMeta:
         raise UnknownTeamError(f"team {team!r} did not play in game {self.game_id!r}")
 
 
+def _finite_weight(key: str, value: object) -> float:
+    """``value`` as a float; ValueError naming ``key`` unless it is a finite
+    real number (a bool or a string is none)."""
+    try:
+        if not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except (TypeError, OverflowError):
+        pass
+    raise ValueError(f"weight {key!r}: could not convert {value!r} to a finite number")
+
+
 @dataclass(frozen=True)
 class WeightConfig:
     """Coefficients for the defensive/offensive indices, one per statistic.
@@ -244,7 +270,7 @@ class WeightConfig:
         missing = [k for k in STAT_KEYS if k not in normalized]
         if missing:
             raise ValueError(f"missing statistic keys: {', '.join(missing)}")
-        weights = {k: float(normalized[k]) for k in STAT_KEYS}
+        weights = {k: _finite_weight(k, normalized[k]) for k in STAT_KEYS}
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "defensive", tuple(weights[k] for k in DEFENSIVE_KEYS))
         object.__setattr__(self, "offensive", tuple(weights[k] for k in OFFENSIVE_KEYS))

@@ -261,7 +261,6 @@ def regularity_table(
     min_games: int = 2,
     alpha: float = 0.05,
     close_threshold: int = DEFAULT_CLOSE_THRESHOLD,
-    comparability_tolerance: float = 0.25,
 ) -> RankedTable:
     """Rank players by regularity (mean / sample sd) of a per-game metric.
 
@@ -304,7 +303,7 @@ def regularity_table(
         notes: list[str] = []
         if summary.constant_series:
             notes.append("constant")
-        if not comparable_means(summary, median_summary, comparability_tolerance):
+        if not comparable_means(summary, median_summary):
             notes.append("incomparable-mean")
         rows.append(
             RankedRow(
@@ -332,7 +331,7 @@ def regularity_table(
             close_threshold,
             metric=effective_name,
             per_minute=use_per_minute,
-            comparability_tolerance=comparability_tolerance,
+            comparability_tolerance=0.25,  # comparable_means's default
         ),
         display_decimals=3,
     )

@@ -324,3 +324,15 @@ def test_split_meta_names_min_games_only_where_it_filters(season_files, capsys):
     ]
     assert main(overview) == 0
     assert json.loads(capsys.readouterr().out)["meta"]["min_games"] == 1
+
+
+@pytest.mark.parametrize("text", ['{"rd": null}', '{"rd": NaN}', '{"rd": 1e999}'])
+def test_weights_that_are_not_finite_numbers_exit_2(season_files, tmp_path, capsys, text):
+    override = tmp_path / "weights.json"
+    override.write_text(text, encoding="utf-8")
+    args = _base(season_files, "rank", "rend") + ["--min-games", "1", "--weights", str(override)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "weight 'rd'" in captured.err
+    assert "Traceback" not in captured.err

@@ -214,3 +214,21 @@ def test_weight_overrides_are_checked_with_the_full_mapping():
         WeightConfig.with_overrides({"A": 3.0, "ZZZ": "not a number"})
     with pytest.raises(ValueError, match="could not convert"):
         WeightConfig.with_overrides({"A": "not a number"})
+
+
+@pytest.mark.parametrize(
+    "value",
+    [None, math.nan, math.inf, -math.inf, 10**400, True, False, "2", [1.0], {"x": 1.0}],
+    ids=["null", "nan", "inf", "-inf", "10**400", "true", "false", "string", "list", "object"],
+)
+def test_weight_config_rejects_a_weight_that_is_not_a_finite_number(value):
+    with pytest.raises(ValueError, match="^weight 'rd': could not convert .* to a finite number$"):
+        WeightConfig.with_overrides({"RD": value})
+    with pytest.raises(ValueError, match="^weight 'rd'"):
+        WeightConfig({**DEFAULT_WEIGHTS, "rd": value})
+
+
+def test_weight_config_accepts_finite_integers_and_floats():
+    config = WeightConfig.with_overrides({"rd": 3, "a": -0.5, "br": 10**20})
+    assert (config["rd"], config["a"], config["br"]) == (3.0, -0.5, 1e20)
+    assert all(type(w) is float for w in config.weights.values())
