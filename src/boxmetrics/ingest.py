@@ -78,7 +78,6 @@ _LINE_FIELDS = frozenset(LINES_HEADER)
 _LINE_FIELDS_WITH_POINTS = _LINE_FIELDS | {OPTIONAL_LINES_COLUMN}
 _game_cells = itemgetter(*GAMES_HEADER)
 _line_cells = itemgetter(*LINES_HEADER)
-_line_cells_with_points = itemgetter(*LINES_HEADER, OPTIONAL_LINES_COLUMN)
 _game_fields = attrgetter(*GAMES_HEADER)
 _line_fields = attrgetter(*LINES_HEADER)
 # Rows per block of the lines table: enough that a block's checks run at C
@@ -136,19 +135,14 @@ class Dataset:
         object.__setattr__(self, "games", dict(self.games))
         object.__setattr__(self, "lines", tuple(self.lines))
         pairs = _pairs(self.games)
-        columns = [list(map(attrgetter(n), self.lines)) for n in ("player_id", "team", "game_id")]
-        try:
-            _check_references(self.games, pairs, set(), *columns)
-        except IngestError:
-            # Line by line, to name the first bad line's player.
-            seen: set[tuple[str, str]] = set()
-            for line in self.lines:
-                try:
-                    seen |= _check_references(
-                        self.games, pairs, seen, (line.player_id,), (line.team,), (line.game_id,)
-                    )
-                except IngestError as exc:
-                    raise _located(f"line for player {line.player_id!r}", exc) from None
+        seen: set[tuple[str, str]] = set()
+        for line in self.lines:
+            try:
+                seen |= _check_references(
+                    self.games, pairs, seen, (line.player_id,), (line.team,), (line.game_id,)
+                )
+            except IngestError as exc:
+                raise _located(f"line for player {line.player_id!r}", exc) from None
 
     @classmethod
     def _from_checked(
@@ -311,7 +305,8 @@ def _parse_lines(
 def _block_lines(games: dict, pairs: set, seen: set, decoded: tuple[list, list | None]) -> list:
     """The records of a block ``decoded`` into line-field columns and the
     points column or None, once every check passes; their keys join ``seen``.
-    The error names the first bad row of a block of one."""
+    A line whose points are None has no points to check. The error names the
+    first bad row of a block of one."""
     columns, points = decoded
     # Each id text is held once, however many lines (and keys) repeat it.
     columns[:4] = [list(map(sys.intern, column)) for column in columns[:4]]
@@ -320,8 +315,10 @@ def _block_lines(games: dict, pairs: set, seen: set, decoded: tuple[list, list |
     if points is not None:
         # columns[5:10:2] is t2c, t3c, t1c
         derived = [2 * a + 3 * b + c for a, b, c in zip(*columns[5:10:2])]
-        if points != derived:
-            got, want = next((p, d) for p, d in zip(points, derived) if p != d)
+        if points != derived and (
+            bad := next(((p, d) for p, d in zip(points, derived) if p not in (None, d)), None)
+        ):
+            got, want = bad
             if got < 0:
                 raise BadValueError(f"column 'points' must be >= 0, got {got}")
             raise PointsMismatchError(f"points column says {got} but counts derive {want}")
@@ -418,18 +415,22 @@ def _json_game(entry: object) -> tuple:
 
 def _json_columns(block: list) -> tuple[list, list | None]:
     """:func:`_csv_columns` for JSON entries: each an object with exactly the
-    line fields, or those and points."""
+    line fields, or those and points. The points column holds None for an
+    entry without points, and is None when no entry has points."""
     if {*map(type, block)} != {dict}:
         raise BadValueError("must be an object")
-    has_points = OPTIONAL_LINES_COLUMN in block[0]
-    fields = _LINE_FIELDS_WITH_POINTS if has_points else _LINE_FIELDS
-    if any(map(ne, map(dict.keys, block), repeat(fields))):
+    fields = _LINE_FIELDS_WITH_POINTS if OPTIONAL_LINES_COLUMN in block[0] else _LINE_FIELDS
+    if any(map(ne, map(dict.keys, block), repeat(fields))) and not all(
+        keys in (_LINE_FIELDS, _LINE_FIELDS_WITH_POINTS) for keys in map(dict.keys, block)
+    ):
         _reject_fields(block[0], LINES_HEADER, _LINE_FIELDS_WITH_POINTS)
-    cells = list(zip(*map(_line_cells_with_points if has_points else _line_cells, block)))
+    cells = list(zip(*map(_line_cells, block)))
     game_id, player_id, name, team, minutes = cells[:5]
+    points = [entry.get(OPTIONAL_LINES_COLUMN) for entry in block]
+    given = [value for entry, value in zip(block, points) if OPTIONAL_LINES_COLUMN in entry]
     # Exact types, so no bool passes as a number.
-    if has_points and {*map(type, cells[22])} != {int}:
-        bad = next(value for value in cells[22] if type(value) is not int)
+    if {*map(type, given)} - {int}:
+        bad = next(value for value in given if type(value) is not int)
         raise BadValueError(f"field 'points' must be an integer, got {bad!r}")
     if not {int, float}.issuperset(map(type, minutes)):
         bad = next(value for value in minutes if type(value) not in (int, float))
@@ -442,7 +443,7 @@ def _json_columns(block: list) -> tuple[list, list | None]:
     # names the game whose "game_id" is 1.
     columns = [*(list(map(str, column)) for column in (player_id, name, team, game_id)),
                minutes, *cells[5:22]]
-    return columns, list(cells[22]) if has_points else None
+    return columns, points if given else None
 
 
 def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:

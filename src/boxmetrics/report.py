@@ -27,6 +27,7 @@ from .splits import (
     split_compare,
 )
 from .stats import (
+    COMPARABILITY_TOLERANCE,
     SeriesSummary,
     comparable_means,
     correlation_significance,
@@ -331,7 +332,7 @@ def regularity_table(
             close_threshold,
             metric=effective_name,
             per_minute=use_per_minute,
-            comparability_tolerance=0.25,  # comparable_means's default
+            comparability_tolerance=COMPARABILITY_TOLERANCE,
         ),
         display_decimals=3,
     )

@@ -99,8 +99,11 @@ def summarize(series: MetricSeries | Sequence[float]) -> SeriesSummary:
     )
 
 
+COMPARABILITY_TOLERANCE = 0.25
+
+
 def comparable_means(
-    summary_a: SeriesSummary, summary_b: SeriesSummary, tolerance: float = 0.25
+    summary_a: SeriesSummary, summary_b: SeriesSummary, tolerance: float = COMPARABILITY_TOLERANCE
 ) -> bool:
     """Whether two means are close enough for a regularity comparison.
 

@@ -212,6 +212,38 @@ def test_parse_json_numeric_game_id():
     assert dataset == naive_parse_json(text)
 
 
+def _mixed_points_doc() -> tuple[Dataset, dict]:
+    """A 1,026-line season (two blocks) whose odd-numbered entries carry points."""
+    season = _synthetic_season(114, 9)
+    doc = json.loads(serialize_json(season))
+    for cells, line in list(zip(doc["lines"], season.lines))[1::2]:
+        cells["points"] = derived_points(line)
+    return season, doc
+
+
+def test_parse_json_reads_a_block_where_some_entries_have_points_at_once():
+    season, doc = _mixed_points_doc()
+    with patch.object(ingest, "_json_columns", wraps=ingest._json_columns) as columns:
+        assert parse_json(json.dumps(doc)) == season
+    # One call per block: no block was read again a row at a time.
+    assert columns.call_count == 2
+
+
+@pytest.mark.parametrize(
+    "i, points, error, message",
+    [
+        (1023, 1, PointsMismatchError, "points column says 1 but counts derive"),
+        (1023, -1, BadValueError, "column 'points' must be >= 0, got -1"),
+        (1025, None, BadValueError, "field 'points' must be an integer, got None"),
+    ],
+)
+def test_parse_json_checks_the_entries_with_points_in_a_mixed_block(i, points, error, message):
+    _, doc = _mixed_points_doc()
+    doc["lines"][i]["points"] = points
+    with pytest.raises(error, match=re.escape(f"lines entry {i + 1}: {message}")):
+        parse_json(json.dumps(doc))
+
+
 def test_csv_round_trip_identity():
     season = build_season()
     games_text, lines_text = serialize_csv(season)
