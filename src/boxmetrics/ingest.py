@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property, partial
 from itertools import islice, repeat
-from operator import attrgetter, itemgetter, ne
+from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Mapping, NoReturn, Sequence
 
 from .model import BoxscoreLine, GameMeta, check_fields, check_types
@@ -419,10 +419,7 @@ def _json_columns(block: list) -> tuple[list, list | None]:
     entry without points, and is None when no entry has points."""
     if {*map(type, block)} != {dict}:
         raise BadValueError("must be an object")
-    fields = _LINE_FIELDS_WITH_POINTS if OPTIONAL_LINES_COLUMN in block[0] else _LINE_FIELDS
-    if any(map(ne, map(dict.keys, block), repeat(fields))) and not all(
-        keys in (_LINE_FIELDS, _LINE_FIELDS_WITH_POINTS) for keys in map(dict.keys, block)
-    ):
+    if not all(keys in (_LINE_FIELDS, _LINE_FIELDS_WITH_POINTS) for keys in map(dict.keys, block)):
         _reject_fields(block[0], LINES_HEADER, _LINE_FIELDS_WITH_POINTS)
     cells = list(zip(*map(_line_cells, block)))
     game_id, player_id, name, team, minutes = cells[:5]

@@ -21,6 +21,7 @@ from .distributions import normal_two_sided_p, student_t_two_sided_p
 from .model import MetricSeries, SplitComparison
 
 CORRELATION_KINDS = ("pearson", "kendall", "spearman")
+COMPARABILITY_TOLERANCE = 0.25
 
 
 class LengthMismatchError(ValueError):
@@ -97,9 +98,6 @@ def summarize(series: MetricSeries | Sequence[float]) -> SeriesSummary:
         regularity=None if constant else center / sd,
         constant_series=constant,
     )
-
-
-COMPARABILITY_TOLERANCE = 0.25
 
 
 def comparable_means(
