@@ -11,7 +11,9 @@ excluded when a per-minute series is built.
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from operator import attrgetter, mul, truediv
 from typing import Callable, Sequence
 
@@ -35,6 +37,7 @@ _PER_MINUTE = "_per_minute"
 _defensive_counts = attrgetter(*DEFENSIVE_KEYS)
 _offensive_counts = attrgetter(*OFFENSIVE_KEYS)
 _minutes = attrgetter("minutes")
+_game_id = attrgetter("game_id")
 
 
 class ZeroMinutesError(ValueError):
@@ -144,7 +147,22 @@ def series_values(
     weights: WeightConfig,
     per_minute_values: bool = False,
 ) -> tuple[list[float], Sequence[BoxscoreLine]]:
-    """Values of ``metric`` over ``lines`` and the lines they come from.
+    """Values of ``metric`` over ``lines`` and the lines they come from;
+    :func:`_excluded` says which lines are left out."""
+    values, keep = _excluded(
+        lines, list(map(metric_function(metric, weights), lines)), metric, per_minute_values
+    )
+    return list(values), _kept(lines, keep)
+
+
+def _excluded(
+    lines: Sequence[BoxscoreLine],
+    values: Sequence[float | None],
+    metric: str,
+    per_minute_values: bool,
+) -> tuple[Sequence[float], list[bool] | None]:
+    """The series of ``values``, the per-game values of ``metric`` over
+    ``lines``, and which lines it keeps (None: all of them).
 
     This is the one place lines are left out of a series: lines with no
     reported plus_minus from a plus_minus series, and zero-minute (DNP)
@@ -152,18 +170,47 @@ def series_values(
     """
     if per_minute_values and metric == "plus_minus":
         raise ValueError("plus_minus has no per-minute form")
-    value_of = metric_function(metric, weights)
     if metric == "plus_minus":
-        kept = [line for line in lines if line.plus_minus is not None]
+        keep = [value is not None for value in values]
     elif per_minute_values:
-        kept = [line for line in lines if line.minutes != 0.0]
+        keep = [line.minutes != 0.0 for line in lines]
     else:
-        kept = lines
-    values = list(map(value_of, kept))
+        return values, None
+    kept = array("d", compress(values, keep))
     if per_minute_values:
         # Every kept line has minutes > 0, so this is per_minute() per line.
-        values = list(map(truediv, values, map(_minutes, kept)))
-    return values, kept
+        kept = array("d", map(truediv, kept, compress(map(_minutes, lines), keep)))
+    return kept, None if all(keep) else keep
+
+
+def _kept(column: Sequence, keep: list[bool] | None) -> Sequence:
+    """The entries of a per-line ``column`` on the lines a series keeps."""
+    return column if keep is None else list(compress(column, keep))
+
+
+def _series(
+    dataset: Dataset,
+    player_id: str,
+    metric: str,
+    weights: WeightConfig,
+    per_minute_values: bool,
+) -> tuple[Sequence[float], list[bool] | None]:
+    """One player's series as :func:`_excluded` gives it, built on the first
+    request per dataset, so each line is evaluated once per metric and weights.
+
+    A per-minute series divides the stored per-game one, which keeps every line.
+    """
+
+    def build(lines: tuple[BoxscoreLine, ...]) -> tuple[Sequence[float], list[bool] | None]:
+        if per_minute_values:
+            per_game = _series(dataset, player_id, metric, weights, False)[0]
+        else:
+            per_game = map(metric_function(metric, weights), lines)
+            per_game = list(per_game) if metric == "plus_minus" else array("d", per_game)
+        return _excluded(lines, per_game, metric, per_minute_values)
+
+    key = (metric, weights.defensive, weights.offensive, per_minute_values)
+    return dataset._column(key, player_id, build)
 
 
 def parse_metric_name(name: str, per_minute: bool = False) -> tuple[str, bool]:
@@ -203,16 +250,16 @@ def player_series(
     EmptySeriesError when no qualifying games remain.
     """
     weights = weights or WeightConfig.defaults()
-    lines = dataset.lines_for(player_id)
+    lines = dataset._by_player.get(player_id)
     if not lines:
         raise UnknownPlayerError(f"no lines for player {player_id!r}")
-    values, kept = series_values(lines, metric, weights, per_minute_values)
-    if len(kept) < len(lines):
+    values, keep = _series(dataset, player_id, metric, weights, per_minute_values)
+    if len(values) < len(lines):
         logger.debug(
             "player %s metric %s: excluded %d of %d lines (DNP or missing value)",
             player_id,
             metric,
-            len(lines) - len(kept),
+            len(lines) - len(values),
             len(lines),
         )
     if not values:
@@ -223,7 +270,7 @@ def player_series(
         player_id=player_id,
         metric_name=combined_metric_name(metric, per_minute_values),
         values=tuple(values),
-        game_ids=tuple(line.game_id for line in kept),
+        game_ids=tuple(map(_game_id, _kept(lines, keep))),
     )
 
 

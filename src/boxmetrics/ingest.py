@@ -32,9 +32,11 @@ from datetime import date
 from functools import cached_property, partial
 from itertools import islice, repeat
 from operator import attrgetter, itemgetter
-from typing import IO, Iterable, Mapping, NoReturn, Sequence
+from typing import IO, Callable, Iterable, Mapping, NoReturn, Sequence, TypeVar
 
 from .model import BoxscoreLine, GameMeta, check_fields, check_types
+
+_T = TypeVar("_T")
 
 GAMES_HEADER = (
     "game_id",
@@ -173,6 +175,24 @@ class Dataset:
             player_id: tuple(sorted(mine, key=lambda ln: order[ln.game_id]))
             for player_id, mine in grouped.items()
         }
+
+    @cached_property
+    def _columns(self) -> dict[tuple, dict[str, object]]:
+        """Per-player columns derived from :attr:`_by_player`: key -> player
+        id -> column. The lines never change, so a column never goes stale."""
+        return {}
+
+    def _column(
+        self, key: tuple, player_id: str, build: Callable[[tuple[BoxscoreLine, ...]], _T]
+    ) -> _T:
+        """``build(lines)`` for the player's lines, run on the first request
+        for this ``key`` and player only. ``key`` names everything besides
+        the lines that the column depends on."""
+        columns = self._columns.setdefault(key, {})
+        column = columns.get(player_id)
+        if column is None:
+            column = columns[player_id] = build(self._by_player[player_id])
+        return column
 
     def player_ids(self) -> list[str]:
         return sorted(self._by_player)

@@ -157,10 +157,8 @@ def rank_values(
 
 
 def _player_names(dataset: Dataset) -> dict[str, str]:
-    names: dict[str, str] = {}
-    for player_id in dataset.player_ids():
-        names[player_id] = dataset.lines_for(player_id)[0].player_name
-    return names
+    by_player = dataset._by_player
+    return {player_id: by_player[player_id][0].player_name for player_id in dataset.player_ids()}
 
 
 def _series_by_player(

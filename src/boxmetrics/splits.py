@@ -9,9 +9,10 @@ Welch test and reports the means with a significance verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Sequence
 
-from .indices import parse_metric_name, series_values
+from .indices import _kept, _series, parse_metric_name
 from .ingest import Dataset
 from .model import (
     BoxscoreLine,
@@ -111,12 +112,23 @@ class PlusMinusSummary:
     by_label: tuple[LabelStat, ...]
 
 
-def _pm_stat(label: str, lines: Sequence[BoxscoreLine]) -> LabelStat:
-    values, kept = series_values(lines, "plus_minus", _NO_WEIGHTS)
+def _sides(
+    dataset: Dataset, player_id: str, kind: str, close_threshold: int
+) -> tuple[str, ...]:
+    """The side of a ``kind`` split each of the player's lines falls on, in
+    index order; decided on the first request per dataset."""
+    games = dataset.games
+
+    def build(lines: tuple[BoxscoreLine, ...]) -> tuple[str, ...]:
+        return tuple(side_of(kind, line, games[line.game_id], close_threshold) for line in lines)
+
+    return dataset._column(("sides", kind, close_threshold), player_id, build)
+
+
+def _pm_stat(label: str, values: Sequence[float], dnp: Sequence[bool]) -> LabelStat:
     if not values:
         return LabelStat(label=label, n=0, mean=None)
-    dnp = sum(1 for line in kept if line.dnp)
-    return LabelStat(label=label, n=len(values), mean=mean(values), dnp_included=dnp)
+    return LabelStat(label=label, n=len(values), mean=mean(values), dnp_included=sum(dnp))
 
 
 def plus_minus_summary(
@@ -139,23 +151,21 @@ def plus_minus_summary(
             SplitLabel("win_loss", "win"),
             SplitLabel("win_loss", "loss"),
         )
-    lines = dataset.lines_for(player_id)
+    lines = dataset._by_player.get(player_id)
     if not lines:
         raise UnknownPlayerError(f"no lines for player {player_id!r}")
-    games = dataset.games
-    overall = _pm_stat("total", lines)
-    stats = tuple(
-        _pm_stat(
-            str(label),
-            [
-                line
-                for line in lines
-                if side_of(label.kind, line, games[line.game_id], close_threshold) == label.side
-            ],
+    values, keep = _series(dataset, player_id, "plus_minus", _NO_WEIGHTS, False)
+    dnp = _kept([line.dnp for line in lines], keep)
+    stats = []
+    for label in labels:
+        sides = _kept(_sides(dataset, player_id, label.kind, close_threshold), keep)
+        on_side = [side == label.side for side in sides]
+        stats.append(
+            _pm_stat(str(label), list(compress(values, on_side)), list(compress(dnp, on_side)))
         )
-        for label in labels
+    return PlusMinusSummary(
+        player_id=player_id, overall=_pm_stat("total", values, dnp), by_label=tuple(stats)
     )
-    return PlusMinusSummary(player_id=player_id, overall=overall, by_label=stats)
 
 
 def split_compare(
@@ -182,24 +192,22 @@ def split_compare(
         raise ValueError(f"unknown split kind {split_kind!r}")
     weights = weights or WeightConfig.defaults()
     metric, use_per_minute = parse_metric_name(metric_name)
-    lines = dataset.lines_for(player_id)
-    if not lines:
+    if not dataset._by_player.get(player_id):
         raise UnknownPlayerError(f"no lines for player {player_id!r}")
-    games = dataset.games
-    sides = [side_of(split_kind, line, games[line.game_id], close_threshold) for line in lines]
+    sides = _sides(dataset, player_id, split_kind, close_threshold)
+    values, keep = _series(dataset, player_id, metric, weights, use_per_minute)
     if split_kind != "competition":
         side_pairs = [_SIDES[split_kind]]
     elif competition is not None:
         side_pairs = [(competition, "rest")]
     else:
         side_pairs = [(name, "rest") for name in sorted(set(sides))]
+    sides = _kept(sides, keep)
     strict = split_kind != "competition" or competition is not None
     results = []
     for side_a, side_b in side_pairs:
-        inside = [line for line, side in zip(lines, sides) if side == side_a]
-        outside = [line for line, side in zip(lines, sides) if side != side_a]
-        values_a = series_values(inside, metric, weights, use_per_minute)[0]
-        values_b = series_values(outside, metric, weights, use_per_minute)[0]
+        values_a = [value for value, side in zip(values, sides) if side == side_a]
+        values_b = [value for value, side in zip(values, sides) if side != side_a]
         if len(values_a) < 2 or len(values_b) < 2:
             if strict:
                 raise InsufficientSplitError(

@@ -73,11 +73,6 @@ def sample_sd(values: Sequence[float]) -> float:
     return math.sqrt(_squared_deviations(values)[1] / (len(values) - 1))
 
 
-def population_sd(values: Sequence[float]) -> float:
-    """Standard deviation with divisor n."""
-    return math.sqrt(_squared_deviations(values)[1] / len(values))
-
-
 def summarize(series: MetricSeries | Sequence[float]) -> SeriesSummary:
     """Summary statistics plus the regularity index for one series."""
     values = tuple(series.values if isinstance(series, MetricSeries) else series)

@@ -7,7 +7,9 @@ parsers are the exception: they build the package's own types and raise its
 error classes, so that their results compare with the real parsers'. So are
 the split, plus/minus and serializer references, which are the code those
 modules ran before each decision got a single owner (side of a split,
-exclusion from a series, cell text), and the CDFs only the tests use.
+exclusion from a series, cell text), and the CDFs only the tests use. The
+split references read each side's values line by line through
+:func:`naive_side_values`, never through the package's series columns.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from boxmetrics import (
     UnknownPlayerError,
     WeightConfig,
     derived_points,
-    series_values,
     welch_test,
 )
 from boxmetrics.distributions import student_t_two_sided_p
@@ -562,14 +563,14 @@ def naive_split_compare(
         raise ValueError(f"unknown split kind {split_kind!r}")
     weights = weights or WeightConfig.defaults()
     metric, use_per_minute = parse_metric_name(metric_name)
-    lines = dataset.lines_for(player_id)
+    lines = naive_lines_for(dataset, player_id)
     if not lines:
         raise UnknownPlayerError(f"no lines for player {player_id!r}")
     pairs = [(line, dataset.games[line.game_id]) for line in lines]
 
     def compare(side_a, side_b, pairs_a, pairs_b, *, strict):
-        values_a = series_values([ln for ln, g in pairs_a], metric, weights, use_per_minute)[0]
-        values_b = series_values([ln for ln, g in pairs_b], metric, weights, use_per_minute)[0]
+        values_a = naive_side_values(pairs_a, metric, use_per_minute, weights)
+        values_b = naive_side_values(pairs_b, metric, use_per_minute, weights)
         if len(values_a) < 2 or len(values_b) < 2:
             if strict:
                 raise InsufficientSplitError(
@@ -632,7 +633,7 @@ def naive_plus_minus_summary(
             SplitLabel("win_loss", "win"),
             SplitLabel("win_loss", "loss"),
         )
-    lines = dataset.lines_for(player_id)
+    lines = naive_lines_for(dataset, player_id)
     if not lines:
         raise UnknownPlayerError(f"no lines for player {player_id!r}")
     pairs = [(line, dataset.games[line.game_id]) for line in lines]

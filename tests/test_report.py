@@ -300,3 +300,48 @@ def test_index_table_consistent_with_formula_oracle(season, weights):
         lines = season.lines_for(row.player_id)
         expected = sum(formula_offensive(ln) for ln in lines) / len(lines)
         assert row.value == pytest.approx(expected, rel=1e-15)
+
+
+def test_report_all_evaluates_each_line_once_per_metric(tmp_path, monkeypatch):
+    # Every table reads the same per-player columns, so across all 20 reports
+    # a line is evaluated at most once per metric and each split side of a
+    # line is decided at most once per (kind, close threshold).
+    from collections import Counter
+
+    from boxmetrics import indices, splits
+    from boxmetrics.cli import main
+    from boxmetrics.ingest import serialize_csv
+    from test_acceptance import _synthetic_season
+
+    season = _synthetic_season(40, 12)
+    games_text, lines_text = serialize_csv(season)
+    (tmp_path / "games.csv").write_text(games_text, encoding="utf-8")
+    (tmp_path / "lines.csv").write_text(lines_text, encoding="utf-8")
+    evaluations: Counter = Counter()
+    decisions: Counter = Counter()
+    metric_function, side_of = indices.metric_function, splits.side_of
+
+    def counting_metric_function(metric, weights):
+        value_of = metric_function(metric, weights)
+
+        def counted(line):
+            evaluations[metric, line.player_id, line.game_id] += 1
+            return value_of(line)
+
+        return counted
+
+    def counting_side_of(kind, line, game, close_threshold=splits.DEFAULT_CLOSE_THRESHOLD):
+        decisions[kind, close_threshold, line.player_id, line.game_id] += 1
+        return side_of(kind, line, game, close_threshold)
+
+    monkeypatch.setattr(indices, "metric_function", counting_metric_function)
+    monkeypatch.setattr(splits, "side_of", counting_side_of)
+    inputs = ["--games", str(tmp_path / "games.csv"), "--lines", str(tmp_path / "lines.csv")]
+    assert main(["report-all", *inputs, "--out", str(tmp_path / "out")]) == 0
+    assert len(list((tmp_path / "out").iterdir())) == 20
+    assert {metric for metric, _, _ in evaluations} == set(indices.METRICS)
+    repeated = sorted(key for key, count in evaluations.items() if count > 1)
+    assert not repeated, f"{len(repeated)} (metric, line) pairs evaluated again, e.g. {repeated[0]}"
+    assert sum(evaluations.values()) <= 6 * len(season.lines)
+    repeated = sorted(key for key, count in decisions.items() if count > 1)
+    assert decisions and not repeated, f"{len(repeated)} sides decided again"

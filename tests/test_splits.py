@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxmetrics import (
@@ -21,9 +21,9 @@ from boxmetrics import (
     plus_minus_summary,
     split_compare,
 )
-from boxmetrics.indices import player_series
+from boxmetrics.indices import METRICS, EmptySeriesError, combined_metric_name, player_series
 from conftest import make_game, make_line, random_seasons, winloss_season
-from oracles import naive_plus_minus_summary, naive_split_compare
+from oracles import naive_player_series, naive_plus_minus_summary, naive_split_compare
 
 
 def test_game_outcome_sides():
@@ -258,3 +258,91 @@ def test_plus_minus_summary_matches_own_filter_code(data):
             assert [_exact(s) for s in (summary.overall, *summary.by_label)] == [
                 _exact(s) for s in (expected.overall, *expected.by_label)
             ]
+
+
+# --- the season columns against the line-by-line oracles ---------------------
+
+# A second weight configuration: every id/io/rend value differs from the
+# defaults' on lines with rebounds, assists, turnovers, threes or fouls.
+OTHER_WEIGHTS = WeightConfig.with_overrides(
+    {"rd": 0.5, "a": 1.5, "bp": -0.25, "t3c": 2.75, "fpc": -1.5}
+)
+
+column_calls = st.fixed_dictionaries(
+    {
+        "what": st.sampled_from(("series", "split", "plus_minus")),
+        "player": st.integers(0, 3),
+        "metric": st.sampled_from(METRICS),
+        "per_minute_first": st.booleans(),
+        "weights": st.sampled_from((WeightConfig.defaults(), OTHER_WEIGHTS)),
+        "kind": st.sampled_from(SPLIT_KINDS),
+        "competition": st.sampled_from((None, "liga", "copa")),
+        "threshold_step": st.integers(0, 1),
+        "all_labels": st.booleans(),
+    }
+)
+
+
+def _series_bits(dataset, player_id, metric, weights, per_minute_values):
+    try:
+        series = player_series(
+            dataset, player_id, metric, weights, per_minute_values=per_minute_values
+        )
+    except EmptySeriesError:
+        return "empty"
+    return [value.hex() for value in series.values], list(series.game_ids)
+
+
+def _naive_series_bits(dataset, player_id, metric, weights, per_minute_values):
+    values, game_ids = naive_player_series(dataset, player_id, metric, weights, per_minute_values)
+    if not values:
+        return "empty"
+    return [value.hex() for value in values], game_ids
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=random_seasons(), calls=st.lists(column_calls, min_size=1, max_size=25))
+def test_columns_match_line_by_line_oracles_in_any_call_order(data, calls):
+    # One shared season answers every call, in the drawn order, so a column
+    # built for one call is read by the later ones: per-game before
+    # per-minute and the reverse, two weight configurations, two close
+    # thresholds.
+    season, threshold = data
+    player_ids = season.player_ids()
+    assume(player_ids)
+    for call in calls:
+        player_id = player_ids[call["player"] % len(player_ids)]
+        metric, weights = call["metric"], call["weights"]
+        close_threshold = threshold + call["threshold_step"]
+        forms = (False,) if metric == "plus_minus" else (False, True)
+        if call["per_minute_first"]:
+            forms = forms[::-1]
+        if call["what"] == "series":
+            for per_minute_values in forms:
+                args = (season, player_id, metric, weights, per_minute_values)
+                assert _series_bits(*args) == _naive_series_bits(*args), call
+        elif call["what"] == "split":
+            competition = call["competition"] if call["kind"] == "competition" else None
+            for per_minute_values in forms:
+                args = (
+                    player_id,
+                    combined_metric_name(metric, per_minute_values),
+                    call["kind"],
+                    season,
+                    weights,
+                )
+                options = dict(close_threshold=close_threshold, competition=competition)
+                assert _comparisons(split_compare, *args, **options) == _comparisons(
+                    naive_split_compare, *args, **options
+                ), call
+        else:
+            labels = ALL_LABELS if call["all_labels"] else None
+            summary = plus_minus_summary(
+                player_id, season, labels, close_threshold=close_threshold
+            )
+            expected = naive_plus_minus_summary(
+                player_id, season, labels, close_threshold=close_threshold
+            )
+            assert [_exact(s) for s in (summary.overall, *summary.by_label)] == [
+                _exact(s) for s in (expected.overall, *expected.by_label)
+            ], call
