@@ -195,22 +195,22 @@ def _series(
     weights: WeightConfig,
     per_minute_values: bool,
 ) -> tuple[Sequence[float], list[bool] | None]:
-    """One player's series as :func:`_excluded` gives it, built on the first
-    request per dataset, so each line is evaluated once per metric and weights.
-
-    A per-minute series divides the stored per-game one, which keeps every line.
-    """
+    """One player's series as :func:`_excluded` gives it. The per-game series
+    is built on its first request and kept in ``dataset``, so a line is
+    evaluated once per metric and weights; a per-minute series divides it.
+    Callers only read what comes back."""
 
     def build(lines: tuple[BoxscoreLine, ...]) -> tuple[Sequence[float], list[bool] | None]:
-        if per_minute_values:
-            per_game = _series(dataset, player_id, metric, weights, False)[0]
-        else:
-            per_game = map(metric_function(metric, weights), lines)
-            per_game = list(per_game) if metric == "plus_minus" else array("d", per_game)
-        return _excluded(lines, per_game, metric, per_minute_values)
+        values = map(metric_function(metric, weights), lines)
+        values = list(values) if metric == "plus_minus" else array("d", values)
+        return _excluded(lines, values, metric, False)
 
-    key = (metric, weights.defensive, weights.offensive, per_minute_values)
-    return dataset._column(key, player_id, build)
+    per_game = dataset._column((metric, weights.defensive, weights.offensive), player_id, build)
+    if not per_minute_values:
+        return per_game
+    # A per-game series keeps every line but for plus_minus, which has no
+    # per-minute form, so its values line up with the player's lines.
+    return _excluded(dataset._by_player[player_id], per_game[0], metric, True)
 
 
 def parse_metric_name(name: str, per_minute: bool = False) -> tuple[str, bool]:
