@@ -160,9 +160,10 @@ def _excluded(
     values: Sequence[float | None],
     metric: str,
     per_minute_values: bool,
-) -> tuple[Sequence[float], list[bool] | None]:
+) -> tuple[array, list[bool] | None]:
     """The series of ``values``, the per-game values of ``metric`` over
-    ``lines``, and which lines it keeps (None: all of them).
+    ``lines``, as floats in an ``array('d')``, and which lines it keeps
+    (None: all of them).
 
     This is the one place lines are left out of a series: lines with no
     reported plus_minus from a plus_minus series, and zero-minute (DNP)
@@ -175,7 +176,7 @@ def _excluded(
     elif per_minute_values:
         keep = [line.minutes != 0.0 for line in lines]
     else:
-        return values, None
+        return array("d", values), None
     kept = array("d", compress(values, keep))
     if per_minute_values:
         # Every kept line has minutes > 0, so this is per_minute() per line.
@@ -194,16 +195,14 @@ def _series(
     metric: str,
     weights: WeightConfig,
     per_minute_values: bool,
-) -> tuple[Sequence[float], list[bool] | None]:
+) -> tuple[array, list[bool] | None]:
     """One player's series as :func:`_excluded` gives it. The per-game series
     is built on its first request and kept in ``dataset``, so a line is
     evaluated once per metric and weights; a per-minute series divides it.
     Callers only read what comes back."""
 
-    def build(lines: tuple[BoxscoreLine, ...]) -> tuple[Sequence[float], list[bool] | None]:
-        values = map(metric_function(metric, weights), lines)
-        values = list(values) if metric == "plus_minus" else array("d", values)
-        return _excluded(lines, values, metric, False)
+    def build(lines: tuple[BoxscoreLine, ...]) -> tuple[array, list[bool] | None]:
+        return _excluded(lines, list(map(metric_function(metric, weights), lines)), metric, False)
 
     per_game = dataset._column((metric, weights.defensive, weights.offensive), player_id, build)
     if not per_minute_values:
