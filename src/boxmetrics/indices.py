@@ -177,11 +177,11 @@ def _excluded(
         keep = [line.minutes != 0.0 for line in lines]
     else:
         return array("d", values), None
-    kept = array("d", compress(values, keep))
+    values = compress(values, keep)
     if per_minute_values:
         # Every kept line has minutes > 0, so this is per_minute() per line.
-        kept = array("d", map(truediv, kept, compress(map(_minutes, lines), keep)))
-    return kept, None if all(keep) else keep
+        values = map(truediv, values, compress(map(_minutes, lines), keep))
+    return array("d", values), None if all(keep) else keep
 
 
 def _kept(column: Sequence, keep: list[bool] | None) -> Sequence:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -26,9 +27,13 @@ from boxmetrics import (
     render,
     win_loss_table,
 )
+from boxmetrics import indices, splits
+from boxmetrics.cli import main
+from boxmetrics.ingest import serialize_csv
 from boxmetrics.report import format_display
 from conftest import build_season, make_line, winloss_season
 from oracles import formula_defensive, formula_offensive
+from test_acceptance import _synthetic_season
 
 
 def test_rank_values_single_entry():
@@ -306,13 +311,6 @@ def test_report_all_evaluates_each_line_once_per_metric(tmp_path, monkeypatch):
     # Every table reads the same per-player columns, so across all 20 reports
     # a line is evaluated at most once per metric and each split side of a
     # line is decided at most once per (kind, close threshold).
-    from collections import Counter
-
-    from boxmetrics import indices, splits
-    from boxmetrics.cli import main
-    from boxmetrics.ingest import serialize_csv
-    from test_acceptance import _synthetic_season
-
     season = _synthetic_season(40, 12)
     games_text, lines_text = serialize_csv(season)
     (tmp_path / "games.csv").write_text(games_text, encoding="utf-8")
