@@ -262,8 +262,8 @@ def test_plus_minus_summary_matches_own_filter_code(data):
 
 # --- the season columns against the line-by-line oracles ---------------------
 
-# A second weight configuration: every id/io/rend value differs from the
-# defaults' on lines with rebounds, assists, turnovers, threes or fouls.
+# A second weight configuration: id differs from the defaults' on lines with
+# defensive rebounds or fouls, io on lines with assists, turnovers or threes.
 OTHER_WEIGHTS = WeightConfig.with_overrides(
     {"rd": 0.5, "a": 1.5, "bp": -0.25, "t3c": 2.75, "fpc": -1.5}
 )
