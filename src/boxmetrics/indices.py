@@ -27,6 +27,7 @@ from .model import (
     derived_points,
 )
 from .ingest import Dataset
+from .stats import left_sum
 
 logger = logging.getLogger(__name__)
 
@@ -118,13 +119,13 @@ def metric_function(metric: str, weights: WeightConfig) -> Callable[[BoxscoreLin
     if metric == "points":
         return lambda line: float(derived_points(line))
     if metric == "id":
-        return lambda line: sum(map(mul, defensive, _defensive_counts(line)))
+        return lambda line: left_sum(map(mul, defensive, _defensive_counts(line)))
     if metric == "io":
-        return lambda line: sum(map(mul, offensive, _offensive_counts(line)))
+        return lambda line: left_sum(map(mul, offensive, _offensive_counts(line)))
     if metric == "rend":
         return lambda line: (
-            sum(map(mul, defensive, _defensive_counts(line)))
-            + sum(map(mul, offensive, _offensive_counts(line)))
+            left_sum(map(mul, defensive, _defensive_counts(line)))
+            + left_sum(map(mul, offensive, _offensive_counts(line)))
         )
     if metric == "valoracion":
         return valoracion_acb
@@ -285,4 +286,4 @@ def player_mean(
     series = player_series(
         dataset, player_id, metric, weights, per_minute_values=per_minute_values
     )
-    return sum(series.values) / len(series.values)
+    return left_sum(series.values) / len(series.values)

@@ -209,15 +209,16 @@ class Dataset:
         return len(self._by_player.get(player_id, ()))
 
 
-def _as_text(stream: IO | str) -> io.TextIOBase:
+def _text(stream: IO | str) -> str:
+    """All the text of ``stream``; bytes are decoded as UTF-8."""
     if isinstance(stream, str):
-        return io.StringIO(stream)
-    if isinstance(stream, io.TextIOBase):
         return stream
-    first = stream.read()
-    if isinstance(first, bytes):
-        return io.StringIO(first.decode("utf-8"))
-    return io.StringIO(first)
+    data = stream.read()
+    return data.decode("utf-8") if isinstance(data, bytes) else data
+
+
+def _as_text(stream: IO | str) -> io.TextIOBase:
+    return stream if isinstance(stream, io.TextIOBase) else io.StringIO(_text(stream))
 
 
 def _located(where: str, exc: ValueError) -> IngestError:
@@ -271,6 +272,23 @@ def _cells(convert, column: Sequence[str], name: str, kind: str) -> list:
             except (ValueError, KeyError):
                 raise BadValueError(f"column {name!r} must be {kind}, got {raw!r}") from None
         raise
+
+
+# Canonical decimal text of every int a boxscore cell holds in practice,
+# team scores included. A lookup here is one hash probe, where int() first
+# makes an ASCII copy of the text; any other text goes through int().
+_INT_TEXT = {str(n): n for n in range(-200, 201)}
+_PLUS_MINUS_TEXT = {**_INT_TEXT, "": None}
+
+
+def _int_cells(column: Sequence[str], name: str, table=_INT_TEXT, convert=int) -> list:
+    """The integer cells of a CSV ``column``, each looked up in ``table``. A
+    column with a cell the table lacks is converted by ``convert`` through
+    :func:`_cells` instead, so it accepts and rejects what ``convert`` does."""
+    try:
+        return list(map(table.__getitem__, column))
+    except KeyError:
+        return _cells(convert, column, name, "an integer")
 
 
 def _parse_games(rows: Iterable, cells_of, where: str, start: int) -> dict[str, GameMeta]:
@@ -371,7 +389,7 @@ def _csv_rows(stream: IO | str, header: tuple[str, ...], what: str) -> tuple[Ite
 def _csv_game(row: list[str]) -> tuple:
     if len(row) != len(GAMES_HEADER):
         raise BadValueError(f"expected {len(GAMES_HEADER)} fields, got {len(row)}")
-    home, away = (_cells(int, [row[i]], GAMES_HEADER[i], "an integer")[0] for i in (5, 6))
+    home, away = (_int_cells([row[i]], GAMES_HEADER[i])[0] for i in (5, 6))
     return (*row[:5], home, away)
 
 
@@ -386,15 +404,17 @@ def _csv_columns(has_points: bool, block: list[list[str]]) -> tuple[list, list |
         raise BadValueError(f"expected {width} fields, got {len(block[0])}")
     game_id, player_id, name, team, minutes, *cells = zip(*block)
     # LINES_HEADER lists the counts in BoxscoreLine's field order.
-    counts = [_cells(int, column, c, "an integer") for column, c in zip(cells, _COUNT_COLUMNS)]
+    counts = [_int_cells(column, c) for column, c in zip(cells, _COUNT_COLUMNS)]
     columns = [
         player_id, name, team, game_id,
         _cells(float, minutes, "minutes", "decimal minutes"),
         *counts,
-        _cells(lambda raw: int(raw) if raw else None, cells[15], "plus_minus", "an integer"),
+        _int_cells(
+            cells[15], "plus_minus", _PLUS_MINUS_TEXT, lambda raw: int(raw) if raw else None
+        ),
         _cells(_STARTER.__getitem__, cells[16], "starter", "'true' or 'false'"),
     ]
-    return columns, _cells(int, cells[17], "points", "an integer") if has_points else None
+    return columns, _int_cells(cells[17], "points") if has_points else None
 
 
 def parse_csv(games_stream: IO | str, lines_stream: IO | str, *, source: str = "<stream>") -> Dataset:
@@ -469,14 +489,23 @@ def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
     Shape: ``{"games": [...], "lines": [...]}`` with the CSV column names as
     object fields. ``plus_minus`` may be ``null``; ``starter`` is a boolean.
     """
+    return _json_dataset(_json_doc(_text(stream)), source)
+
+
+def _json_doc(text: str) -> dict:
+    """The document in ``text``, an object holding a games and a lines array."""
     try:
-        doc = json.load(_as_text(stream))
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise BadValueError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict) or set(doc) != {"games", "lines"}:
         raise MissingColumnError("top-level JSON must be an object with 'games' and 'lines'")
     if not isinstance(doc["games"], list) or not isinstance(doc["lines"], list):
         raise BadValueError("'games' and 'lines' must be arrays")
+    return doc
+
+
+def _json_dataset(doc: dict, source: str) -> Dataset:
     games = _parse_games(doc["games"], _json_game, "games entry", 1)
     return _parse_lines(
         games, doc["lines"], _json_columns, "lines entry", 1, Provenance(source, "json")
@@ -532,8 +561,18 @@ def load_dataset(
 ) -> Dataset:
     """Load a dataset from file paths (two CSVs, or one JSON document)."""
     if json_path is not None:
-        with open(json_path, "r", encoding="utf-8") as handle:
-            return parse_json(handle, source=json_path)
+        # Read as bytes and decoded at once: a text-mode read, which
+        # translates newlines as it decodes, takes several times as long.
+        with open(json_path, "rb") as handle:
+            text = handle.read().decode("utf-8")
+        if "\r" in text:
+            # The newlines a text-mode read gives, so that JSON errors in a
+            # CRLF document name the same positions.
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        doc = _json_doc(text)
+        # Freed before the lines are built, as parse_json frees it.
+        del text
+        return _json_dataset(doc, json_path)
     if games_path is None or lines_path is None:
         raise ValueError("either json_path or both games_path and lines_path are required")
     with open(games_path, "r", encoding="utf-8", newline="") as games_handle:

@@ -235,10 +235,13 @@ def rank_delta(table_a: RankedTable, table_b: RankedTable) -> Table:
             f"tables rank different players (only in a: {only_a}, only in b: {only_b})"
         )
     names = {row.player_id: row.player_name for row in table_a.rows}
+    # Built from the last row up, so a player's first row wins, as in rank_of.
+    ranks_a, ranks_b = (
+        {row.player_id: row.rank for row in reversed(table.rows)} for table in (table_a, table_b)
+    )
     rows = []
     for player_id in sorted(names):
-        rank_a = table_a.rank_of(player_id)
-        rank_b = table_b.rank_of(player_id)
+        rank_a, rank_b = ranks_a[player_id], ranks_b[player_id]
         rows.append((player_id, names[player_id], rank_a, rank_b, rank_a - rank_b))
     meta = dict(table_b.meta)
     meta["metric_a"] = table_a.metric_name

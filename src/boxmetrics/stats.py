@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .distributions import normal_two_sided_p, student_t_two_sided_p
 from .model import MetricSeries, SplitComparison
@@ -54,16 +54,30 @@ class SeriesSummary:
     constant_series: bool
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """``values`` added left to right, starting from int 0.
+
+    That is what the builtin ``sum()`` does up to Python 3.11. From 3.12 on
+    ``sum()`` compensates float rounding (Neumaier), which changes the last
+    digits of some sums, so every float sum behind a report goes through
+    here and a report has the same bytes on every supported Python.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def mean(values: Sequence[float]) -> float:
     if not values:
         raise TooFewSamplesError("mean of an empty sequence")
-    return sum(values) / len(values)
+    return left_sum(values) / len(values)
 
 
 def _squared_deviations(values: Sequence[float]) -> tuple[float, float]:
     """(mean, sum of squared deviations from the mean) of ``values``."""
     center = mean(values)
-    return center, sum((v - center) ** 2 for v in values)
+    return center, left_sum((v - center) ** 2 for v in values)
 
 
 def sample_sd(values: Sequence[float]) -> float:
@@ -122,11 +136,11 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     my = mean(y)
     dx = [v - mx for v in x]
     dy = [v - my for v in y]
-    ssx = sum(d * d for d in dx)
-    ssy = sum(d * d for d in dy)
+    ssx = left_sum(d * d for d in dx)
+    ssy = left_sum(d * d for d in dy)
     if ssx == 0.0 or ssy == 0.0:
         raise ConstantInputError("pearson undefined for a constant input")
-    r = sum(a * b for a, b in zip(dx, dy)) / math.sqrt(ssx * ssy)
+    r = left_sum(a * b for a, b in zip(dx, dy)) / math.sqrt(ssx * ssy)
     return max(-1.0, min(1.0, r))
 
 

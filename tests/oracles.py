@@ -10,6 +10,8 @@ modules ran before each decision got a single owner (side of a split,
 exclusion from a series, cell text), and the CDFs only the tests use. The
 split references read each side's values line by line through
 :func:`naive_side_values`, never through the package's series columns.
+:func:`neumaier_sum` is no reference but the builtin ``sum()`` of newer
+Pythons, which a test swaps in to show the reports do not depend on it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import io
 import json
 import math
 from datetime import date
+from functools import reduce
+from operator import add
 from typing import Sequence
 
 from boxmetrics import (
@@ -81,6 +85,20 @@ def _naive_parse_int(raw: str, column: str, where: str) -> int:
         return int(raw)
     except (TypeError, ValueError):
         raise BadValueError(f"{where}: column {column!r} must be an integer, got {raw!r}")
+
+
+def naive_int_cells(column: Sequence[str], name: str, convert=int) -> list:
+    """Every cell of one CSV column through ``convert`` (``int``, or the
+    plus_minus reading where the empty cell is None), as the CSV decoder
+    read integer cells before its lookup table; the first cell ``convert``
+    rejects is named as the decoder names it."""
+    values = []
+    for raw in column:
+        try:
+            values.append(convert(raw))
+        except ValueError:
+            raise BadValueError(f"column {name!r} must be an integer, got {raw!r}") from None
+    return values
 
 
 def _naive_parse_count(raw: str, column: str, where: str) -> int:
@@ -311,6 +329,42 @@ def naive_parse_json(text: str, *, source: str = "<stream>") -> Dataset:
     return Dataset(games=games, lines=tuple(lines), provenance=Provenance(source, "json"))
 
 
+def neumaier_sum(values, start=0):
+    """The builtin ``sum()`` as Python 3.12 and later run it on floats: the
+    rounding error of each float addition is kept apart (Neumaier) and added
+    back at the end. Any other total is added as ``+`` adds it."""
+    total, compensation = start, 0.0
+    for value in values:
+        added = total + value
+        if isinstance(added, float):
+            if abs(total) >= abs(value):
+                compensation += (total - added) + value
+            else:
+                compensation += (value - added) + total
+        total = added
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
+
+
+def naive_rank_delta(table_a, table_b) -> list[tuple]:
+    """The rows of ``rank_delta``, each rank found by scanning the table's
+    rows for the player's first row."""
+
+    def rank_of(table, player_id: str) -> int:
+        for row in table.rows:
+            if row.player_id == player_id:
+                return row.rank
+        raise KeyError(player_id)
+
+    names = {row.player_id: row.player_name for row in table_a.rows}
+    rows = []
+    for pid in sorted(names):
+        rank_a, rank_b = rank_of(table_a, pid), rank_of(table_b, pid)
+        rows.append((pid, names[pid], rank_a, rank_b, rank_a - rank_b))
+    return rows
+
+
 def formula_defensive(line) -> float:
     """rd + tf - fpc + 2*br, written out literally."""
     return line.rd + line.tf - line.fpc + 2 * line.br
@@ -395,9 +449,10 @@ def naive_kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def naive_metric_value(line, metric: str, weights) -> float | None:
-    """One metric of one line, each weighted sum looked up key by key."""
-    defensive = sum(weights[key] * getattr(line, key) for key in DEFENSIVE_KEYS)
-    offensive = sum(weights[key] * getattr(line, key) for key in OFFENSIVE_KEYS)
+    """One metric of one line, each weighted sum looked up key by key and
+    added left to right from 0, as the builtin sum() adds up to Python 3.11."""
+    defensive = reduce(add, (weights[key] * getattr(line, key) for key in DEFENSIVE_KEYS), 0)
+    offensive = reduce(add, (weights[key] * getattr(line, key) for key in OFFENSIVE_KEYS), 0)
     if metric == "points":
         return float(derived_points(line))
     if metric == "id":

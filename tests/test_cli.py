@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 
@@ -9,7 +10,9 @@ import pytest
 
 from boxmetrics.cli import main
 from boxmetrics.ingest import serialize_csv, serialize_json
+from boxmetrics.splits import SPLIT_KINDS
 from conftest import build_season, winloss_season
+from test_acceptance import _synthetic_season
 
 
 @pytest.fixture
@@ -336,3 +339,66 @@ def test_weights_that_are_not_finite_numbers_exit_2(season_files, tmp_path, caps
     assert captured.out == ""
     assert captured.err.startswith("error:") and "weight 'rd'" in captured.err
     assert "Traceback" not in captured.err
+
+
+# The benchmark's commands, each with the input format its workload reads.
+_BENCHMARK_COMMANDS = (
+    ("csv", "validate"),
+    ("csv", "report-all --format text --out"),
+    ("csv", "rank valoracion --per-minute --format csv"),
+    ("csv", "regularity rend --per-minute --format csv"),
+    ("csv", "correlate valoracion points --format csv"),
+    ("json", "validate"),
+    ("json", "report-all --format json --out"),
+    ("json", "splits all plus_minus --format json"),
+    *(("json", f"splits p000 rend_per_minute {kind} --format json") for kind in SPLIT_KINDS),
+)
+
+
+@pytest.fixture(scope="module")
+def seasons_of_two_sizes(tmp_path_factory) -> list[Path]:
+    directories = []
+    for players in (40, 160):
+        directory = tmp_path_factory.mktemp(f"players_{players}")
+        season = _synthetic_season(players, 12)
+        games_text, lines_text = serialize_csv(season)
+        (directory / "games.csv").write_text(games_text, encoding="utf-8")
+        (directory / "lines.csv").write_text(lines_text, encoding="utf-8")
+        (directory / "season.json").write_text(serialize_json(season), encoding="utf-8")
+        directories.append(directory)
+    return directories
+
+
+def _cyclic_garbage(argv: list[str]) -> int:
+    """The objects in reference cycles that ``main(argv)`` leaves behind,
+    run with the collector paused as ``cli.run`` runs it."""
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        assert main(argv) == 0
+        return gc.collect()
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@pytest.mark.parametrize("fmt, command", _BENCHMARK_COMMANDS)
+def test_cyclic_garbage_of_a_command_does_not_grow_with_the_season(
+    seasons_of_two_sizes, fmt, command
+):
+    # A process that never collects must not hold garbage in proportion to
+    # its input: 4x the players leave no more cycles behind.
+    garbage = []
+    for directory in seasons_of_two_sizes:
+        argv = command.split()
+        if argv[-1] == "--out":
+            argv.append(str(directory / f"reports_{fmt}"))
+        if fmt == "csv":
+            argv += ["--games", str(directory / "games.csv")]
+            argv += ["--lines", str(directory / "lines.csv")]
+        else:
+            argv += ["--json", str(directory / "season.json")]
+        garbage.append(_cyclic_garbage(argv))
+    small, large = garbage
+    assert large <= small

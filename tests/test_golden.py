@@ -10,16 +10,21 @@ index landed. Regenerate them only for an intended output change::
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 from datetime import date, timedelta
 from pathlib import Path
 
+import boxmetrics
 from boxmetrics import BoxscoreLine, Dataset, GameMeta
 from boxmetrics.cli import main
 from boxmetrics.ingest import serialize_csv, serialize_json
+from oracles import neumaier_sum
 from test_acceptance import _synthetic_season
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
@@ -93,8 +98,17 @@ def _write_inputs(name: str, directory: Path) -> list[str]:
     return ["--json", str(directory / "season.json")]
 
 
-def report_digests(directory: Path) -> dict[str, dict[str, dict[str, str]]]:
-    """sha256 of every report-all output, by season, format and file name."""
+def _run_cli_process(argv: list[str]) -> int:
+    """Exit code of ``python -m boxmetrics.cli`` run on ``argv`` in a new process."""
+    paths = [str(Path(boxmetrics.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    cmd = [sys.executable, "-m", "boxmetrics.cli", *argv]
+    return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, timeout=120).returncode
+
+
+def report_digests(directory: Path, run=main) -> dict[str, dict[str, dict[str, str]]]:
+    """sha256 of every report-all output, by season, format and file name,
+    each report-all run by ``run`` (the CLI's ``main`` by default)."""
     digests: dict[str, dict[str, dict[str, str]]] = {}
     for name in ("synthetic_40x12", "messy_24x12"):
         season_dir = directory / name
@@ -103,7 +117,7 @@ def report_digests(directory: Path) -> dict[str, dict[str, dict[str, str]]]:
         digests[name] = {}
         for fmt in FORMATS:
             out = season_dir / fmt
-            assert main(["report-all", *inputs, "--format", fmt, "--out", str(out)]) == 0
+            assert run(["report-all", *inputs, "--format", fmt, "--out", str(out)]) == 0
             digests[name][fmt] = {
                 path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                 for path in sorted(out.iterdir())
@@ -118,13 +132,29 @@ def test_messy_season_exercises_the_irregular_paths():
     assert any(season.game_count(p) < 10 for p in season.player_ids())
 
 
-def test_report_all_bytes_match_golden(tmp_path):
+def _assert_golden(got: dict[str, dict[str, dict[str, str]]]) -> None:
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
-    got = report_digests(tmp_path)
     for season, by_format in expected.items():
         for fmt, files in by_format.items():
             assert len(files) == 20
             assert got[season][fmt] == files, f"{season} {fmt} reports changed"
+
+
+def test_report_all_bytes_match_golden(tmp_path):
+    _assert_golden(report_digests(tmp_path))
+
+
+def test_report_all_bytes_do_not_depend_on_how_sum_adds_floats(tmp_path, monkeypatch):
+    # From Python 3.12 on, the builtin sum() adds floats with compensation;
+    # the reports must come out as they do on 3.10 and 3.11.
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    _assert_golden(report_digests(tmp_path))
+
+
+def test_cli_process_writes_the_golden_reports(tmp_path):
+    # The console script and python -m run the CLI through run(), which
+    # turns the cyclic garbage collector off for the process.
+    _assert_golden(report_digests(tmp_path, _run_cli_process))
 
 
 if __name__ == "__main__":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from datetime import date
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +37,7 @@ from oracles import (
     naive_metric_value,
     naive_player_series,
     naive_side_values,
+    neumaier_sum,
 )
 
 counts = st.integers(min_value=0, max_value=40)
@@ -219,11 +221,25 @@ def _bits(values):
     return [v if v is None else float.hex(v) for v in values]
 
 
+weight_configs = st.lists(coefficients, min_size=14, max_size=14).map(
+    lambda ws: WeightConfig(dict(zip(STAT_KEYS, ws)))
+)
+
+
+@given(weights=weight_configs, row=line_values)
+def test_index_kernels_do_not_depend_on_how_sum_adds_floats(weights, row):
+    # From Python 3.12 on, the builtin sum() adds floats with compensation.
+    line = make_line(**row)
+    with patch("builtins.sum", neumaier_sum):
+        values = [metric_value(line, metric, weights) for metric in ("id", "io", "rend")]
+    assert _bits(values) == _bits(
+        [naive_metric_value(line, metric, weights) for metric in ("id", "io", "rend")]
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    weights=st.lists(coefficients, min_size=14, max_size=14).map(
-        lambda ws: WeightConfig(dict(zip(STAT_KEYS, ws)))
-    ),
+    weights=weight_configs,
     rows=st.lists(line_values, min_size=1, max_size=12),
     players=st.integers(1, 3),
 )

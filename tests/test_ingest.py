@@ -24,6 +24,7 @@ from boxmetrics.ingest import (
     MissingColumnError,
     PointsMismatchError,
     cell_text,
+    load_dataset,
     parse_csv,
     parse_json,
     serialize_csv,
@@ -34,6 +35,7 @@ from test_acceptance import _synthetic_season
 from oracles import (
     naive_filter_min_games,
     naive_game_count,
+    naive_int_cells,
     naive_lines_for,
     naive_parse_csv,
     naive_parse_json,
@@ -106,6 +108,47 @@ def test_parse_csv_bad_values():
         parse_csv(GAMES_CSV, LINES_CSV.replace("7,true", "7,TRUE"))
 
 
+# Cells int() reads that are not the canonical text of an int, and cells it
+# rejects; "\u0663" is the Arabic-Indic digit three.
+_ODD_INT_CELLS = ("-0", "+5", " 5", "05", "1_000", "\u0663", "", "x", str(10**30))
+_INT_COLUMNS = (*ingest.LINES_HEADER[5:21], "points", "home_score", "away_score")
+
+
+def _decoded_int_column(name: str, column: list[str]) -> list:
+    """``column`` as the CSV decoder reads it into the column ``name``, every
+    other cell of its rows valid."""
+    if name in ingest.GAMES_HEADER:
+        game = "G01,2014-01-05,liga,MAD,BCN,80,75".split(",")
+        i = ingest.GAMES_HEADER.index(name)
+        return [ingest._csv_game([*game[:i], raw, *game[i + 1:]])[i] for raw in column]
+    row = "G01,p1,Arco,MAD,25.5,4,2,1,1,3,1,5,2,4,2,1,1,0,2,3,7,true,14".split(",")
+    i = (*ingest.LINES_HEADER, "points").index(name)
+    columns, points = ingest._csv_columns(True, [[*row[:i], raw, *row[i + 1:]] for raw in column])
+    # From minutes on, the decoded columns are in header order.
+    return points if name == "points" else columns[i]
+
+
+def _result_or_error(call, *args) -> object:
+    """What ``call(*args)`` returns, or the class and message of the
+    ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", _INT_COLUMNS)
+@given(column=st.lists(
+    st.integers(-300, 300).map(str) | st.integers().map(str) | st.sampled_from(_ODD_INT_CELLS),
+    min_size=1, max_size=6,
+))
+def test_integer_cells_decode_as_int_reads_them(name, column):
+    convert = (lambda raw: int(raw) if raw else None) if name == "plus_minus" else int
+    assert _result_or_error(_decoded_int_column, name, column) == _result_or_error(
+        naive_int_cells, column, name, convert
+    )
+
+
 @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e999", "Infinity"])
 def test_parse_csv_rejects_non_finite_minutes(raw):
     bad = LINES_CSV.replace("G02,p1,Arco,MAD,30.0", f"G02,p1,Arco,MAD,{raw}")
@@ -162,6 +205,27 @@ def test_parse_csv_optional_points_column():
     bad = good.replace(",true,14", ",true,15")
     with pytest.raises(PointsMismatchError):
         parse_csv(GAMES_CSV, bad)
+
+
+@pytest.mark.parametrize("data", [
+    b'{\r\n "games": [\r\n  {"game_id": 1,,}\r\n ]\r\n}\r\n',
+    b'{\r "games": [\r x ]\r}',
+    b'{\r\n"games": [],\r\n"lines": [{"game_id": "a\rb"}]\r\n}',
+    b'\xef\xbb\xbf{"games": [], "lines": []}',
+    b'{"games": [], "lines": [\xff]}',
+    b'{\r\n"games": [],\r\n"lines": []\r\n}\r\n',
+], ids=["crlf", "cr", "cr-in-string", "bom", "bad-utf-8", "crlf-valid"])
+def test_load_dataset_reads_json_as_a_text_mode_read_does(tmp_path, data):
+    path = tmp_path / "season.json"
+    path.write_bytes(data)
+
+    def text_mode_read():
+        with open(path, encoding="utf-8") as handle:
+            return parse_json(handle, source=str(path))
+
+    assert _result_or_error(load_dataset, None, None, str(path)) == _result_or_error(
+        text_mode_read
+    )
 
 
 def test_parse_json_empty():

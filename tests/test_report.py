@@ -30,9 +30,9 @@ from boxmetrics import (
 from boxmetrics import indices, splits
 from boxmetrics.cli import main
 from boxmetrics.ingest import serialize_csv
-from boxmetrics.report import format_display
+from boxmetrics.report import RankedRow, RankedTable, format_display
 from conftest import build_season, make_line, winloss_season
-from oracles import formula_defensive, formula_offensive
+from oracles import formula_defensive, formula_offensive, naive_rank_delta
 from test_acceptance import _synthetic_season
 
 
@@ -110,6 +110,23 @@ def test_rank_delta_player_set_mismatch(season, weights):
     b = rank_players(season, "points", weights, min_games=3)
     with pytest.raises(PlayerSetMismatchError):
         rank_delta(a, b)
+
+
+@given(data=st.data())
+def test_rank_delta_matches_a_scan_of_the_rows(data):
+    ids = data.draw(st.lists(st.text("pqr", min_size=1, max_size=3), min_size=1, unique=True))
+
+    def table(metric: str) -> RankedTable:
+        order = data.draw(st.permutations(ids))
+        # Later rows for some players, which their first row shadows.
+        order += data.draw(st.lists(st.sampled_from(ids), max_size=3))
+        ranks = data.draw(st.lists(st.integers(1, len(ids)), min_size=len(order),
+                                   max_size=len(order)))
+        rows = tuple(RankedRow(rank, pid, pid.upper(), None) for rank, pid in zip(ranks, order))
+        return RankedTable(title=metric, metric_name=metric, rows=rows, meta={})
+
+    a, b = table("a"), table("b")
+    assert rank_delta(a, b).rows == tuple(naive_rank_delta(a, b))
 
 
 def test_rank_delta_direction():

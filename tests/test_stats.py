@@ -23,6 +23,7 @@ from boxmetrics.stats import (
     ConstantInputError,
     LengthMismatchError,
     TooFewSamplesError,
+    left_sum,
     midranks,
     sample_sd,
 )
@@ -35,6 +36,21 @@ from oracles import (
 )
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@given(st.lists(st.floats() | st.integers(-(2**60), 2**60)))
+@example([0.1, 0.2, 0.3])
+@example([-0.0])
+@example([1e16, 1.0, -1e16])
+def test_left_sum_is_a_plain_left_to_right_loop(values):
+    total = 0
+    for value in values:
+        total = total + value
+    got = left_sum(values)
+    assert type(got) is type(total)
+    assert (got.hex() if isinstance(got, float) else got) == (
+        total.hex() if isinstance(total, float) else total
+    )
 
 
 # --- summarize / regularity --------------------------------------------------
