@@ -3,7 +3,9 @@
 Subcommands mirror the analysis workflow: validate a season, rank players,
 compare two rankings, build regularity tables, run context splits and
 correlations, or write the whole report set in one go. Exit codes: 0 on
-success, 2 for validation/domain failures, 3 for I/O failures.
+success, 2 for validation/domain failures, 3 for I/O failures. A command
+imports the analysis layers it runs only when it runs: ``validate`` loads
+``model`` and ``ingest`` alone.
 """
 
 from __future__ import annotations
@@ -13,20 +15,8 @@ import gc
 import sys
 from pathlib import Path
 
-from .indices import combined_metric_name, parse_metric_name
 from .ingest import filter_min_games, load_dataset
-from .model import WeightConfig
-from .report import (
-    Table,
-    correlation_table,
-    plus_minus_overview,
-    rank_delta,
-    rank_players,
-    regularity_table,
-    render,
-    win_loss_table,
-)
-from .splits import DEFAULT_CLOSE_THRESHOLD, SPLIT_KINDS, InsufficientSplitError, split_compare
+from .model import DEFAULT_CLOSE_THRESHOLD, SPLIT_KINDS, WeightConfig
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -118,9 +108,12 @@ def _load(args: argparse.Namespace):
     return load_dataset(args.games, args.lines, args.json_path), weights
 
 
-def _emit(payload: bytes, out: str | None) -> None:
-    if out:
-        Path(out).write_bytes(payload)
+def _emit(table, args) -> None:
+    from .report import render
+
+    payload = render(table, args.format)
+    if args.out:
+        Path(args.out).write_bytes(payload)
     else:
         sys.stdout.write(payload.decode("utf-8"))
 
@@ -131,6 +124,8 @@ def _table_options(args) -> dict:
 
 
 def _rank_table(args, dataset, weights, metric: str):
+    from .report import rank_players, regularity_table
+
     build = rank_players
     if metric.endswith(":reg"):
         build, metric = regularity_table, metric[: -len(":reg")]
@@ -149,20 +144,25 @@ def _cmd_validate(args) -> int:
 def _cmd_rank(args) -> int:
     dataset, weights = _load(args)
     suffix = ":reg" if args.command == "regularity" else ""
-    table = _rank_table(args, dataset, weights, args.metric + suffix)
-    _emit(render(table, args.format), args.out)
+    _emit(_rank_table(args, dataset, weights, args.metric + suffix), args)
     return EXIT_OK
 
 
 def _cmd_delta(args) -> int:
+    from .report import rank_delta
+
     dataset, weights = _load(args)
     table_a = _rank_table(args, dataset, weights, args.metric_a)
     table_b = _rank_table(args, dataset, weights, args.metric_b)
-    _emit(render(rank_delta(table_a, table_b), args.format), args.out)
+    _emit(rank_delta(table_a, table_b), args)
     return EXIT_OK
 
 
 def _cmd_splits(args) -> int:
+    from .indices import combined_metric_name, parse_metric_name
+    from .report import Table, plus_minus_overview
+    from .splits import InsufficientSplitError, split_compare
+
     if args.player == "all" and (args.metric != "plus_minus" or args.kind is not None):
         given = args.metric if args.kind is None else f"{args.metric} {args.kind}"
         raise ValueError(
@@ -179,8 +179,7 @@ def _cmd_splits(args) -> int:
     kind = args.kind or "win_loss"
     dataset, weights = _load(args)
     if args.player == "all":
-        table = plus_minus_overview(dataset, weights=weights, **_table_options(args))
-        _emit(render(table, args.format), args.out)
+        _emit(plus_minus_overview(dataset, weights=weights, **_table_options(args)), args)
         return EXIT_OK
     try:
         comparisons = split_compare(
@@ -234,22 +233,29 @@ def _cmd_splits(args) -> int:
         },
         display_decimals=3,
     )
-    _emit(render(table, args.format), args.out)
+    _emit(table, args)
     return EXIT_OK
 
 
 def _cmd_correlate(args) -> int:
+    from .indices import combined_metric_name, parse_metric_name
+    from .report import correlation_table
+
     pair = tuple(
         combined_metric_name(*parse_metric_name(name, args.per_minute))
         for name in (args.metric_x, args.metric_y)
     )
     dataset, weights = _load(args)
-    table = correlation_table(dataset, [pair], weights, **_table_options(args))
-    _emit(render(table, args.format), args.out)
+    _emit(correlation_table(dataset, [pair], weights, **_table_options(args)), args)
     return EXIT_OK
 
 
 def _cmd_report_all(args) -> int:
+    from .report import (
+        correlation_table, plus_minus_overview, rank_delta, rank_players, regularity_table,
+        render, win_loss_table,
+    )
+
     dataset, weights = _load(args)
     # Every table filters by at least --min-games; filtering once here lets
     # each table's own filter return this dataset, and its index, unchanged.

@@ -10,12 +10,10 @@ excluded when a per-minute series is built.
 
 from __future__ import annotations
 
-import logging
 from array import array
-from dataclasses import dataclass
 from itertools import compress
 from operator import attrgetter, mul, truediv
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .model import (
     DEFENSIVE_KEYS,
@@ -28,8 +26,6 @@ from .model import (
 )
 from .ingest import Dataset
 from .stats import left_sum
-
-logger = logging.getLogger(__name__)
 
 # Metric keys understood by series builders, rankings and splits.
 METRICS = ("points", "id", "io", "rend", "valoracion", "plus_minus")
@@ -49,8 +45,7 @@ class EmptySeriesError(ValueError):
     """No qualifying games remain for a requested series."""
 
 
-@dataclass(frozen=True)
-class IndexValue:
+class IndexValue(NamedTuple):
     """All index values for one player line; ``rend_raw`` is exactly
     ``id_raw + io_raw``."""
 
@@ -244,24 +239,15 @@ def player_series(
 ) -> MetricSeries:
     """Per-game series of ``metric`` for one player, in chronological order.
 
-    Zero-minute lines are excluded from per-minute series (the exclusion
-    count is logged); lines with no reported plus_minus are excluded from
-    plus_minus series. Raises UnknownPlayerError for absent players and
-    EmptySeriesError when no qualifying games remain.
+    Zero-minute lines are excluded from per-minute series, and lines with no
+    reported plus_minus from plus_minus series. Raises UnknownPlayerError for
+    absent players and EmptySeriesError when no qualifying games remain.
     """
     weights = weights or WeightConfig.defaults()
     lines = dataset._by_player.get(player_id)
     if not lines:
         raise UnknownPlayerError(f"no lines for player {player_id!r}")
     values, keep = _series(dataset, player_id, metric, weights, per_minute_values)
-    if len(values) < len(lines):
-        logger.debug(
-            "player %s metric %s: excluded %d of %d lines (DNP or missing value)",
-            player_id,
-            metric,
-            len(lines) - len(values),
-            len(lines),
-        )
     if not values:
         raise EmptySeriesError(
             f"player {player_id!r} has no qualifying games for metric {metric!r}"

@@ -27,14 +27,13 @@ import io
 import json
 import sys
 from contextlib import suppress
-from dataclasses import dataclass, field
 from datetime import date
 from functools import cached_property, partial
 from itertools import islice, repeat
 from operator import attrgetter, itemgetter
-from typing import IO, Callable, Iterable, Mapping, NoReturn, Sequence, TypeVar
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence, TypeVar
 
-from .model import BoxscoreLine, GameMeta, check_fields, check_types
+from .model import BoxscoreLine, GameMeta, _frozen, check_fields, check_types
 
 _T = TypeVar("_T")
 
@@ -115,27 +114,44 @@ class PointsMismatchError(IngestError):
     """A source points column disagrees with 2*t2c + 3*t3c + t1c."""
 
 
-@dataclass(frozen=True)
-class Provenance:
+class Provenance(NamedTuple):
     """Where a dataset came from; never part of dataset equality."""
 
     source: str
     format: str
 
 
-@dataclass(frozen=True)
 class Dataset:
-    """A validated season: games keyed by id plus all player lines."""
+    """A validated season: games keyed by id plus all player lines.
 
-    games: Mapping[str, GameMeta]
-    lines: tuple[BoxscoreLine, ...]
-    provenance: Provenance = field(
-        compare=False, default=Provenance("<memory>", "memory")
-    )
+    A dataset is immutable and, holding a dict, unhashable; two datasets are
+    equal when their games and lines are, wherever they came from.
+    """
+
+    def __init__(
+        self,
+        games: Mapping[str, GameMeta],
+        lines: Iterable[BoxscoreLine],
+        provenance: Provenance = Provenance("<memory>", "memory"),
+    ) -> None:
+        vars(self).update(games=dict(games), lines=tuple(lines), provenance=provenance)
+        self.__post_init__()
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return (self.games, self.lines) == (other.games, other.lines)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}(games={self.games!r}, lines={self.lines!r}, "
+            f"provenance={self.provenance!r})"
+        )
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "games", dict(self.games))
-        object.__setattr__(self, "lines", tuple(self.lines))
+        # The checks of a dataset built in memory, which _from_checked skips.
         pairs = _pairs(self.games)
         seen: set[tuple[str, str]] = set()
         for line in self.lines:
@@ -156,9 +172,7 @@ class Dataset:
         """A dataset whose lines already passed :func:`_check_references`
         against ``games``, so ``__post_init__`` need not check them again."""
         dataset = object.__new__(cls)
-        object.__setattr__(dataset, "games", games)
-        object.__setattr__(dataset, "lines", lines)
-        object.__setattr__(dataset, "provenance", provenance)
+        vars(dataset).update(games=games, lines=lines, provenance=provenance)
         return dataset
 
     @cached_property

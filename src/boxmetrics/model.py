@@ -8,13 +8,11 @@ any instance that exists is well formed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
-from dataclasses import dataclass, field
 from datetime import date as _date
 from itertools import chain
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, NoReturn, Sequence
 
 # Statistic keys grouped by the side of the game they describe. Order is
 # fixed: it drives index evaluation, serialization and fingerprints.
@@ -43,6 +41,11 @@ DEFAULT_WEIGHTS: Mapping[str, float] = {
     "bp": -2.0,
 }
 
+# Split kinds and the largest margin of a close game; ``splits`` re-exports them.
+# They live here so that the CLI's options need no analysis layer imported.
+SPLIT_KINDS = ("win_loss", "close_game", "home_away", "starter_bench", "competition")
+DEFAULT_CLOSE_THRESHOLD = 5
+
 
 class UnknownTeamError(ValueError):
     """A team name does not participate in the given game."""
@@ -54,6 +57,22 @@ class UnknownPlayerError(ValueError):
 
 class TiedScoreError(ValueError):
     """A game with a tied final score reached an outcome computation."""
+
+
+class _Checked:
+    """Base of a record whose constructor checks its fields. ``_replace``
+    builds through ``_make``, so its result is checked too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+def _frozen(self, name: str, *value: object) -> NoReturn:
+    """``__setattr__`` and ``__delattr__`` of an immutable plain class."""
+    raise AttributeError(f"cannot assign to field {name!r}")
 
 
 class _LineFields(NamedTuple):
@@ -83,7 +102,7 @@ class _LineFields(NamedTuple):
     starter: bool = False
 
 
-class BoxscoreLine(_LineFields):
+class BoxscoreLine(_Checked, _LineFields):
     """One player's statistical line for one game.
 
     All shot/rebound/assist/foul fields are nonnegative integer counts.
@@ -128,11 +147,6 @@ class BoxscoreLine(_LineFields):
 
     __ne__ = object.__ne__  # the negation of __eq__, not tuple's
     __hash__ = tuple.__hash__
-
-    @classmethod
-    def _make(cls, iterable) -> "BoxscoreLine":
-        # _replace builds through _make: check its result like any other line.
-        return cls(*iterable)
 
     @property
     def dnp(self) -> bool:
@@ -203,10 +217,7 @@ def derived_points(line: BoxscoreLine) -> int:
     return 2 * line.t2c + 3 * line.t3c + line.t1c
 
 
-@dataclass(frozen=True)
-class GameMeta:
-    """Game identity and final-score context."""
-
+class _GameFields(NamedTuple):
     game_id: str
     date: _date
     competition: str
@@ -215,7 +226,13 @@ class GameMeta:
     home_score: int
     away_score: int
 
-    def __post_init__(self) -> None:
+
+class GameMeta(_Checked, _GameFields):
+    """Game identity and final-score context."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if not self.game_id:
             raise ValueError("game_id must be a non-empty string")
         if not isinstance(self.date, _date):
@@ -247,7 +264,6 @@ def _finite_weight(key: str, value: object) -> float:
     raise ValueError(f"weight {key!r}: could not convert {value!r} to a finite number")
 
 
-@dataclass(frozen=True)
 class WeightConfig:
     """Coefficients for the defensive/offensive indices, one per statistic.
 
@@ -255,15 +271,13 @@ class WeightConfig:
     defensive/offensive partition is fixed by ``DEFENSIVE_KEYS`` and
     ``OFFENSIVE_KEYS``. Weights are free to be reconfigured: they are a
     judgement call, not a fit, so experimenting with them is expected.
+    ``defensive`` and ``offensive`` hold the coefficients of those keys, in
+    that order. A config is immutable, compares by ``weights`` only and,
+    holding a dict, is unhashable.
     """
 
-    weights: Mapping[str, float]
-    # The coefficients of DEFENSIVE_KEYS and OFFENSIVE_KEYS, in that order.
-    defensive: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    offensive: tuple[float, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        normalized = {str(k).lower(): v for k, v in self.weights.items()}
+    def __init__(self, weights: Mapping[str, float]) -> None:
+        normalized = {str(k).lower(): v for k, v in weights.items()}
         unknown = sorted(set(normalized) - set(STAT_KEYS))
         if unknown:
             raise ValueError(f"unknown statistic keys: {', '.join(unknown)}")
@@ -274,6 +288,16 @@ class WeightConfig:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "defensive", tuple(weights[k] for k in DEFENSIVE_KEYS))
         object.__setattr__(self, "offensive", tuple(weights[k] for k in OFFENSIVE_KEYS))
+
+    __setattr__ = __delattr__ = _frozen
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.weights == other.weights
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(weights={self.weights!r})"
 
     def __getitem__(self, key: str) -> float:
         return self.weights[key]
@@ -301,6 +325,8 @@ class WeightConfig:
 
     def fingerprint(self) -> str:
         """Stable 12-hex-digit digest of the coefficient map."""
+        import hashlib
+
         canonical = json.dumps({k: repr(v) for k, v in sorted(self.weights.items())})
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
@@ -308,38 +334,34 @@ class WeightConfig:
         return WeightConfig({k: v * factor for k, v in self.weights.items()})
 
 
-@dataclass(frozen=True)
-class MetricSeries:
-    """A named per-game value series for one player, in game order."""
-
+class _SeriesFields(NamedTuple):
     player_id: str
     metric_name: str
     values: tuple[float, ...]
     game_ids: tuple[str, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
-        object.__setattr__(self, "game_ids", tuple(self.game_ids))
-        if len(self.values) != len(self.game_ids):
+
+class MetricSeries(_Checked, _SeriesFields):
+    """A named per-game value series for one player, in game order; its
+    ``len()`` is the number of games."""
+
+    __slots__ = ()
+
+    def __new__(cls, player_id: str, metric_name: str, values, game_ids) -> "MetricSeries":
+        values, game_ids = tuple(map(float, values)), tuple(game_ids)
+        if len(values) != len(game_ids):
             raise ValueError(
-                f"values ({len(self.values)}) and game_ids ({len(self.game_ids)}) "
-                "must have equal length"
+                f"values ({len(values)}) and game_ids ({len(game_ids)}) must have equal length"
             )
-        if not self.values:
+        if not values:
             raise ValueError("a metric series must contain at least one value")
+        return _SeriesFields.__new__(cls, player_id, metric_name, values, game_ids)
 
     def __len__(self) -> int:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class SplitComparison:
-    """Two-group mean comparison with its significance verdict.
-
-    ``degenerate`` marks comparisons where the test statistic is not finite
-    (both groups constant with unequal means); the p-value is reported as 0.
-    """
-
+class _ComparisonFields(NamedTuple):
     metric_name: str
     group_a_label: str
     group_b_label: str
@@ -353,7 +375,17 @@ class SplitComparison:
     alpha: float
     degenerate: bool = False
 
-    def __post_init__(self) -> None:
+
+class SplitComparison(_Checked, _ComparisonFields):
+    """Two-group mean comparison with its significance verdict.
+
+    ``degenerate`` marks comparisons where the test statistic is not finite
+    (both groups constant with unequal means); the p-value is reported as 0.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 <= self.p_value <= 1.0:

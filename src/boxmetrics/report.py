@@ -13,19 +13,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterator, Mapping, Sequence
+from functools import cache
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .indices import EmptySeriesError, combined_metric_name, parse_metric_name, player_series
 from .ingest import Dataset, cell_text, filter_min_games
-from .model import MetricSeries, WeightConfig
-from .splits import (
-    DEFAULT_CLOSE_THRESHOLD,
-    InsufficientSplitError,
-    plus_minus_summary,
-    split_compare,
-)
+from .model import DEFAULT_CLOSE_THRESHOLD, MetricSeries, WeightConfig
+from .splits import InsufficientSplitError, plus_minus_summary, split_compare
 from .stats import (
     COMPARABILITY_TOLERANCE,
     SeriesSummary,
@@ -49,8 +43,7 @@ class PlayerSetMismatchError(ValueError):
     """Rank delta requested for tables over different player sets."""
 
 
-@dataclass(frozen=True)
-class RankedRow:
+class RankedRow(NamedTuple):
     rank: int
     player_id: str
     player_name: str
@@ -59,8 +52,7 @@ class RankedRow:
     notes: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class RankedTable:
+class RankedTable(NamedTuple):
     """Players ordered by a metric, ranks 1..n, deterministic tie-break."""
 
     title: str
@@ -79,8 +71,7 @@ class RankedTable:
         return {row.player_id for row in self.rows}
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(NamedTuple):
     """Generic renderable table (deltas, splits, overviews, correlations)."""
 
     title: str
@@ -495,9 +486,18 @@ def format_display(value: Cell, decimals: int) -> str:
     """Text-format cell: finite floats rounded half-away-from-zero to
     ``decimals``, any other value as its full-precision cell text."""
     if isinstance(value, float) and math.isfinite(value):
-        quantum = Decimal(1).scaleb(-decimals)
-        return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+        return _half_up(decimals)(value)
     return cell_text(value)
+
+
+@cache
+def _half_up(decimals: int) -> Callable[[float], str]:
+    """A float's repr rounded half-away-from-zero to ``decimals``, as text.
+    ``decimal`` is imported on the first text table, not with the module."""
+    from decimal import ROUND_HALF_UP, Decimal
+
+    quantum = Decimal(1).scaleb(-decimals)
+    return lambda value: str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
 def _as_grid(table: RankedTable | Table) -> tuple[tuple[str, ...], list[tuple[Cell, ...]]]:

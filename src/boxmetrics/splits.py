@@ -8,25 +8,23 @@ Welch test and reports the means with a significance verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .indices import _kept, _series, parse_metric_name
 from .ingest import Dataset
 from .model import (
+    DEFAULT_CLOSE_THRESHOLD,
+    SPLIT_KINDS,
     BoxscoreLine,
     GameMeta,
     SplitComparison,
     TiedScoreError,
     UnknownPlayerError,
     WeightConfig,
+    _Checked,
 )
 from .stats import mean, welch_test
-
-DEFAULT_CLOSE_THRESHOLD = 5
-
-SPLIT_KINDS = ("win_loss", "close_game", "home_away", "starter_bench", "competition")
 
 _SIDES = {
     "win_loss": ("loss", "win"),
@@ -42,14 +40,17 @@ class InsufficientSplitError(ValueError):
     """One side of a requested split has fewer than two qualifying games."""
 
 
-@dataclass(frozen=True)
-class SplitLabel:
-    """One side of a context split, e.g. (win_loss, win)."""
-
+class _LabelFields(NamedTuple):
     kind: str
     side: str
 
-    def __post_init__(self) -> None:
+
+class SplitLabel(_Checked, _LabelFields):
+    """One side of a context split, e.g. (win_loss, win)."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs) -> None:
         if self.kind not in SPLIT_KINDS:
             raise ValueError(f"unknown split kind {self.kind!r}")
         if self.kind != "competition" and self.side not in _SIDES[self.kind]:
@@ -95,8 +96,7 @@ def side_of(
     return game.competition
 
 
-@dataclass(frozen=True)
-class LabelStat:
+class LabelStat(NamedTuple):
     """Mean plus_minus over one label's games; mean is None when empty."""
 
     label: str
@@ -105,8 +105,7 @@ class LabelStat:
     dnp_included: int = 0
 
 
-@dataclass(frozen=True)
-class PlusMinusSummary:
+class PlusMinusSummary(NamedTuple):
     player_id: str
     overall: LabelStat
     by_label: tuple[LabelStat, ...]

@@ -13,9 +13,8 @@ All functions are pure and operate on plain sequences of floats (or on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .distributions import normal_two_sided_p, student_t_two_sided_p
 from .model import MetricSeries, SplitComparison
@@ -36,8 +35,7 @@ class TooFewSamplesError(ValueError):
     """Not enough observations for the requested procedure."""
 
 
-@dataclass(frozen=True)
-class SeriesSummary:
+class SeriesSummary(NamedTuple):
     """Descriptive summary of one series.
 
     ``sd_sample`` uses divisor n-1 and is None for n = 1. ``regularity`` is
@@ -224,8 +222,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
     return pearson(midranks(x), midranks(y))
 
 
-@dataclass(frozen=True)
-class CorrelationTest:
+class CorrelationTest(NamedTuple):
     """Two-sided test of zero correlation."""
 
     kind: str

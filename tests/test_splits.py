@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -200,10 +198,10 @@ def test_split_compare_per_minute_excludes_dnp(season, weights):
 
 
 def _exact(record) -> tuple:
-    """Every field of a result dataclass, floats by their exact bits."""
+    """Every field of a result record, floats by their exact bits."""
     return tuple(
         value.hex() if isinstance(value, float) else value
-        for value in (getattr(record, f.name) for f in dataclasses.fields(record))
+        for value in (getattr(record, name) for name in record._fields)
     )
 
 
