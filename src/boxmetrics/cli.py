@@ -260,35 +260,32 @@ def _cmd_report_all(args) -> int:
     # Every table filters by at least --min-games; filtering once here lets
     # each table's own filter return this dataset, and its index, unchanged.
     dataset = filter_min_games(dataset, args.min_games)
-    out_dir = Path(args.out or "reports")
-    out_dir.mkdir(parents=True, exist_ok=True)
     ext = {"csv": "csv", "json": "json", "text": "txt"}[args.format]
     common = _table_options(args)
-    written: list[str] = []
+    # Rendered before any file is written, so a failing table leaves --out as it was.
+    payloads: dict[str, bytes] = {}
 
-    def write(name: str, table) -> None:
-        path = out_dir / f"{name}.{ext}"
-        path.write_bytes(render(table, args.format))
-        written.append(path.name)
+    def add(name: str, table) -> None:
+        payloads[f"{name}.{ext}"] = render(table, args.format)
 
     ranked = {}
     for metric in ("valoracion", "rend", "id", "io", "points"):
         ranked[metric] = rank_players(dataset, metric, weights, **common)
-        write(f"rank_{metric}", ranked[metric])
-        write(
+        add(f"rank_{metric}", ranked[metric])
+        add(
             f"rank_{metric}_per_minute",
             rank_players(dataset, metric, weights, per_minute=True, **common),
         )
     for metric in ("rend", "id", "io"):
-        write(
+        add(
             f"regularity_{metric}_per_minute",
             regularity_table(dataset, metric, weights, per_minute=True, **common),
         )
-    write("delta_valoracion_to_rend", rank_delta(ranked["valoracion"], ranked["rend"]))
-    write("plus_minus_overview", plus_minus_overview(dataset, weights=weights, **common))
+    add("delta_valoracion_to_rend", rank_delta(ranked["valoracion"], ranked["rend"]))
+    add("plus_minus_overview", plus_minus_overview(dataset, weights=weights, **common))
     for metric in ("points_per_minute", "rend_per_minute", "id_per_minute", "io_per_minute"):
-        write(f"win_loss_{metric}", win_loss_table(dataset, metric, weights, **common))
-    write(
+        add(f"win_loss_{metric}", win_loss_table(dataset, metric, weights, **common))
+    add(
         "correlations",
         correlation_table(
             dataset,
@@ -297,7 +294,11 @@ def _cmd_report_all(args) -> int:
             **common,
         ),
     )
-    print(f"wrote {len(written)} reports to {out_dir}")
+    out_dir = Path(args.out or "reports")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, payload in payloads.items():
+        (out_dir / name).write_bytes(payload)
+    print(f"wrote {len(payloads)} reports to {out_dir}")
     return EXIT_OK
 
 

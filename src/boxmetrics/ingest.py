@@ -74,11 +74,12 @@ LINES_HEADER = (
 # derived value, never stored.
 OPTIONAL_LINES_COLUMN = "points"
 _COUNT_COLUMNS = LINES_HEADER[5:20]  # t2c .. fpr
+_ROW_FIELDS = LINES_HEADER + (OPTIONAL_LINES_COLUMN,)
+_ROW_SHAPES = {len(LINES_HEADER): LINES_HEADER, len(_ROW_FIELDS): _ROW_FIELDS}
 _GAME_FIELDS = frozenset(GAMES_HEADER)
 _LINE_FIELDS = frozenset(LINES_HEADER)
 _LINE_FIELDS_WITH_POINTS = _LINE_FIELDS | {OPTIONAL_LINES_COLUMN}
 _game_cells = itemgetter(*GAMES_HEADER)
-_line_cells = itemgetter(*LINES_HEADER)
 _game_fields = attrgetter(*GAMES_HEADER)
 _line_fields = attrgetter(*LINES_HEADER)
 # Rows per block of the lines table: enough that a block's checks run at C
@@ -458,27 +459,72 @@ def _reject_fields(entry: dict, header: tuple[str, ...], allowed: frozenset[str]
     raise BadValueError(f"unknown field(s) {', '.join(unknown)}")
 
 
-def _json_game(entry: object) -> tuple:
+class _Row(tuple):
+    """The values of a JSON object whose fields are :data:`_ROW_FIELDS`, with or
+    without points, in that order; it prints as that object."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return repr(dict(zip(_ROW_FIELDS, self)))
+
+
+def _json_row(entry: dict) -> dict | _Row:
+    """The decoder's ``object_hook``: a lines-shaped object as a :class:`_Row`."""
+    if _ROW_SHAPES.get(len(entry)) == tuple(entry):
+        return tuple.__new__(_Row, entry.values())
+    return entry
+
+
+def _json_texts(column: Sequence, field: str) -> list[str]:
+    """A JSON id or name column as text, numbers (exact types: no bool) by their
+    str(). Any other value, and a string UTF-8 cannot encode, is rejected."""
+    if not {str, int, float}.issuperset(map(type, column)):
+        bad = next(value for value in column if type(value) not in (str, int, float))
+        raise BadValueError(f"field {field!r} must be a string or a number, got {bad!r}")
+    texts = list(map(str, column))
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start]
+        raise BadValueError(f"field {field!r} holds {bad!r}, which UTF-8 cannot encode") from None
+    return texts
+
+
+def _json_game(entry: object) -> list:
+    if type(entry) is _Row:
+        entry = dict(zip(_ROW_FIELDS, entry))
     if not isinstance(entry, dict):
         raise BadValueError("must be an object")
     if entry.keys() != _GAME_FIELDS:
         _reject_fields(entry, GAMES_HEADER, _GAME_FIELDS)
-    game_id, raw_date, competition, home_team, away_team, home, away = _game_cells(entry)
-    return str(game_id), raw_date, str(competition), str(home_team), str(away_team), home, away
+    cells = list(_game_cells(entry))
+    for i in (0, 2, 3, 4):  # game_id, competition, home_team, away_team
+        cells[i:i + 1] = _json_texts(cells[i:i + 1], GAMES_HEADER[i])
+    return cells
+
+
+def _json_line(entry: object) -> tuple:
+    """A lines entry as its values in :data:`_ROW_FIELDS` order, or the error."""
+    if type(entry) is _Row:
+        return entry
+    if not isinstance(entry, dict):
+        raise BadValueError("must be an object")
+    if entry.keys() not in (_LINE_FIELDS, _LINE_FIELDS_WITH_POINTS):
+        _reject_fields(entry, LINES_HEADER, _LINE_FIELDS_WITH_POINTS)
+    return tuple(entry[field] for field in _ROW_FIELDS if field in entry)
 
 
 def _json_columns(block: list) -> tuple[list, list | None]:
-    """:func:`_csv_columns` for JSON entries: each an object with exactly the
-    line fields, or those and points. The points column holds None for an
-    entry without points, and is None when no entry has points."""
-    if {*map(type, block)} != {dict}:
-        raise BadValueError("must be an object")
-    if not all(keys in (_LINE_FIELDS, _LINE_FIELDS_WITH_POINTS) for keys in map(dict.keys, block)):
-        _reject_fields(block[0], LINES_HEADER, _LINE_FIELDS_WITH_POINTS)
-    cells = list(zip(*map(_line_cells, block)))
-    game_id, player_id, name, team, minutes = cells[:5]
-    points = [entry.get(OPTIONAL_LINES_COLUMN) for entry in block]
-    given = [value for entry, value in zip(block, points) if OPTIONAL_LINES_COLUMN in entry]
+    """:func:`_csv_columns` for JSON entries, each a :class:`_Row` or an object
+    with the line fields, or those and points. The points column holds None
+    for an entry without points, and is None when no entry has points."""
+    if {*map(type, block)} != {_Row}:
+        block = list(map(_json_line, block))
+    cells = list(zip(*block))
+    points = [row[-1] if len(row) > len(LINES_HEADER) else None for row in block]
+    given = [value for row, value in zip(block, points) if len(row) > len(LINES_HEADER)]
+    minutes = cells[4]
     # Exact types, so no bool passes as a number.
     if {*map(type, given)} - {int}:
         bad = next(value for value in given if type(value) is not int)
@@ -492,8 +538,10 @@ def _json_columns(block: list) -> tuple[list, list | None]:
         minutes = list(map(float, minutes))
     # Ids go through str() as in the games table, so "game_id": 1
     # names the game whose "game_id" is 1.
-    columns = [*(list(map(str, column)) for column in (player_id, name, team, game_id)),
-               minutes, *cells[5:22]]
+    game_id, player_id, name, team = (
+        _json_texts(column, field) for field, column in zip(LINES_HEADER[:4], cells)
+    )
+    columns = [player_id, name, team, game_id, minutes, *cells[5:22]]
     return columns, points if given else None
 
 
@@ -509,7 +557,7 @@ def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
 def _json_doc(text: str) -> dict:
     """The document in ``text``, an object holding a games and a lines array."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=_json_row)
     except json.JSONDecodeError as exc:
         raise BadValueError(f"invalid JSON: {exc}")
     if not isinstance(doc, dict) or set(doc) != {"games", "lines"}:

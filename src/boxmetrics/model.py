@@ -325,10 +325,18 @@ class WeightConfig:
 
     def fingerprint(self) -> str:
         """Stable 12-hex-digit digest of the coefficient map."""
-        import hashlib
+        # The interpreter's own SHA-256, as ``random`` takes its SHA-512: the
+        # OpenSSL-backed module maps libcrypto, 3.5 MB of a command's peak.
+        try:
+            from _sha2 import sha256  # CPython 3.12+
+        except ImportError:
+            try:
+                from _sha256 import sha256  # CPython 3.10-3.11
+            except ImportError:
+                from hashlib import sha256
 
         canonical = json.dumps({k: repr(v) for k, v in sorted(self.weights.items())})
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
+        return sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
     def scaled(self, factor: float) -> "WeightConfig":
         return WeightConfig({k: v * factor for k, v in self.weights.items()})

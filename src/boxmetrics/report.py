@@ -500,6 +500,16 @@ def _half_up(decimals: int) -> Callable[[float], str]:
     return lambda value: str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
+# Control characters and the Unicode line and paragraph separators, escaped
+# as repr() escapes them, so that each row of a text table is one line.
+_CONTROLS = (*range(0x20), *range(0x7F, 0xA0), 0x2028, 0x2029)
+_ESCAPES = {code: repr(chr(code))[1:-1] for code in _CONTROLS}
+
+
+def _escaped(text: str) -> str:
+    return text if text.isprintable() else text.translate(_ESCAPES)
+
+
 def _as_grid(table: RankedTable | Table) -> tuple[tuple[str, ...], list[tuple[Cell, ...]]]:
     if isinstance(table, Table):
         return table.columns, list(table.rows)
@@ -550,11 +560,13 @@ def render(table: RankedTable | Table, fmt: str = "text") -> bytes:
         return (text + "\n").encode("utf-8")
     if fmt == "text":
         decimals = table.display_decimals
-        header_lines = [f"# {table.title}"]
+        header_lines = [f"# {_escaped(table.title)}"]
         if table.meta:
-            parts = [f"{key}={cell_text(value)}" for key, value in table.meta.items()]
+            parts = [f"{key}={_escaped(cell_text(value))}" for key, value in table.meta.items()]
             header_lines.append("# " + "  ".join(parts))
-        formatted = [tuple(format_display(cell, decimals) for cell in row) for row in grid]
+        formatted = [
+            tuple(_escaped(format_display(cell, decimals)) for cell in row) for row in grid
+        ]
         widths = [len(name) for name in columns]
         for row in formatted:
             for i, cell in enumerate(row):

@@ -17,6 +17,7 @@ Pythons, which a test swaps in to show the reports do not depend on it.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -273,6 +274,21 @@ def naive_parse_csv(games_text: str, lines_text: str, *, source: str = "<stream>
     return Dataset(games=games, lines=tuple(lines), provenance=Provenance(source, "csv"))
 
 
+def _naive_check_texts(entry: dict, fields: Sequence[str], where: str) -> None:
+    """Each of ``fields`` is a string that UTF-8 can encode, or a number."""
+    for field in fields:
+        value = entry[field]
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise BadValueError(
+                f"{where}: field {field!r} must be a string or a number, got {value!r}"
+            )
+        for char in str(value):
+            if 0xD800 <= ord(char) <= 0xDFFF:
+                raise BadValueError(
+                    f"{where}: field {field!r} holds {char!r}, which UTF-8 cannot encode"
+                )
+
+
 def naive_parse_json(text: str, *, source: str = "<stream>") -> Dataset:
     """The JSON twin of :func:`naive_parse_csv`."""
     try:
@@ -298,6 +314,7 @@ def naive_parse_json(text: str, *, source: str = "<stream>") -> Dataset:
     for idx, entry in enumerate(doc["games"], start=1):
         where = f"games entry {idx}"
         check_fields(entry, GAMES_HEADER, GAMES_HEADER, where)
+        _naive_check_texts(entry, ("game_id", "competition", "home_team", "away_team"), where)
         game = _naive_build_game(entry, where)
         if game.game_id in games:
             raise DuplicateGameError(f"{where}: duplicate game_id {game.game_id!r}")
@@ -308,6 +325,7 @@ def naive_parse_json(text: str, *, source: str = "<stream>") -> Dataset:
     for idx, entry in enumerate(doc["lines"], start=1):
         where = f"lines entry {idx}"
         check_fields(entry, LINES_HEADER, LINES_HEADER + ("points",), where)
+        _naive_check_texts(entry, LINES_HEADER[:4], where)
         counts = {c: _naive_json_count(entry[c], c, where) for c in LINES_HEADER[5:20]}
         raw_minutes = entry["minutes"]
         if isinstance(raw_minutes, bool) or not isinstance(raw_minutes, (int, float)):
@@ -327,6 +345,12 @@ def naive_parse_json(text: str, *, source: str = "<stream>") -> Dataset:
         _naive_check_references(games, seen, line, where)
         lines.append(line)
     return Dataset(games=games, lines=tuple(lines), provenance=Provenance(source, "json"))
+
+
+def naive_fingerprint(weights: WeightConfig) -> str:
+    """``WeightConfig.fingerprint`` as it was written on ``hashlib``."""
+    canonical = json.dumps({k: repr(v) for k, v in sorted(weights.weights.items())})
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
 def neumaier_sum(values, start=0):

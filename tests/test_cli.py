@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from boxmetrics import Dataset
 from boxmetrics.cli import main
 from boxmetrics.ingest import serialize_csv, serialize_json
 from boxmetrics.splits import SPLIT_KINDS
@@ -202,6 +203,52 @@ def test_report_all_writes_directory(season_files, tmp_path):
     assert "delta_valoracion_to_rend.json" in names
     doc = json.loads((out_dir / "rank_rend.json").read_text(encoding="utf-8"))
     assert doc["meta"]["min_games"] == 1
+
+
+def test_report_all_that_fails_writes_no_file(season_files, tmp_path, capsys):
+    """Three players meet --min-games 3, too few for the correlation table,
+    the last of the 20: the command fails and --out gains no file."""
+    out_dir = tmp_path / "reports"
+    out_dir.mkdir()
+    (out_dir / "kept.txt").write_text("mine", encoding="utf-8")
+    for fmt in ("csv", "json", "text"):
+        args = _base(season_files, "report-all", "--min-games", "3", "--format", fmt)
+        assert main([*args, "--out", str(out_dir)]) == 2
+        assert "need at least 4 players" in capsys.readouterr().err
+        assert [p.name for p in out_dir.iterdir()] == ["kept.txt"]
+    assert main([*args, "--out", str(tmp_path / "new")]) == 2
+    assert not (tmp_path / "new").exists()
+
+
+def test_text_table_keeps_one_row_per_line(tmp_path, capsys):
+    """Control characters in a name are escaped in a text table, as repr()
+    escapes them; CSV and JSON keep the name as it is."""
+    names = {"p1": "line\nbreak", "p2": "tab\tand\rreturn", "p3": "esc\x1b\x85", "p4": "Dedo\u2028"}
+    season = build_season()
+    lines = [line._replace(player_name=names[line.player_id]) for line in season.lines]
+    doc = tmp_path / "season.json"
+    doc.write_text(serialize_json(Dataset(season.games, lines)), encoding="utf-8")
+    assert main(["rank", "rend", "--min-games", "1", "--json", str(doc)]) == 0
+    text = capsys.readouterr().out
+    assert len(text.splitlines()) == 3 + 4
+    for name in names.values():
+        assert repr(name)[1:-1] in text
+    assert main(["rank", "rend", "--min-games", "1", "--format", "json", "--json", str(doc)]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert {row["player_name"] for row in rows} == set(names.values())
+
+
+@pytest.mark.parametrize("command", (["validate"], ["rank", "rend", "--format", "json"]))
+def test_a_name_utf8_cannot_encode_is_rejected_at_ingest(tmp_path, capsys, command):
+    doc = tmp_path / "season.json"
+    text = serialize_json(build_season()).replace('"Cano"', '"\\ud800x"', 1)
+    doc.write_text(text, encoding="utf-8")
+    assert main([*command, "--min-games", "1", "--json", str(doc)]) == 2
+    entry = 1 + [line.player_name for line in build_season().lines].index("Cano")
+    assert capsys.readouterr().err == (
+        f"error: lines entry {entry}: field 'player_name' holds '\\ud800', "
+        "which UTF-8 cannot encode\n"
+    )
 
 
 def test_invalid_alpha_rejected(season_files):

@@ -24,7 +24,7 @@ from boxmetrics import derived_points
 from boxmetrics.ingest import parse_csv, parse_json, serialize_csv, serialize_json
 from test_acceptance import _synthetic_season
 from test_ingest import _BAD_VALUES, _COUNTS, _FAULT_COLUMN, _GAME_FAULTS, _JSON_ONLY, _LINE_FAULTS
-from test_ingest import _NON_FINITE
+from test_ingest import _BAD_TEXTS, _GAME_TEXTS, _LINE_TEXTS, _NON_FINITE
 
 GOLDEN = Path(__file__).with_name("golden_errors.json")
 # 1-based data rows: the first, both sides of the first block boundary, the last.
@@ -144,6 +144,27 @@ def cases():
                     game = games[i]
                 broken[i + skip] = _row_text(fmt, game)
                 yield f"{fmt} {fault} game {i + 1}", fmt, _text(fmt, broken, line_texts[False])
+    # The loop ends on JSON, whose tables these are.
+    yield from _text_cases(games, lines, game_texts, line_texts)
+
+
+def _text_cases(games, lines, game_texts, line_texts):
+    """The JSON id and name faults, in a line at each of ``ROWS`` and in the
+    first and the last game, cycling through the bad values and the fields.
+    They draw nothing from the generator, so the cases above stay as they are."""
+    for fault, values in _BAD_TEXTS.items():
+        for k, row in enumerate(ROWS):
+            field, value = _LINE_TEXTS[k % 4], values[k % len(values)]
+            broken = list(line_texts[k % 2])
+            broken[row - 1] = _row_text("json", {**lines[row - 1], field: value}, k % 2)
+            yield (f"json {fault} {field}={value!r:.24} row {row} points={k % 2 == 1}", "json",
+                   _text("json", game_texts, broken))
+        for k, i in enumerate((0, len(games) - 1)):
+            field, value = _GAME_TEXTS[k + 2 * (fault == "text_not_utf8")], values[k]
+            broken = list(game_texts)
+            broken[i] = _row_text("json", {**games[i], field: value})
+            yield (f"json game_{fault} {field}={value!r:.24} game {i + 1}", "json",
+                   _text("json", broken, line_texts[False]))
 
 
 def error_texts() -> dict[str, list[str]]:

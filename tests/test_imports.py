@@ -90,3 +90,16 @@ def test_a_split_loads_no_unused_standard_module(season_json):
     modules = _loaded("splits", "p1", "rend_per_minute", "win_loss", "--format", "json",
                       "--json", season_json)
     assert "boxmetrics.splits" in modules and modules.isdisjoint(UNUSED)
+
+
+def test_no_report_command_loads_the_openssl_hash_module(season_json, tmp_path):
+    """Each command prints the weights fingerprint; its SHA-256 comes from the
+    interpreter's own module, not from ``hashlib`` and OpenSSL's libcrypto."""
+    for argv in (
+        ("splits", "p1", "rend_per_minute", "win_loss", "--format", "json"),
+        ("rank", "rend", "--format", "csv", "--min-games", "1"),
+        ("report-all", "--min-games", "1", "--out", str(tmp_path / "reports")),
+    ):
+        modules = _loaded(*argv, "--json", season_json)
+        assert modules.isdisjoint(("hashlib", "_hashlib")), argv
+    assert len(list((tmp_path / "reports").iterdir())) == 20

@@ -449,6 +449,15 @@ _JSON_ONLY = ("missing_field", "unknown_field")
 _LINE_FAULTS = (*_BAD_VALUES, "empty_id", "dangling_game", "wrong_team", "duplicate_line",
                "points_mismatch", "points_negative", *_JSON_ONLY)
 _GAME_FAULTS = ("tied", "negative_score", "bad_date", "same_teams", "duplicate_game")
+# JSON ids and names: values that are no string or number, and strings that
+# UTF-8 cannot encode; put into a line or (with the "game_" prefix) a game.
+_BAD_TEXTS = {
+    "text_not_string": (None, True, [1, 2], {"a": 1}, False),
+    "text_not_utf8": ("\ud800x", "a\udfff", "\udc80"),
+}
+_LINE_TEXTS = ("game_id", "player_id", "player_name", "team")
+_GAME_TEXTS = ("game_id", "competition", "home_team", "away_team")
+_TEXT_FAULTS = (*_BAD_TEXTS, *(f"game_{fault}" for fault in _BAD_TEXTS))
 
 
 @st.composite
@@ -493,6 +502,8 @@ def _break_line(draw, fault: str, fmt: str, cells: dict, earlier: list[dict]) ->
         cells["points"] += draw(st.integers(1, 5))
     elif fault == "points_negative":
         cells["points"] = -1
+    elif fault in _BAD_TEXTS:
+        cells[draw(st.sampled_from(_LINE_TEXTS))] = draw(st.sampled_from(_BAD_TEXTS[fault]))
     elif fault == "missing_field":
         # "points" is optional: an entry without it is still valid.
         del cells[draw(st.sampled_from(sorted(set(cells) - {"points"})))]
@@ -512,6 +523,9 @@ def _break_game(draw, fault: str, games: list[dict]) -> None:
         game["date"] = "2014-13-01"
     elif fault == "same_teams":
         game["away_team"] = game["home_team"]
+    elif fault in _TEXT_FAULTS:
+        value = draw(st.sampled_from(_BAD_TEXTS[fault.removeprefix("game_")]))
+        game[draw(st.sampled_from(_GAME_TEXTS))] = value
     else:
         games.append(dict(game, date="2014-02-01"))
 
@@ -521,7 +535,8 @@ def season_inputs(draw, fault: str):
     """(format, parser arguments) for a valid season, with ``fault`` put
     into one of its games or one to three of its lines."""
     season = draw(varied_seasons())
-    fmt = "json" if fault in _JSON_ONLY else draw(st.sampled_from(("csv", "json")))
+    json_only = (*_JSON_ONLY, *_TEXT_FAULTS)
+    fmt = "json" if fault in json_only else draw(st.sampled_from(("csv", "json")))
     with_points = fault.startswith("points") or draw(st.booleans())
     if fmt == "csv":
         games, lines = (list(csv.DictReader(io.StringIO(t))) for t in serialize_csv(season))
@@ -533,7 +548,7 @@ def season_inputs(draw, fault: str):
             cells["points"] = derived_points(line)
         if fmt == "json" and line.minutes.is_integer() and draw(st.booleans()):
             cells["minutes"] = int(line.minutes)
-    if fault in _GAME_FAULTS:
+    if fault in _GAME_FAULTS or fault.startswith("game_"):
         _break_game(draw, fault, games)
     elif fault != "none":
         first = 1 if fault == "duplicate_line" else 0
@@ -568,7 +583,7 @@ def _where_and_field(exc: Exception) -> tuple[str | None, str | None]:
     return match.group(1), next(fields, None)
 
 
-@pytest.mark.parametrize("fault", ("none", *_GAME_FAULTS, *_LINE_FAULTS))
+@pytest.mark.parametrize("fault", ("none", *_GAME_FAULTS, *_LINE_FAULTS, *_TEXT_FAULTS))
 @settings(max_examples=10)
 @given(data=st.data())
 def test_parsers_match_naive_parsers(fault, data):
@@ -680,7 +695,7 @@ def block_edge_inputs(draw, edit: str):
     """(format, parser arguments) for a valid season with ``edit`` made at the
     first or last row of one or two blocks of 2, 3 or 5 rows."""
     season = draw(varied_seasons())
-    if edit in (*_JSON_ONLY, "json_bool", "points_dropped"):
+    if edit in (*_JSON_ONLY, *_BAD_TEXTS, "json_bool", "points_dropped"):
         fmt = "json"
     else:
         fmt = "csv" if edit == "count_signed" else draw(st.sampled_from(("csv", "json")))
@@ -717,7 +732,7 @@ def _outcome(parse, args):
         return exc
 
 
-@pytest.mark.parametrize("edit", (*_LINE_FAULTS, *_EDGE_EDITS))
+@pytest.mark.parametrize("edit", (*_LINE_FAULTS, *_BAD_TEXTS, *_EDGE_EDITS))
 @settings(max_examples=10)
 @given(data=st.data())
 def test_parsers_match_naive_parsers_at_every_block_size(edit, data):
@@ -743,6 +758,80 @@ def test_parsers_match_naive_parsers_at_every_block_size(edit, data):
         assert type(got) is type(expected)
         assert (type(got), str(got)) == (type(outcomes[0]), str(outcomes[0]))
         assert _where_and_field(got) == _where_and_field(expected)
+
+
+# Documents where the decoder's object hook turns line-shaped objects into
+# rows: entries in header order and shuffled, repeated keys, and line-shaped
+# objects where no lines entry stands.
+_HOOK_EDITS = ("header_order", "shuffled", "duplicate_key", "nested_count", "nested_minutes",
+               "nested_points", "line_shaped_game", "line_shaped_document")
+
+
+@st.composite
+def hook_documents(draw, edit: str) -> str:
+    """The JSON text of a valid season, some entries with points, with
+    ``edit`` made."""
+    season = draw(varied_seasons())
+    doc = json.loads(serialize_json(season))
+    games, lines = doc["games"], doc["lines"]
+    for cells, line in zip(lines, season.lines):
+        if draw(st.booleans()):
+            cells["points"] = derived_points(line)
+    i = draw(st.integers(0, len(lines) - 1))
+    shape = dict(lines[draw(st.integers(0, len(lines) - 1))])
+    if edit == "shuffled":
+        for j in draw(st.sets(st.integers(0, len(lines) - 1), min_size=1)):
+            lines[j] = dict(draw(st.permutations(list(lines[j].items()))))
+    elif edit.startswith("nested_"):
+        field = draw(st.sampled_from(_COUNTS)) if edit == "nested_count" else edit[7:]
+        lines[i][field] = shape
+    elif edit == "line_shaped_game":
+        games[draw(st.integers(0, len(games) - 1))] = shape
+    elif edit == "line_shaped_document":
+        return json.dumps(shape)
+    entries = [json.dumps(cells) for cells in lines]
+    if edit == "duplicate_key":
+        # A repeated key keeps its first place and takes its last value.
+        key = draw(st.sampled_from(sorted(lines[i])))
+        pair = f"{json.dumps(key)}: {json.dumps(draw(st.sampled_from((lines[i][key], 'x', 3))))}"
+        if draw(st.booleans()):
+            entries[i] = f"{{{pair}, {entries[i][1:]}"
+        else:
+            entries[i] = f"{entries[i][:-1]}, {pair}}}"
+    return '{"games": %s, "lines": [%s]}' % (json.dumps(games), ", ".join(entries))
+
+
+@pytest.mark.parametrize("edit", _HOOK_EDITS)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_json_rows_match_plain_json_objects(edit, data):
+    """The parser, whose decoder keeps line-shaped objects as rows, against
+    itself on plain dicts (the same season and repr, or the same error and
+    message) and against the naive parser (the same season, or the same error
+    class naming the same row and field)."""
+    text = data.draw(hook_documents(edit))
+    got = _outcome(parse_json, (text,))
+    with patch.object(ingest, "_json_row", lambda entry: entry):
+        plain = _outcome(parse_json, (text,))
+    expected = _outcome(naive_parse_json, (text,))
+    if isinstance(expected, Dataset):
+        assert got == plain == expected
+        assert repr(got) == repr(plain) == repr(expected)
+        return
+    assert edit not in ("header_order", "shuffled")
+    assert (type(got), str(got)) == (type(plain), str(plain))
+    assert type(got) is type(expected)
+    assert _where_and_field(got) == _where_and_field(expected)
+
+
+def test_line_shaped_objects_decode_as_rows_that_print_as_objects():
+    line = json.loads(serialize_json(build_season()))["lines"][0]
+    text = json.dumps([line, {**line, "points": 1}, dict(reversed(line.items())), {"a": line}])
+    in_order, with_points, reordered, other = json.loads(text, object_hook=ingest._json_row)
+    assert type(in_order) is type(with_points) is ingest._Row
+    assert type(reordered) is dict and type(other) is dict
+    assert repr(in_order) == repr(line) and repr(with_points) == repr({**line, "points": 1})
+    assert repr(other) == repr({"a": line})
 
 
 @pytest.mark.parametrize("fmt", ("csv", "json"))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import pickle
+import sys
 from datetime import date
 
 import pytest
@@ -24,6 +25,7 @@ from boxmetrics import (
     derived_points,
 )
 from conftest import make_game, make_line
+from oracles import naive_fingerprint
 
 counts = st.integers(min_value=0, max_value=50)
 
@@ -137,6 +139,27 @@ def test_weight_fingerprint_stable_and_sensitive():
     assert a.fingerprint() == b.fingerprint()
     assert len(a.fingerprint()) == 12
     assert a.fingerprint() != WeightConfig.with_overrides({"a": 3.0}).fingerprint()
+
+
+weight_configs = st.builds(
+    WeightConfig,
+    st.fixed_dictionaries(
+        {key: st.floats(allow_nan=False, allow_infinity=False) | st.integers(-9, 9)
+         for key in STAT_KEYS}
+    ),
+)
+
+
+@given(config=weight_configs)
+def test_fingerprint_is_the_hashlib_digest(config):
+    """The interpreter's own SHA-256 against ``hashlib``'s, and the
+    ``hashlib`` fallback where neither lean module can be imported."""
+    expected = naive_fingerprint(config)
+    assert config.fingerprint() == expected
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(sys.modules, "_sha2", None)
+        patch.setitem(sys.modules, "_sha256", None)
+        assert config.fingerprint() == expected
 
 
 def test_metric_series_validation():
