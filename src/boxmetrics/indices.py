@@ -196,16 +196,17 @@ def _series(
     is built on its first request and kept in ``dataset``, so a line is
     evaluated once per metric and weights; a per-minute series divides it.
     Callers only read what comes back."""
-
-    def build(lines: tuple[BoxscoreLine, ...]) -> tuple[array, list[bool] | None]:
-        return _excluded(lines, list(map(metric_function(metric, weights), lines)), metric, False)
-
-    per_game = dataset._column((metric, weights.defensive, weights.offensive), player_id, build)
+    lines = dataset._by_player[player_id]
+    key = (metric, weights.defensive, weights.offensive, player_id)
+    per_game = dataset._columns.get(key)
+    if per_game is None:
+        values = list(map(metric_function(metric, weights), lines))
+        per_game = dataset._columns[key] = _excluded(lines, values, metric, False)
     if not per_minute_values:
         return per_game
     # A per-game series keeps every line but for plus_minus, which has no
     # per-minute form, so its values line up with the player's lines.
-    return _excluded(dataset._by_player[player_id], per_game[0], metric, True)
+    return _excluded(lines, per_game[0], metric, True)
 
 
 def parse_metric_name(name: str, per_minute: bool = False) -> tuple[str, bool]:

@@ -31,11 +31,9 @@ from datetime import date
 from functools import cached_property, partial
 from itertools import islice, repeat
 from operator import attrgetter, itemgetter
-from typing import IO, Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence, TypeVar
+from typing import IO, Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 from .model import BoxscoreLine, GameMeta, _frozen, check_fields, check_types
-
-_T = TypeVar("_T")
 
 GAMES_HEADER = (
     "game_id",
@@ -192,22 +190,11 @@ class Dataset:
         }
 
     @cached_property
-    def _columns(self) -> dict[tuple, dict[str, object]]:
-        """Per-player columns derived from :attr:`_by_player`: key -> player
-        id -> column. The lines never change, so a column never goes stale."""
+    def _columns(self) -> dict[tuple, object]:
+        """Per-player columns derived from :attr:`_by_player`, each filled on
+        its first request and keyed by everything it depends on, the player
+        id last. The lines never change, so a column never goes stale."""
         return {}
-
-    def _column(
-        self, key: tuple, player_id: str, build: Callable[[tuple[BoxscoreLine, ...]], _T]
-    ) -> _T:
-        """``build(lines)`` for the player's lines, run on the first request
-        for this ``key`` and player only. ``key`` names everything besides
-        the lines that the column depends on."""
-        columns = self._columns.setdefault(key, {})
-        column = columns.get(player_id)
-        if column is None:
-            column = columns[player_id] = build(self._by_player[player_id])
-        return column
 
     def player_ids(self) -> list[str]:
         return sorted(self._by_player)
@@ -219,21 +206,13 @@ class Dataset:
         """
         return list(self._by_player.get(player_id, ()))
 
-    def game_count(self, player_id: str) -> int:
-        # A player has at most one line per game (see _check_references).
-        return len(self._by_player.get(player_id, ()))
-
-
-def _text(stream: IO | str) -> str:
-    """All the text of ``stream``; bytes are decoded as UTF-8."""
-    if isinstance(stream, str):
-        return stream
-    data = stream.read()
-    return data.decode("utf-8") if isinstance(data, bytes) else data
-
 
 def _as_text(stream: IO | str) -> io.TextIOBase:
-    return stream if isinstance(stream, io.TextIOBase) else io.StringIO(_text(stream))
+    """``stream`` as a text stream; bytes are decoded as UTF-8."""
+    if isinstance(stream, io.TextIOBase):
+        return stream
+    data = stream if isinstance(stream, str) else stream.read()
+    return io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data)
 
 
 def _located(where: str, exc: ValueError) -> IngestError:
@@ -272,6 +251,16 @@ def _check_references(
         if (game_id, team) not in pairs:
             raise BadValueError(f"team {team!r} did not play in game {game_id!r}")
     raise DuplicateLineError(f"duplicate (player_id, game_id) = {(player_id, game_id)!r}")
+
+
+def _check_encodable(texts: Sequence[str], field: str) -> None:
+    """Reject a text that UTF-8 cannot encode (a lone surrogate), which no
+    report could write, naming the character."""
+    try:
+        "".join(texts).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        bad = exc.object[exc.start]
+        raise BadValueError(f"field {field!r} holds {bad!r}, which UTF-8 cannot encode") from None
 
 
 def _cells(convert, column: Sequence[str], name: str, kind: str) -> list:
@@ -404,6 +393,8 @@ def _csv_rows(stream: IO | str, header: tuple[str, ...], what: str) -> tuple[Ite
 def _csv_game(row: list[str]) -> tuple:
     if len(row) != len(GAMES_HEADER):
         raise BadValueError(f"expected {len(GAMES_HEADER)} fields, got {len(row)}")
+    for i in (0, 2, 3, 4):  # game_id, competition, home_team, away_team
+        _check_encodable(row[i:i + 1], GAMES_HEADER[i])
     home, away = (_int_cells([row[i]], GAMES_HEADER[i])[0] for i in (5, 6))
     return (*row[:5], home, away)
 
@@ -418,6 +409,8 @@ def _csv_columns(has_points: bool, block: list[list[str]]) -> tuple[list, list |
     if {*map(len, block)} != {width}:
         raise BadValueError(f"expected {width} fields, got {len(block[0])}")
     game_id, player_id, name, team, minutes, *cells = zip(*block)
+    for column, field in zip((game_id, player_id, name, team), LINES_HEADER):
+        _check_encodable(column, field)
     # LINES_HEADER lists the counts in BoxscoreLine's field order.
     counts = [_int_cells(column, c) for column, c in zip(cells, _COUNT_COLUMNS)]
     columns = [
@@ -483,11 +476,7 @@ def _json_texts(column: Sequence, field: str) -> list[str]:
         bad = next(value for value in column if type(value) not in (str, int, float))
         raise BadValueError(f"field {field!r} must be a string or a number, got {bad!r}")
     texts = list(map(str, column))
-    try:
-        "".join(texts).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        bad = exc.object[exc.start]
-        raise BadValueError(f"field {field!r} holds {bad!r}, which UTF-8 cannot encode") from None
+    _check_encodable(texts, field)
     return texts
 
 
@@ -551,23 +540,25 @@ def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
     Shape: ``{"games": [...], "lines": [...]}`` with the CSV column names as
     object fields. ``plus_minus`` may be ``null``; ``starter`` is a boolean.
     """
-    return _json_dataset(_json_doc(_text(stream)), source)
-
-
-def _json_doc(text: str) -> dict:
-    """The document in ``text``, an object holding a games and a lines array."""
+    text = stream if isinstance(stream, str) else stream.read()
+    if isinstance(text, bytes):
+        # Decoded at once, then given the newlines a text-mode read gives, so
+        # that JSON errors in a CRLF document name the same positions. A
+        # text-mode read, which translates as it decodes, takes several times
+        # as long.
+        text = text.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(text, object_hook=_json_row)
     except json.JSONDecodeError as exc:
         raise BadValueError(f"invalid JSON: {exc}")
+    # Freed before the lines are built.
+    del text
     if not isinstance(doc, dict) or set(doc) != {"games", "lines"}:
         raise MissingColumnError("top-level JSON must be an object with 'games' and 'lines'")
     if not isinstance(doc["games"], list) or not isinstance(doc["lines"], list):
         raise BadValueError("'games' and 'lines' must be arrays")
-    return doc
-
-
-def _json_dataset(doc: dict, source: str) -> Dataset:
     games = _parse_games(doc["games"], _json_game, "games entry", 1)
     return _parse_lines(
         games, doc["lines"], _json_columns, "lines entry", 1, Provenance(source, "json")
@@ -589,20 +580,21 @@ def cell_text(value: object) -> str:
     return str(value)
 
 
-def _csv_text(header: tuple[str, ...], fields_of, records: Iterable) -> str:
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """RFC-4180 text of ``header`` and ``rows``, each value by :func:`cell_text`."""
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
-    for record in records:
-        writer.writerow([cell_text(value) for value in fields_of(record)])
+    for row in rows:
+        writer.writerow([cell_text(value) for value in row])
     return buf.getvalue()
 
 
 def serialize_csv(dataset: Dataset) -> tuple[str, str]:
     """Canonical CSV text for (games, lines), preserving dataset order."""
     return (
-        _csv_text(GAMES_HEADER, _game_fields, dataset.games.values()),
-        _csv_text(LINES_HEADER, _line_fields, dataset.lines),
+        _csv_text(GAMES_HEADER, map(_game_fields, dataset.games.values())),
+        _csv_text(LINES_HEADER, map(_line_fields, dataset.lines)),
     )
 
 
@@ -623,18 +615,8 @@ def load_dataset(
 ) -> Dataset:
     """Load a dataset from file paths (two CSVs, or one JSON document)."""
     if json_path is not None:
-        # Read as bytes and decoded at once: a text-mode read, which
-        # translates newlines as it decodes, takes several times as long.
         with open(json_path, "rb") as handle:
-            text = handle.read().decode("utf-8")
-        if "\r" in text:
-            # The newlines a text-mode read gives, so that JSON errors in a
-            # CRLF document name the same positions.
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        doc = _json_doc(text)
-        # Freed before the lines are built, as parse_json frees it.
-        del text
-        return _json_dataset(doc, json_path)
+            return parse_json(handle, source=json_path)
     if games_path is None or lines_path is None:
         raise ValueError("either json_path or both games_path and lines_path are required")
     with open(games_path, "r", encoding="utf-8", newline="") as games_handle:

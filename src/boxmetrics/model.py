@@ -157,7 +157,7 @@ class BoxscoreLine(_Checked, _LineFields):
 _new_fields = _LineFields.__new__
 # Each count's position in a line, in the order its checks run.
 _COUNT_INDEX = tuple((name, _LineFields._fields.index(name)) for name in STAT_KEYS + ("tr",))
-_INT, _INT_OR_NONE, _BOOL, _FLOAT = {int}, {int, type(None)}, {bool}, {float}
+_INT, _INT_OR_NONE, _BOOL, _FLOAT, _STR = {int}, {int, type(None)}, {bool}, {float}, {str}
 
 
 def check_types(columns: Sequence[Sequence]) -> None:
@@ -186,18 +186,23 @@ def check_types(columns: Sequence[Sequence]) -> None:
 def check_fields(columns: Sequence[Sequence]) -> None:
     """Raise ValueError for the first value outside its domain in ``columns``,
     one per line field, whose counts are ints (see :func:`check_types`): an
-    empty id, minutes that are no finite float >= 0, a negative count."""
-    player_ids, _, teams, game_ids, minutes = columns[:5]
+    id that is no non-empty string, a name that is no string, minutes that
+    are no finite float >= 0, a negative count."""
+    player_ids, names, teams, game_ids, minutes = columns[:5]
     # min() can miss a NaN that is not first; the sum is NaN or inf then.
     if (
-        all(player_ids) and all(teams) and all(game_ids) and {*map(type, minutes)} == _FLOAT
+        {*map(type, chain(*columns[:4]))} == _STR
+        and all(player_ids) and all(teams) and all(game_ids) and {*map(type, minutes)} == _FLOAT
         and min(minutes) >= 0.0 and sum(minutes) < math.inf
         and min(chain(*columns[5:20])) >= 0
     ):
         return
     for name, column in (("player_id", player_ids), ("team", teams), ("game_id", game_ids)):
-        if not all(column):
+        if not all(isinstance(value, str) and value for value in column):
             raise ValueError(f"{name} must be a non-empty string")
+    for value in names:
+        if not isinstance(value, str):
+            raise ValueError(f"player_name must be a string, got {value!r}")
     for value in minutes:
         try:
             number = float(value)

@@ -9,15 +9,13 @@ reproducible from its own metadata.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from functools import cache
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from .indices import EmptySeriesError, combined_metric_name, parse_metric_name, player_series
-from .ingest import Dataset, cell_text, filter_min_games
+from .ingest import Dataset, _csv_text, cell_text, filter_min_games
 from .model import DEFAULT_CLOSE_THRESHOLD, MetricSeries, WeightConfig
 from .splits import InsufficientSplitError, plus_minus_summary, split_compare
 from .stats import (
@@ -545,12 +543,7 @@ def render(table: RankedTable | Table, fmt: str = "text") -> bytes:
     """
     columns, grid = _as_grid(table)
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(columns)
-        for row in grid:
-            writer.writerow([cell_text(cell) for cell in row])
-        return buf.getvalue().encode("utf-8")
+        return _csv_text(columns, grid).encode("utf-8")
     if fmt == "json":
         doc = {
             "meta": {"title": table.title, **_json_cells(table.meta)},

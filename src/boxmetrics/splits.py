@@ -116,12 +116,15 @@ def _sides(
 ) -> tuple[str, ...]:
     """The side of a ``kind`` split each of the player's lines falls on, in
     index order; decided on the first request per dataset."""
-    games = dataset.games
-
-    def build(lines: tuple[BoxscoreLine, ...]) -> tuple[str, ...]:
-        return tuple(side_of(kind, line, games[line.game_id], close_threshold) for line in lines)
-
-    return dataset._column(("sides", kind, close_threshold), player_id, build)
+    key = ("sides", kind, close_threshold, player_id)
+    sides = dataset._columns.get(key)
+    if sides is None:
+        games = dataset.games
+        sides = dataset._columns[key] = tuple(
+            side_of(kind, line, games[line.game_id], close_threshold)
+            for line in dataset._by_player[player_id]
+        )
+    return sides
 
 
 def _pm_stat(label: str, values: Sequence[float], dnp: Sequence[bool]) -> LabelStat:

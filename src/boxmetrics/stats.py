@@ -13,6 +13,7 @@ All functions are pure and operate on plain sequences of floats (or on
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
 from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
@@ -78,13 +79,6 @@ def _squared_deviations(values: Sequence[float]) -> tuple[float, float]:
     return center, left_sum((v - center) ** 2 for v in values)
 
 
-def sample_sd(values: Sequence[float]) -> float:
-    """Standard deviation with divisor n-1 (requires n >= 2)."""
-    if len(values) < 2:
-        raise TooFewSamplesError("sample standard deviation requires n >= 2")
-    return math.sqrt(_squared_deviations(values)[1] / (len(values) - 1))
-
-
 def summarize(series: MetricSeries | Sequence[float]) -> SeriesSummary:
     """Summary statistics plus the regularity index for one series."""
     values = tuple(series.values if isinstance(series, MetricSeries) else series)
@@ -145,17 +139,22 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 def kendall_tau(x: Sequence[float], y: Sequence[float]) -> float:
     """Kendall's tau-b (tie corrected), clamped into [-1, 1].
 
-    Knight's (1966) O(n log n) count: sort the pairs by (x, y), then every
-    discordant pair is one inversion of the y order, counted by a merge
-    sort. The pair counts are exact integers, so tau is the same float the
-    pair-by-pair count gives.
+    Knight's (1966) count: sort the pairs by (x, y), then every discordant
+    pair is one inversion of the y order. Each y is counted against the
+    greater ys before it by bisection into a sorted list, whose inserts move
+    O(n^2) pointers in all but run at C speed. The pair counts are exact
+    integers, so tau is the same float the pair-by-pair count gives.
     """
     _check_paired(x, y)
     n = len(x)
     pairs = sorted(zip(x, y))
     tied_x = _tied_pairs([p[0] for p in pairs])
     tied_xy = _tied_pairs(pairs)
-    ys, discordant = _sort_counting_inversions([p[1] for p in pairs])
+    ys: list[float] = []
+    discordant = 0
+    for _, value in pairs:
+        discordant += len(ys) - bisect_right(ys, value)
+        insort(ys, value)
     tied_y = _tied_pairs(ys)
     total_pairs = n * (n - 1) // 2
     denom_x = total_pairs - tied_x
@@ -174,30 +173,6 @@ def _tied_pairs(ordered: Sequence) -> int:
         t = len(list(run))
         total += t * (t - 1) // 2
     return total
-
-
-def _sort_counting_inversions(values: list[float]) -> tuple[list[float], int]:
-    """``values`` sorted, and the number of pairs i < j with values[i] > values[j]."""
-    if len(values) < 2:
-        return values, 0
-    mid = len(values) // 2
-    left, inversions_left = _sort_counting_inversions(values[:mid])
-    right, inversions_right = _sort_counting_inversions(values[mid:])
-    inversions = inversions_left + inversions_right
-    merged: list[float] = []
-    i = j = 0
-    while i < len(left) and j < len(right):
-        if right[j] < left[i]:
-            # right[j] is smaller than every left value not yet merged.
-            inversions += len(left) - i
-            merged.append(right[j])
-            j += 1
-        else:
-            merged.append(left[i])
-            i += 1
-    merged += left[i:]
-    merged += right[j:]
-    return merged, inversions
 
 
 def midranks(values: Sequence[float]) -> list[float]:

@@ -56,6 +56,10 @@ from boxmetrics.ingest import (
 )
 
 
+# The games fields that hold ids and names.
+_GAME_TEXTS = ("game_id", "competition", "home_team", "away_team")
+
+
 def naive_lines_for(dataset, player_id: str) -> list:
     """Scan every line of the season, then sort the player's by (date, game_id)."""
     mine = [line for line in dataset.lines if line.player_id == player_id]
@@ -65,10 +69,6 @@ def naive_lines_for(dataset, player_id: str) -> list:
 
 def naive_player_ids(dataset) -> list[str]:
     return sorted({line.player_id for line in dataset.lines})
-
-
-def naive_game_count(dataset, player_id: str) -> int:
-    return len({ln.game_id for ln in dataset.lines if ln.player_id == player_id})
 
 
 def naive_filter_min_games(dataset, min_games: int) -> tuple:
@@ -172,8 +172,10 @@ def _naive_build_game(values: dict, where: str) -> GameMeta:
 def _naive_line_checks(fields: dict) -> None:
     """Every domain check of one line, field by field in declaration order."""
     for name in ("player_id", "team", "game_id"):
-        if not fields[name]:
+        if not isinstance(fields[name], str) or not fields[name]:
             raise ValueError(f"{name} must be a non-empty string")
+    if not isinstance(fields["player_name"], str):
+        raise ValueError(f"player_name must be a string, got {fields['player_name']!r}")
     minutes = float(fields["minutes"])
     if minutes < 0:
         raise ValueError(f"minutes must be >= 0, got {minutes}")
@@ -237,6 +239,7 @@ def naive_parse_csv(games_text: str, lines_text: str, *, source: str = "<stream>
         where = f"games row {idx}"
         if len(row) != len(GAMES_HEADER):
             raise BadValueError(f"{where}: expected {len(GAMES_HEADER)} fields, got {len(row)}")
+        _naive_check_texts(dict(zip(GAMES_HEADER, row)), _GAME_TEXTS, where)
         game = _naive_build_game(dict(zip(GAMES_HEADER, row)), where)
         if game.game_id in games:
             raise DuplicateGameError(f"{where}: duplicate game_id {game.game_id!r}")
@@ -256,6 +259,7 @@ def naive_parse_csv(games_text: str, lines_text: str, *, source: str = "<stream>
         if len(row) != expected_len:
             raise BadValueError(f"{where}: expected {expected_len} fields, got {len(row)}")
         values = dict(zip(LINES_HEADER, row))
+        _naive_check_texts(values, LINES_HEADER[:4], where)
         counts = {c: _naive_parse_count(values[c], c, where) for c in LINES_HEADER[5:20]}
         minutes = _naive_parse_minutes(values["minutes"], where)
         raw_pm = values["plus_minus"]
@@ -314,7 +318,7 @@ def naive_parse_json(text: str, *, source: str = "<stream>") -> Dataset:
     for idx, entry in enumerate(doc["games"], start=1):
         where = f"games entry {idx}"
         check_fields(entry, GAMES_HEADER, GAMES_HEADER, where)
-        _naive_check_texts(entry, ("game_id", "competition", "home_team", "away_team"), where)
+        _naive_check_texts(entry, _GAME_TEXTS, where)
         game = _naive_build_game(entry, where)
         if game.game_id in games:
             raise DuplicateGameError(f"{where}: duplicate game_id {game.game_id!r}")

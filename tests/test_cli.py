@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import gc
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boxmetrics import Dataset
+from boxmetrics import METRICS, Dataset
 from boxmetrics.cli import main
-from boxmetrics.ingest import serialize_csv, serialize_json
+from boxmetrics.ingest import GAMES_HEADER, LINES_HEADER, cell_text, serialize_csv, serialize_json
 from boxmetrics.splits import SPLIT_KINDS
 from conftest import build_season, winloss_season
 from test_acceptance import _synthetic_season
@@ -449,3 +454,139 @@ def test_cyclic_garbage_of_a_command_does_not_grow_with_the_season(
         garbage.append(_cyclic_garbage(argv))
     small, large = garbage
     assert large <= small
+
+
+# --- every command on seasons whose ids and names are any Unicode text ---
+
+# Short texts from all of Unicode, with more of the characters that CSV,
+# JSON, text tables or argparse treat apart: NUL, line breaks, quotes,
+# separators and a leading "-". Lone surrogates, which UTF-8 cannot encode,
+# come in a quarter of the seasons only, as one makes the season invalid.
+_CHARACTERS = st.characters() | st.sampled_from('\x00\n\r\u2028",-')
+_TEXT = st.text(_CHARACTERS, min_size=1, max_size=3)
+_TEXT_OR_SURROGATE = st.text(_CHARACTERS | st.sampled_from("\ud800\udfff"), min_size=1, max_size=3)
+_TEXTS = (_TEXT, _TEXT, _TEXT, _TEXT_OR_SURROGATE)
+_METRIC_NAMES = (*METRICS, *(f"{m}_per_minute" for m in METRICS if m != "plus_minus"))
+
+
+@st.composite
+def _any_text_seasons(draw) -> tuple[str, dict[str, bytes], list[str]]:
+    """(input format, file name -> bytes, player ids) of a small season whose
+    ids, names, teams and competitions are drawn from one of :data:`_TEXTS`."""
+    any_text = draw(st.sampled_from(_TEXTS))
+    home, away = draw(st.lists(any_text, min_size=2, max_size=2, unique=True))
+    game_ids = draw(st.lists(any_text, min_size=2, max_size=5, unique=True))
+    games = [
+        [gid, f"2014-01-{i + 1:02d}", draw(any_text | st.just("liga")), home, away, 80,
+         draw(st.sampled_from((70, 78, 90)))]
+        for i, gid in enumerate(game_ids)
+    ]
+    players = draw(st.lists(st.tuples(any_text, any_text), min_size=4, max_size=7,
+                            unique_by=lambda player: player[0]))
+    lines = []
+    for player_id, name in players:
+        team = draw(st.sampled_from((home, away)))
+        for gid in draw(st.lists(st.sampled_from(game_ids), min_size=1, unique=True)):
+            counts = draw(st.lists(st.integers(0, 4), min_size=15, max_size=15))
+            lines.append([gid, player_id, name, team, draw(st.sampled_from((0.0, 12.5, 30.0))),
+                          *counts, draw(st.none() | st.integers(-9, 9)), draw(st.booleans())])
+    if draw(st.booleans()):
+        doc = {"games": [dict(zip(GAMES_HEADER, game)) for game in games],
+               "lines": [dict(zip(LINES_HEADER, line)) for line in lines]}
+        # ASCII JSON, which carries a lone surrogate as an escape.
+        return "json", {"season.json": json.dumps(doc).encode("ascii")}, [p for p, _ in players]
+    files = {}
+    for name, header, rows in (("games.csv", GAMES_HEADER, games),
+                               ("lines.csv", LINES_HEADER, lines)):
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header, *([cell_text(v) for v in row] for row in rows)])
+        # A lone surrogate becomes bytes that are not UTF-8.
+        files[name] = buf.getvalue().encode("utf-8", "surrogatepass")
+    return "csv", files, [p for p, _ in players]
+
+
+def _no_json_constant(name: str) -> None:
+    raise ValueError(f"strict JSON has no {name}")
+
+
+def _text_rows(text: str) -> int:
+    """Rows of a text table: its lines after the "# " title and meta lines
+    and the column header."""
+    lines = text.split("\n")[:-1]
+    header = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+    return len(lines) - header - 1
+
+
+def _check_outputs(outputs: dict[str, bytes]) -> None:
+    """One table rendered in each format: strict JSON, and the same row count
+    in the CSV, the JSON and the text table."""
+    doc = json.loads(outputs["json"].decode("utf-8"), parse_constant=_no_json_constant)
+    csv_rows = list(csv.reader(io.StringIO(outputs["csv"].decode("utf-8"), newline="")))
+    assert len(csv_rows) - 1 == len(doc["rows"]) == _text_rows(outputs["txt"].decode("utf-8"))
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    """``main(argv)`` in-process: its exit code, argparse's included, and stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(season=_any_text_seasons(), data=st.data())
+def test_every_command_on_any_text_exits_cleanly_with_valid_output(
+    tmp_path_factory, season, data
+):
+    fmt, files, player_ids = season
+    directory = tmp_path_factory.mktemp("any_text")
+    for name, payload in files.items():
+        (directory / name).write_bytes(payload)
+    if fmt == "json":
+        inputs = ["--json", str(directory / "season.json")]
+    else:
+        inputs = ["--games", str(directory / "games.csv"), "--lines", str(directory / "lines.csv")]
+    metric, other = (data.draw(st.sampled_from(_METRIC_NAMES)) for _ in range(2))
+    player = data.draw(st.sampled_from(player_ids))
+    kind = data.draw(st.sampled_from((None, *SPLIT_KINDS)))
+    min_games = ["--min-games", str(data.draw(st.integers(1, 3)))]
+    # (command and options, positional arguments), which follow a "--" so
+    # that an id that starts with "-" is not read as an option.
+    commands = {
+        "rank": (["rank", *min_games], [metric]),
+        "regularity": (["regularity", *min_games], [metric]),
+        "delta": (["delta", *min_games], [metric, other]),
+        "splits": (["splits"], [player, metric, *([kind] if kind else [])]),
+        "splits_all": (["splits", *min_games], ["all", "plus_minus"]),
+        "correlate": (["correlate", *min_games], [metric, other]),
+        "report_all": (["report-all", *min_games], []),
+    }
+    code, err = _run(["validate", *inputs])
+    assert code in (0, 2, 3) and "Traceback" not in err
+    for name, (head, positionals) in commands.items():
+        codes, outputs = set(), {}
+        for ext, out_format in (("csv", "csv"), ("json", "json"), ("txt", "text")):
+            out = directory / f"{name}.{ext}"
+            argv = [*head, *inputs, "--format", out_format, "--out", str(out)]
+            argv += ["--", *positionals] if positionals else []
+            code, err = _run(argv)
+            assert code in (0, 2, 3) and "Traceback" not in err, (argv, err)
+            codes.add(code)
+            if code != 0:
+                assert not out.exists()
+            elif name == "report_all":
+                outputs[ext] = {path.stem: path.read_bytes() for path in out.iterdir()}
+            elif out.exists():
+                outputs[ext] = out.read_bytes()
+            else:
+                assert name == "splits" and err.startswith("warning: ")
+        assert len(codes) == 1, (argv, codes)
+        if name == "report_all" and outputs:
+            assert outputs["csv"].keys() == outputs["json"].keys() == outputs["txt"].keys()
+            for stem in outputs["csv"]:
+                _check_outputs({ext: files[stem] for ext, files in outputs.items()})
+        elif outputs:
+            _check_outputs(outputs)

@@ -60,6 +60,85 @@ def test_star_import_binds_every_export():
     assert set(boxmetrics.__all__) <= set(namespace)
 
 
+# Every public name of the package, and the public attributes that each
+# exported class defines in its own namespace or in a package base (not those
+# it inherits from tuple or Exception). A name leaves this list on purpose only.
+PUBLIC_NAMES = [
+    "BoxscoreLine", "ConstantInputError", "CorrelationTest", "DEFAULT_CLOSE_THRESHOLD",
+    "DEFAULT_WEIGHTS", "DEFENSIVE_KEYS", "Dataset", "EmptyAfterFilterError", "EmptySeriesError",
+    "GameMeta", "IndexValue", "IngestError", "InsufficientSplitError", "LengthMismatchError",
+    "METRICS", "MetricSeries", "OFFENSIVE_KEYS", "PlayerSetMismatchError", "Provenance",
+    "RankedRow", "RankedTable", "SPLIT_KINDS", "STAT_KEYS", "SeriesSummary", "SplitComparison",
+    "SplitLabel", "Table", "TiedScoreError", "TooFewSamplesError", "UnknownPlayerError",
+    "UnknownTeamError", "WeightConfig", "ZeroMinutesError", "comparable_means",
+    "correlation_significance", "correlation_table", "defensive_index", "derived_points",
+    "filter_min_games", "game_outcome", "is_close_game", "kendall_tau", "load_dataset",
+    "metric_function", "metric_value", "offensive_index", "parse_csv", "parse_json", "pearson",
+    "per_minute", "player_mean", "player_series", "plus_minus_overview", "plus_minus_summary",
+    "rank_delta", "rank_players", "rank_values", "regularity_table", "render", "rendimiento",
+    "serialize_csv", "serialize_json", "series_values", "spearman", "split_compare", "summarize",
+    "valoracion_acb", "welch_test", "win_loss_table",
+]
+CLASS_ATTRIBUTES = {
+    "BoxscoreLine": [
+        "a", "bp", "br", "dnp", "fpc", "fpr", "game_id", "minutes", "player_id", "player_name",
+        "plus_minus", "rd", "ro", "starter", "t1c", "t1f", "t2c", "t2f", "t3c", "t3f", "team",
+        "tf", "tr",
+    ],
+    "ConstantInputError": [],
+    "CorrelationTest": ["alpha", "exact", "kind", "n", "p_value", "r", "significant", "statistic"],
+    "Dataset": ["lines_for", "player_ids"],
+    "EmptyAfterFilterError": [],
+    "EmptySeriesError": [],
+    "GameMeta": [
+        "away_score", "away_team", "competition", "date", "game_id", "home_score", "home_team",
+        "margin",
+    ],
+    "IndexValue": [
+        "game_id", "id_raw", "io_raw", "minutes", "player_id", "rend_raw", "valoracion_raw",
+    ],
+    "IngestError": [],
+    "InsufficientSplitError": [],
+    "LengthMismatchError": [],
+    "MetricSeries": ["game_ids", "metric_name", "player_id", "values"],
+    "PlayerSetMismatchError": [],
+    "Provenance": ["format", "source"],
+    "RankedRow": ["aux", "notes", "player_id", "player_name", "rank", "value"],
+    "RankedTable": [
+        "display_decimals", "meta", "metric_name", "player_ids", "rank_of", "rows", "title",
+    ],
+    "SeriesSummary": ["constant_series", "mean", "n", "regularity", "sd_population", "sd_sample"],
+    "SplitComparison": [
+        "alpha", "degenerate", "group_a_label", "group_b_label", "mean_a", "mean_b", "metric_name",
+        "n_a", "n_b", "p_value", "significant", "t_stat",
+    ],
+    "SplitLabel": ["kind", "side"],
+    "Table": ["columns", "display_decimals", "meta", "rows", "title"],
+    "TiedScoreError": [],
+    "TooFewSamplesError": [],
+    "UnknownPlayerError": [],
+    "UnknownTeamError": [],
+    "WeightConfig": [
+        "defaults", "fingerprint", "from_json", "scaled", "to_json", "with_overrides",
+    ],
+    "ZeroMinutesError": [],
+}
+
+
+def test_public_names_and_class_attributes_are_pinned():
+    assert sorted(boxmetrics.__all__) == PUBLIC_NAMES
+    attributes = {}
+    for name in PUBLIC_NAMES:
+        value = getattr(boxmetrics, name)
+        if isinstance(value, type):
+            attributes[name] = sorted({
+                attr
+                for cls in value.__mro__ if cls.__module__.startswith("boxmetrics")
+                for attr in vars(cls) if not attr.startswith("_")
+            })
+    assert attributes == CLASS_ATTRIBUTES
+
+
 def _loaded(*argv: str) -> set[str]:
     """The modules a fresh process holds after running the CLI on ``argv``."""
     paths = [str(Path(boxmetrics.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]

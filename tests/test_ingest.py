@@ -34,7 +34,6 @@ from conftest import build_season, make_game, make_line, random_seasons
 from test_acceptance import _synthetic_season
 from oracles import (
     naive_filter_min_games,
-    naive_game_count,
     naive_int_cells,
     naive_lines_for,
     naive_parse_csv,
@@ -207,6 +206,9 @@ def test_parse_csv_optional_points_column():
         parse_csv(GAMES_CSV, bad)
 
 
+_SEASON_JSON = serialize_json(build_season()).encode("utf-8")
+
+
 @pytest.mark.parametrize("data", [
     b'{\r\n "games": [\r\n  {"game_id": 1,,}\r\n ]\r\n}\r\n',
     b'{\r "games": [\r x ]\r}',
@@ -214,8 +216,15 @@ def test_parse_csv_optional_points_column():
     b'\xef\xbb\xbf{"games": [], "lines": []}',
     b'{"games": [], "lines": [\xff]}',
     b'{\r\n"games": [],\r\n"lines": []\r\n}\r\n',
-], ids=["crlf", "cr", "cr-in-string", "bom", "bad-utf-8", "crlf-valid"])
+    b'{\n "games": [\n  {"game_id": 1,,}\n ]\n}\n',
+    _SEASON_JSON,
+    _SEASON_JSON.replace(b"\n", b"\r"),
+    _SEASON_JSON.replace(b"\n", b"\r\n").replace(b'"starter": false', b'"starter": fals', 1),
+], ids=["crlf", "cr", "cr-in-string", "bom", "bad-utf-8", "crlf-valid", "lf", "lf-valid",
+        "cr-valid", "crlf-late"])
 def test_load_dataset_reads_json_as_a_text_mode_read_does(tmp_path, data):
+    """A JSON file, the same bytes given to parse_json as a binary stream, and
+    the file read in text mode: the same dataset, or the same error."""
     path = tmp_path / "season.json"
     path.write_bytes(data)
 
@@ -223,9 +232,9 @@ def test_load_dataset_reads_json_as_a_text_mode_read_does(tmp_path, data):
         with open(path, encoding="utf-8") as handle:
             return parse_json(handle, source=str(path))
 
-    assert _result_or_error(load_dataset, None, None, str(path)) == _result_or_error(
-        text_mode_read
-    )
+    expected = _result_or_error(text_mode_read)
+    assert _result_or_error(load_dataset, None, None, str(path)) == expected
+    assert _result_or_error(parse_json, io.BytesIO(data)) == expected
 
 
 def test_parse_json_empty():
@@ -415,7 +424,6 @@ def seasons(draw) -> Dataset:
 def test_player_index_matches_naive_scan(season, min_games):
     assert season.player_ids() == naive_player_ids(season)
     for player_id in naive_player_ids(season) + ["nobody"]:
-        assert season.game_count(player_id) == naive_game_count(season, player_id)
         mine = season.lines_for(player_id)
         assert mine == naive_lines_for(season, player_id)
         mine.reverse()
@@ -449,8 +457,8 @@ _JSON_ONLY = ("missing_field", "unknown_field")
 _LINE_FAULTS = (*_BAD_VALUES, "empty_id", "dangling_game", "wrong_team", "duplicate_line",
                "points_mismatch", "points_negative", *_JSON_ONLY)
 _GAME_FAULTS = ("tied", "negative_score", "bad_date", "same_teams", "duplicate_game")
-# JSON ids and names: values that are no string or number, and strings that
-# UTF-8 cannot encode; put into a line or (with the "game_" prefix) a game.
+# Ids and names: values that are no string or number (JSON only), and strings
+# that UTF-8 cannot encode; put into a line or (with the "game_" prefix) a game.
 _BAD_TEXTS = {
     "text_not_string": (None, True, [1, 2], {"a": 1}, False),
     "text_not_utf8": ("\ud800x", "a\udfff", "\udc80"),
@@ -535,7 +543,7 @@ def season_inputs(draw, fault: str):
     """(format, parser arguments) for a valid season, with ``fault`` put
     into one of its games or one to three of its lines."""
     season = draw(varied_seasons())
-    json_only = (*_JSON_ONLY, *_TEXT_FAULTS)
+    json_only = (*_JSON_ONLY, "text_not_string", "game_text_not_string")
     fmt = "json" if fault in json_only else draw(st.sampled_from(("csv", "json")))
     with_points = fault.startswith("points") or draw(st.booleans())
     if fmt == "csv":
@@ -609,7 +617,8 @@ def test_parsers_match_naive_parsers(fault, data):
 
 # Faults a shared check finds; the decoders' own faults differ by format.
 _SHARED_FAULTS = ("dangling_game", "wrong_team", "duplicate_line", "empty_id", "count_negative",
-                  "minutes_negative", *_GAME_FAULTS, "points_mismatch", "points_negative")
+                  "minutes_negative", *_GAME_FAULTS, "points_mismatch", "points_negative",
+                  "text_not_utf8", "game_text_not_utf8")
 _LOCATED = re.compile(r"(games|lines) (row|entry) (\d+): (.*)", re.DOTALL)
 
 
@@ -630,7 +639,7 @@ def test_csv_and_json_report_a_shared_fault_alike(fault, data):
     if with_points:
         for cells, line in zip(lines, season.lines):
             cells["points"] = derived_points(line)
-    if fault in _GAME_FAULTS:
+    if fault in _GAME_FAULTS or fault.startswith("game_"):
         _break_game(data.draw, fault, games)
     else:
         i = data.draw(st.integers(1 if fault == "duplicate_line" else 0, len(lines) - 1))

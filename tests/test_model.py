@@ -232,6 +232,22 @@ def test_line_construction_runs_the_checks_in_init():
         make_line(team="", minutes=10**400)
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("player_id", 7, "player_id must be a non-empty string"),
+        ("team", b"MAD", "team must be a non-empty string"),
+        ("game_id", None, "game_id must be a non-empty string"),
+        ("player_name", 1.5, "player_name must be a string, got 1.5"),
+    ],
+)
+def test_line_rejects_an_id_or_name_that_is_no_string(field, value, message):
+    # An int player_id would otherwise build, and sorting the season's
+    # player ids would then raise a TypeError that names no line.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make_line()._replace(**{field: value})
+
+
 def test_weight_overrides_are_checked_with_the_full_mapping():
     with pytest.raises(ValueError, match="^unknown statistic keys: zzz$"):
         WeightConfig.with_overrides({"A": 3.0, "ZZZ": "not a number"})

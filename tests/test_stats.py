@@ -25,7 +25,6 @@ from boxmetrics.stats import (
     TooFewSamplesError,
     left_sum,
     midranks,
-    sample_sd,
 )
 from oracles import (
     direct_pearson,
@@ -184,13 +183,31 @@ def test_kendall_constant_input():
         kendall_tau([3, 3, 3], [1, 2, 3])
 
 
-@given(
-    xs=st.lists(st.integers(-6, 6), min_size=3, max_size=12),
-    ys=st.lists(st.integers(-6, 6), min_size=3, max_size=12),
-)
-def test_kendall_equals_pair_count_oracle(xs, ys):
-    n = min(len(xs), len(ys))
-    xs, ys = xs[:n], ys[:n]
+# Few distinct values, so most pairs tie; -0.0 and 0.0 are equal.
+few_values = st.integers(-6, 6) | st.sampled_from([-0.0, 0.0])
+
+
+@st.composite
+def lists_of_pairs(draw, values, fresh=st.just(0.0), max_size: int = 400):
+    """3 to ``max_size`` (x, y) pairs. Each coordinate is one of a pool of at
+    most 12 ``values``, so most pairs tie, or with a drawn probability
+    ``fresh`` a new float. Coordinates come from a drawn seed: drawing each
+    from a strategy takes most of a second for 400 pairs."""
+    n = draw(st.integers(3, max_size))
+    pool = draw(st.lists(values, min_size=1, max_size=12))
+    share = draw(fresh)
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def coordinate():
+        return rng.uniform(-1e6, 1e6) if rng.random() < share else rng.choice(pool)
+
+    return [(coordinate(), coordinate()) for _ in range(n)]
+
+
+@given(pairs=lists_of_pairs(few_values))
+def test_kendall_equals_pair_count_oracle(pairs):
+    xs = [x for x, _ in pairs]
+    ys = [y for _, y in pairs]
     try:
         ours = kendall_tau(xs, ys)
     except ConstantInputError:
@@ -203,14 +220,10 @@ heavy_ties = st.sampled_from([-2.5, -1.0, -0.0, 0.0, 0.5, 1.0, 1e300, -1e300])
 
 @settings(max_examples=150)
 @given(
-    pairs=st.lists(
-        st.tuples(st.one_of(heavy_ties, finite_floats), st.one_of(heavy_ties, finite_floats)),
-        min_size=3,
-        max_size=60,
-    )
+    pairs=lists_of_pairs(st.one_of(heavy_ties, finite_floats), st.sampled_from([0.0, 0.5, 1.0]))
 )
 def test_kendall_equals_quadratic_loop(pairs):
-    # Knight's merge-sort count and the O(n^2) loop give the same float.
+    # Knight's count by bisection and the O(n^2) loop give the same float.
     xs = [x for x, _ in pairs]
     ys = [y for _, y in pairs]
     try:
@@ -373,8 +386,3 @@ def test_welch_discriminates_planted_effect():
     null_b = [rng.gauss(0.49, 0.05) for _ in range(15)]
     assert welch_test(planted_a, planted_b, 0.05).significant
     assert not welch_test(null_a, null_b, 0.05).significant
-
-
-def test_sample_sd_requires_two_values():
-    with pytest.raises(TooFewSamplesError):
-        sample_sd([3.0])
