@@ -15,7 +15,7 @@ import gc
 import sys
 from pathlib import Path
 
-from .ingest import filter_min_games, load_dataset
+from .ingest import load_dataset
 from .model import DEFAULT_CLOSE_THRESHOLD, SPLIT_KINDS, WeightConfig
 
 EXIT_OK = 0
@@ -160,8 +160,8 @@ def _cmd_delta(args) -> int:
 
 def _cmd_splits(args) -> int:
     from .indices import combined_metric_name, parse_metric_name
-    from .report import Table, plus_minus_overview
-    from .splits import InsufficientSplitError, split_compare
+    from .report import plus_minus_overview, split_table
+    from .splits import InsufficientSplitError
 
     if args.player == "all" and (args.metric != "plus_minus" or args.kind is not None):
         given = args.metric if args.kind is None else f"{args.metric} {args.kind}"
@@ -182,57 +182,13 @@ def _cmd_splits(args) -> int:
         _emit(plus_minus_overview(dataset, weights=weights, **_table_options(args)), args)
         return EXIT_OK
     try:
-        comparisons = split_compare(
-            args.player,
-            metric,
-            kind,
-            dataset,
-            weights,
-            args.alpha,
-            close_threshold=args.close_threshold,
-            competition=args.competition,
+        table = split_table(
+            dataset, args.player, metric, kind, weights,
+            alpha=args.alpha, close_threshold=args.close_threshold, competition=args.competition,
         )
     except InsufficientSplitError as exc:
         print(f"warning: {exc}", file=sys.stderr)
         return EXIT_OK
-    rows = tuple(
-        (
-            c.metric_name,
-            c.group_a_label,
-            c.n_a,
-            c.mean_a,
-            c.group_b_label,
-            c.n_b,
-            c.mean_b,
-            c.t_stat,
-            c.p_value,
-            "*" if c.significant else "",
-        )
-        for c in comparisons
-    )
-    table = Table(
-        title=f"{metric} split by {kind} for {args.player}",
-        columns=(
-            "metric",
-            "side_a",
-            "n_a",
-            "mean_a",
-            "side_b",
-            "n_b",
-            "mean_b",
-            "t_stat",
-            "p_value",
-            "sig",
-        ),
-        rows=rows,
-        meta={
-            "player": args.player,
-            "alpha": args.alpha,
-            "close_threshold": args.close_threshold,
-            "weights_fingerprint": weights.fingerprint(),
-        },
-        display_decimals=3,
-    )
     _emit(table, args)
     return EXIT_OK
 
@@ -257,9 +213,6 @@ def _cmd_report_all(args) -> int:
     )
 
     dataset, weights = _load(args)
-    # Every table filters by at least --min-games; filtering once here lets
-    # each table's own filter return this dataset, and its index, unchanged.
-    dataset = filter_min_games(dataset, args.min_games)
     ext = {"csv": "csv", "json": "json", "text": "txt"}[args.format]
     common = _table_options(args)
     # Rendered before any file is written, so a failing table leaves --out as it was.

@@ -31,7 +31,7 @@ from datetime import date
 from functools import cached_property, partial
 from itertools import islice, repeat
 from operator import attrgetter, itemgetter
-from typing import IO, Iterable, Mapping, NamedTuple, NoReturn, Sequence
+from typing import IO, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .model import BoxscoreLine, GameMeta, _frozen, check_fields, check_types
 
@@ -369,10 +369,21 @@ def _block_lines(games: dict, pairs: set, seen: set, decoded: tuple[list, list |
     return list(map(tuple.__new__, repeat(BoxscoreLine), zip(*columns)))
 
 
+def _read_rows(reader: Iterable[list[str]], what: str) -> Iterator[list[str]]:
+    """The rows of ``reader``. A row it cannot read (a field over the csv
+    module's size limit, or a NUL on Python 3.10) is an error naming it."""
+    read = 0
+    try:
+        for read, row in enumerate(reader, start=1):
+            yield row
+    except csv.Error as exc:
+        raise BadValueError(f"{what} row {read + 1}: {exc}") from None
+
+
 def _csv_rows(stream: IO | str, header: tuple[str, ...], what: str) -> tuple[Iterable, bool]:
     """The rows after a CSV table's header, which must be exactly ``header``,
     and whether the lines table carries the optional points column."""
-    rows = csv.reader(_as_text(stream))
+    rows = _read_rows(csv.reader(_as_text(stream)), what)
     try:
         actual = tuple(next(rows))
     except StopIteration:
@@ -551,7 +562,7 @@ def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
             text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         doc = json.loads(text, object_hook=_json_row)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise BadValueError(f"invalid JSON: {exc}")
     # Freed before the lines are built.
     del text
@@ -624,6 +635,13 @@ def load_dataset(
             return parse_csv(games_handle, lines_handle, source=f"{games_path}+{lines_path}")
 
 
+def _qualified(dataset: Dataset, min_games: int) -> list[str]:
+    """The ids, sorted, of the players with at least ``min_games`` games."""
+    if min_games < 1:
+        raise ValueError(f"min_games must be >= 1, got {min_games}")
+    return sorted(pid for pid, mine in dataset._by_player.items() if len(mine) >= min_games)
+
+
 def filter_min_games(dataset: Dataset, min_games: int) -> Dataset:
     """Keep only lines of players appearing in at least ``min_games`` games.
 
@@ -631,15 +649,9 @@ def filter_min_games(dataset: Dataset, min_games: int) -> Dataset:
     the filter twice is the same as applying it once. When no player falls
     below the threshold the same dataset object comes back.
     """
-    if min_games < 1:
-        raise ValueError(f"min_games must be >= 1, got {min_games}")
-    dropped = {
-        player_id
-        for player_id, mine in dataset._by_player.items()
-        if len(mine) < min_games
-    }
-    if not dropped:
+    kept = set(_qualified(dataset, min_games))
+    if len(kept) == len(dataset._by_player):
         return dataset
     # A subset of checked lines against the same games needs no new check.
-    kept = tuple(line for line in dataset.lines if line.player_id not in dropped)
-    return Dataset._from_checked(dict(dataset.games), kept, dataset.provenance)
+    lines = tuple(line for line in dataset.lines if line.player_id in kept)
+    return Dataset._from_checked(dict(dataset.games), lines, dataset.provenance)

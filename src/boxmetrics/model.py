@@ -320,7 +320,10 @@ class WeightConfig:
     @classmethod
     def from_json(cls, text: str) -> "WeightConfig":
         """Parse a flat JSON object; omitted keys keep their default value."""
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise ValueError(f"invalid JSON: {exc}") from None
         if not isinstance(data, dict):
             raise ValueError("weight configuration must be a JSON object")
         return cls.with_overrides(data)

@@ -12,11 +12,12 @@ from __future__ import annotations
 import json
 import math
 from functools import cache
-from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .indices import EmptySeriesError, combined_metric_name, parse_metric_name, player_series
-from .ingest import Dataset, _csv_text, cell_text, filter_min_games
-from .model import DEFAULT_CLOSE_THRESHOLD, MetricSeries, WeightConfig
+from .indices import _series, combined_metric_name, parse_metric_name
+from .ingest import Dataset, _csv_text, _qualified, cell_text
+from .model import DEFAULT_CLOSE_THRESHOLD, WeightConfig
 from .splits import InsufficientSplitError, plus_minus_summary, split_compare
 from .stats import (
     COMPARABILITY_TOLERANCE,
@@ -145,24 +146,21 @@ def rank_values(
     )
 
 
-def _player_names(dataset: Dataset) -> dict[str, str]:
+def _player_names(dataset: Dataset, min_games: int) -> dict[str, str]:
+    """The name of each player with at least ``min_games`` games, in id order."""
     by_player = dataset._by_player
-    return {player_id: by_player[player_id][0].player_name for player_id in dataset.player_ids()}
+    return {pid: by_player[pid][0].player_name for pid in _qualified(dataset, min_games)}
 
 
 def _series_by_player(
-    dataset: Dataset, metric: str, weights: WeightConfig, use_per_minute: bool
-) -> Iterator[tuple[str, MetricSeries]]:
-    """(player_id, series) for each player in id order, skipping players
-    with no qualifying games."""
-    for player_id in dataset.player_ids():
-        try:
-            series = player_series(
-                dataset, player_id, metric, weights, per_minute_values=use_per_minute
-            )
-        except EmptySeriesError:
-            continue
-        yield player_id, series
+    dataset: Dataset, players: Iterable[str], metric: str, weights: WeightConfig, per_minute: bool
+) -> Iterator[tuple[str, Sequence[float]]]:
+    """(player_id, per-game values) for each of ``players``, skipping
+    players with no qualifying games."""
+    for player_id in players:
+        values = _series(dataset, player_id, metric, weights, per_minute)[0]
+        if values:
+            yield player_id, values
 
 
 def rank_players(
@@ -184,13 +182,12 @@ def rank_players(
     weights = weights or WeightConfig.defaults()
     metric, use_per_minute = parse_metric_name(metric_name, per_minute)
     effective_name = combined_metric_name(metric, use_per_minute)
-    filtered = filter_min_games(dataset, min_games)
-    names = _player_names(filtered)
+    names = _player_names(dataset, min_games)
     entries: list[tuple[str, str, float]] = []
     game_counts: list[Cell] = []
-    for player_id, series in _series_by_player(filtered, metric, weights, use_per_minute):
-        entries.append((player_id, names[player_id], mean(series.values)))
-        game_counts.append(len(series))
+    for player_id, values in _series_by_player(dataset, names, metric, weights, use_per_minute):
+        entries.append((player_id, names[player_id], mean(values)))
+        game_counts.append(len(values))
     if not entries:
         raise EmptyAfterFilterError(
             f"no players with qualifying games for {metric_name!r} at min_games={min_games}"
@@ -265,12 +262,11 @@ def regularity_table(
     metric, use_per_minute = parse_metric_name(metric_name, per_minute)
     effective_name = combined_metric_name(metric, use_per_minute)
     min_games = max(min_games, 2)
-    filtered = filter_min_games(dataset, min_games)
-    names = _player_names(filtered)
+    names = _player_names(dataset, min_games)
     summaries: dict[str, SeriesSummary] = {
-        player_id: summarize(series)
-        for player_id, series in _series_by_player(filtered, metric, weights, use_per_minute)
-        if len(series) >= 2
+        player_id: summarize(values)
+        for player_id, values in _series_by_player(dataset, names, metric, weights, use_per_minute)
+        if len(values) >= 2
     }
     if not summaries:
         raise EmptyAfterFilterError(
@@ -338,13 +334,12 @@ def plus_minus_overview(
 ) -> Table:
     """Mean plus_minus per player: total, close games, wins, losses."""
     weights = weights or WeightConfig.defaults()
-    filtered = filter_min_games(dataset, min_games)
-    names = _player_names(filtered)
+    names = _player_names(dataset, min_games)
     if not names:
         raise EmptyAfterFilterError("no players after filter")
     rows = []
     for player_id in sorted(names, key=lambda pid: (names[pid], pid)):
-        summary = plus_minus_summary(player_id, filtered, close_threshold=close_threshold)
+        summary = plus_minus_summary(player_id, dataset, close_threshold=close_threshold)
         cells: list[Cell] = [player_id, names[player_id], summary.overall.mean]
         for stat in summary.by_label:
             cells.append(stat.mean)
@@ -372,8 +367,7 @@ def win_loss_table(
     with an "insufficient" note and no test result.
     """
     weights = weights or WeightConfig.defaults()
-    filtered = filter_min_games(dataset, min_games)
-    names = _player_names(filtered)
+    names = _player_names(dataset, min_games)
     if not names:
         raise EmptyAfterFilterError("no players after filter")
     rows = []
@@ -383,7 +377,7 @@ def win_loss_table(
                 player_id,
                 metric_name,
                 "win_loss",
-                filtered,
+                dataset,
                 weights,
                 alpha,
                 close_threshold=close_threshold,
@@ -421,6 +415,58 @@ def win_loss_table(
     )
 
 
+# The columns of a split table but "sig", each with the comparison field it shows.
+_SPLIT_COLUMNS = {
+    "metric": "metric_name",
+    "side_a": "group_a_label",
+    "n_a": "n_a",
+    "mean_a": "mean_a",
+    "side_b": "group_b_label",
+    "n_b": "n_b",
+    "mean_b": "mean_b",
+    "t_stat": "t_stat",
+    "p_value": "p_value",
+}
+_split_cells = attrgetter(*_SPLIT_COLUMNS.values())
+
+
+def split_table(
+    dataset: Dataset,
+    player_id: str,
+    metric_name: str,
+    split_kind: str,
+    weights: WeightConfig,
+    *,
+    alpha: float,
+    close_threshold: int,
+    competition: str | None,
+) -> Table:
+    """One player's comparisons of a metric across the sides of a split, as
+    :func:`split_compare` makes them, significant rows starred."""
+    comparisons = split_compare(
+        player_id,
+        metric_name,
+        split_kind,
+        dataset,
+        weights,
+        alpha,
+        close_threshold=close_threshold,
+        competition=competition,
+    )
+    return Table(
+        title=f"{metric_name} split by {split_kind} for {player_id}",
+        columns=(*_SPLIT_COLUMNS, "sig"),
+        rows=tuple((*_split_cells(c), "*" if c.significant else "") for c in comparisons),
+        meta={
+            "player": player_id,
+            "alpha": alpha,
+            "close_threshold": close_threshold,
+            "weights_fingerprint": weights.fingerprint(),
+        },
+        display_decimals=3,
+    )
+
+
 def correlation_table(
     dataset: Dataset,
     metric_pairs: Sequence[tuple[str, str]],
@@ -432,8 +478,7 @@ def correlation_table(
 ) -> Table:
     """Pearson/Kendall/Spearman between per-player means of metric pairs."""
     weights = weights or WeightConfig.defaults()
-    filtered = filter_min_games(dataset, min_games)
-    player_ids = filtered.player_ids()
+    player_ids = _qualified(dataset, min_games)
     if len(player_ids) < 4:
         raise EmptyAfterFilterError(
             f"need at least 4 players after min_games={min_games}, got {len(player_ids)}"
@@ -443,8 +488,8 @@ def correlation_table(
         means = []
         for name in (metric_x, metric_y):
             metric, use_per_minute = parse_metric_name(name)
-            series = _series_by_player(filtered, metric, weights, use_per_minute)
-            means.append({player_id: mean(s.values) for player_id, s in series})
+            series = _series_by_player(dataset, player_ids, metric, weights, use_per_minute)
+            means.append({player_id: mean(values) for player_id, values in series})
         means_x, means_y = means
         both = [player_id for player_id in means_x if player_id in means_y]
         xs = [means_x[player_id] for player_id in both]

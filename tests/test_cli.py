@@ -56,6 +56,32 @@ def test_missing_file_is_io_error(season_files):
     assert code == 3
 
 
+@pytest.mark.parametrize("table", ["games", "lines"])
+def test_a_row_the_csv_reader_cannot_read_exits_2_naming_it(season_files, capsys, table):
+    path = Path(season_files[table])
+    old = {"games": "liga", "lines": "Cano"}[table]
+    text = path.read_text(encoding="utf-8")
+    row = next(i for i, line in enumerate(text.splitlines(), 1) if old in line)
+    path.write_text(text.replace(old, "x" * 200_000, 1), encoding="utf-8")
+    assert main(_base(season_files, "validate")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {table} row {row}: field larger than field limit (131072)\n"
+    )
+
+
+@pytest.mark.parametrize("option", ["--json", "--weights"])
+def test_json_nested_too_deep_exits_2(season_files, tmp_path, capsys, option):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000, encoding="utf-8")
+    argv = ["validate", option, str(deep)]
+    if option == "--weights":
+        argv += ["--games", season_files["games"], "--lines", season_files["lines"]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: invalid JSON: maximum recursion depth exceeded"
+    )
+
+
 def test_validate_json_input(tmp_path):
     doc = tmp_path / "season.json"
     doc.write_text(serialize_json(build_season()), encoding="utf-8")

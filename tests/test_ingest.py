@@ -7,6 +7,7 @@ import io
 import json
 import math
 import re
+import sys
 from datetime import date
 from unittest.mock import patch
 
@@ -105,6 +106,35 @@ def test_parse_csv_bad_values():
         parse_csv(GAMES_CSV, LINES_CSV.replace("G01,p1,Arco,MAD,25.5", "G01,p1,Arco,MAD,-1"))
     with pytest.raises(BadValueError, match="starter"):
         parse_csv(GAMES_CSV, LINES_CSV.replace("7,true", "7,TRUE"))
+
+
+# A cell over the csv module's field size limit (131,072 characters, left as
+# it is), and a NUL, which Python 3.10's reader rejects and later ones read.
+_HUGE_CELL = "x" * 200_000
+_NUL_CELL = "Ca\x00no"
+
+
+@pytest.mark.parametrize("cell", [_HUGE_CELL, _NUL_CELL], ids=["huge", "nul"])
+@pytest.mark.parametrize("table", ["games", "lines"])
+def test_parse_csv_names_the_row_the_csv_reader_cannot_read(table, cell):
+    # csv.Error is no ValueError: it comes out as a BadValueError naming the
+    # row, counted as the table's other errors count it (header = row 1).
+    texts = dict(zip(("games", "lines"), serialize_csv(build_season())))
+    old = {"games": "liga", "lines": "Cano"}[table]
+    row = next(i for i, text in enumerate(texts[table].splitlines(), 1) if old in text)
+    texts[table] = texts[table].replace(old, cell, 1)
+    if cell == _NUL_CELL and sys.version_info >= (3, 11):
+        assert cell in "".join(serialize_csv(parse_csv(texts["games"], texts["lines"])))
+        return
+    with pytest.raises(BadValueError) as error:
+        parse_csv(texts["games"], texts["lines"])
+    assert str(error.value).startswith(f"{table} row {row}: ")
+    assert csv.field_size_limit() == 131_072
+
+
+def test_parse_json_rejects_a_document_nested_too_deep():
+    with pytest.raises(BadValueError, match="^invalid JSON: maximum recursion depth exceeded"):
+        parse_json("[" * 200_000)
 
 
 # Cells int() reads that are not the canonical text of an int, and cells it

@@ -133,6 +133,12 @@ def test_weight_config_round_trips_through_json():
     assert WeightConfig.from_json(config.to_json()) == config
 
 
+@pytest.mark.parametrize("text", ["{", "[" * 200_000], ids=["unclosed", "too-deep"])
+def test_weight_config_from_json_rejects_invalid_json(text):
+    with pytest.raises(ValueError, match="^invalid JSON: "):
+        WeightConfig.from_json(text)
+
+
 def test_weight_fingerprint_stable_and_sensitive():
     a = WeightConfig.defaults()
     b = WeightConfig.defaults()

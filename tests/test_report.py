@@ -9,7 +9,7 @@ from collections import Counter
 from datetime import date
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxmetrics import (
@@ -19,6 +19,7 @@ from boxmetrics import (
     PlayerSetMismatchError,
     WeightConfig,
     correlation_table,
+    filter_min_games,
     plus_minus_overview,
     rank_delta,
     rank_players,
@@ -30,8 +31,9 @@ from boxmetrics import (
 from boxmetrics import indices, splits
 from boxmetrics.cli import main
 from boxmetrics.ingest import serialize_csv
-from boxmetrics.report import RankedRow, RankedTable, format_display
-from conftest import build_season, make_line, winloss_season
+from boxmetrics.model import SPLIT_KINDS
+from boxmetrics.report import RankedRow, RankedTable, format_display, split_table
+from conftest import build_season, make_line, random_seasons, winloss_season
 from oracles import formula_defensive, formula_offensive, naive_rank_delta
 from test_acceptance import _synthetic_season
 
@@ -324,11 +326,33 @@ def test_index_table_consistent_with_formula_oracle(season, weights):
         assert row.value == pytest.approx(expected, rel=1e-15)
 
 
-def test_report_all_evaluates_each_line_once_per_metric(tmp_path, monkeypatch):
+def _cut_to_one_game(season: Dataset, player_ids: list[str]) -> Dataset:
+    """``season`` with each of ``player_ids`` keeping only their first line."""
+    seen: set[str] = set()
+    lines = []
+    for line in season.lines:
+        if line.player_id in player_ids:
+            if line.player_id in seen:
+                continue
+            seen.add(line.player_id)
+        lines.append(line)
+    return Dataset(season.games, lines)
+
+
+@pytest.mark.parametrize(
+    "one_game_players, min_games",
+    [([], "10"), (["p000", "p001"], "1")],
+    ids=["full-stints", "one-game-players"],
+)
+def test_report_all_evaluates_each_line_once_per_metric(
+    tmp_path, monkeypatch, one_game_players, min_games
+):
     # Every table reads the same per-player columns, so across all 20 reports
     # a line is evaluated at most once per metric and each split side of a
-    # line is decided at most once per (kind, close threshold).
-    season = _synthetic_season(40, 12)
+    # line is decided at most once per (kind, close threshold). That holds
+    # when a table's own games filter drops players the others keep, as
+    # regularity's filter at 2 games does with one-game players.
+    season = _cut_to_one_game(_synthetic_season(40, 12), one_game_players)
     games_text, lines_text = serialize_csv(season)
     (tmp_path / "games.csv").write_text(games_text, encoding="utf-8")
     (tmp_path / "lines.csv").write_text(lines_text, encoding="utf-8")
@@ -352,7 +376,8 @@ def test_report_all_evaluates_each_line_once_per_metric(tmp_path, monkeypatch):
     monkeypatch.setattr(indices, "metric_function", counting_metric_function)
     monkeypatch.setattr(splits, "side_of", counting_side_of)
     inputs = ["--games", str(tmp_path / "games.csv"), "--lines", str(tmp_path / "lines.csv")]
-    assert main(["report-all", *inputs, "--out", str(tmp_path / "out")]) == 0
+    out = str(tmp_path / "out")
+    assert main(["report-all", *inputs, "--min-games", min_games, "--out", out]) == 0
     assert len(list((tmp_path / "out").iterdir())) == 20
     assert {metric for metric, _, _ in evaluations} == set(indices.METRICS)
     repeated = sorted(key for key, count in evaluations.items() if count > 1)
@@ -360,3 +385,46 @@ def test_report_all_evaluates_each_line_once_per_metric(tmp_path, monkeypatch):
     assert sum(evaluations.values()) <= 6 * len(season.lines)
     repeated = sorted(key for key, count in decisions.items() if count > 1)
     assert decisions and not repeated, f"{len(repeated)} sides decided again"
+
+
+def _rendered(build, season: Dataset):
+    """``build(season)`` rendered in every format, or its error's class and text."""
+    try:
+        table = build(season)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [render(table, fmt) for fmt in ("csv", "json", "text")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=random_seasons(max_players=6),
+    min_games=st.integers(1, 5),
+    metric=st.sampled_from(["points", "rend", "plus_minus", "id_per_minute", "valoracion"]),
+    kind=st.sampled_from(SPLIT_KINDS),
+)
+def test_tables_read_the_same_on_a_season_and_on_its_filtered_copy(data, min_games, metric, kind):
+    # A table takes its players from its own games filter, so filtering the
+    # season first, which drops whole players, changes none of its bytes.
+    season, threshold = data
+    filtered = filter_min_games(season, min_games)
+    weights = WeightConfig.defaults()
+    options = dict(min_games=min_games, close_threshold=threshold)
+    builds = [
+        lambda ds: rank_players(ds, metric, weights, **options),
+        lambda ds: regularity_table(ds, metric, weights, **options),
+        lambda ds: plus_minus_overview(ds, weights=weights, **options),
+        lambda ds: win_loss_table(ds, metric, weights, **options),
+        lambda ds: correlation_table(ds, [(metric, "points")], weights, **options),
+    ]
+    # One player's split has no games filter: it is the same for a player
+    # the filter keeps.
+    builds += [
+        lambda ds, player_id=player_id: split_table(
+            ds, player_id, metric, kind, weights,
+            alpha=0.05, close_threshold=threshold, competition=None,
+        )
+        for player_id in filtered.player_ids()
+    ]
+    for build in builds:
+        assert _rendered(build, season) == _rendered(build, filtered)
