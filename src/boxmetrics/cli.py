@@ -134,9 +134,10 @@ def _rank_table(args, dataset, weights, metric: str):
 
 def _cmd_validate(args) -> int:
     dataset, _ = _load(args)
+    player_ids = dataset._store["player_id"]
     print(
-        f"ok: {len(dataset.games)} games, {len(dataset.lines)} lines, "
-        f"{len({line.player_id for line in dataset.lines})} players"
+        f"ok: {len(dataset.games)} games, {len(player_ids)} lines, "
+        f"{len(set(player_ids))} players"
     )
     return EXIT_OK
 
@@ -284,10 +285,12 @@ def run() -> None:
 
     The process runs without the cyclic garbage collector. A command leaves a
     bounded amount of cyclic garbage that does not grow with the season
-    (argparse's parser, the JSON encoder's closures), while each collector
-    pass walks every line read so far. Interpreter shutdown collects even
-    with the collector disabled, so what is alive at exit is frozen first,
-    out of reach of that last pass.
+    (argparse's parser, the JSON encoder's closures). A parsed season is a
+    few typed columns, which no collector pass walks line by line, but a
+    JSON command's decoded document is one container per line while the
+    season is read. Interpreter shutdown collects even with the collector
+    disabled, so what is alive at exit is frozen first, out of reach of that
+    last pass.
     """
     gc.disable()
     code = main()

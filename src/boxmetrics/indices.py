@@ -11,9 +11,10 @@ excluded when a per-minute series is built.
 from __future__ import annotations
 
 from array import array
-from itertools import compress
-from operator import attrgetter, mul, truediv
-from typing import Callable, NamedTuple, Sequence
+from functools import partial
+from itertools import compress, repeat
+from operator import add, mul, truediv
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .model import (
     DEFENSIVE_KEYS,
@@ -22,19 +23,23 @@ from .model import (
     MetricSeries,
     UnknownPlayerError,
     WeightConfig,
-    derived_points,
 )
-from .ingest import Dataset
+from .ingest import _FIELDS, Dataset, _pick, _take
 from .stats import left_sum
 
 # Metric keys understood by series builders, rankings and splits.
 METRICS = ("points", "id", "io", "rend", "valoracion", "plus_minus")
 _PER_MINUTE = "_per_minute"
 
-_defensive_counts = attrgetter(*DEFENSIVE_KEYS)
-_offensive_counts = attrgetter(*OFFENSIVE_KEYS)
-_minutes = attrgetter("minutes")
-_game_id = attrgetter("game_id")
+# (coefficient, count) terms of the integer metrics: the points, and the
+# valoracion's credits (points + rd + ro + a + br + tf + fpr) minus its debits.
+_POINTS = ((2, "t2c"), (3, "t3c"), (1, "t1c"))
+_VALORACION = (
+    *_POINTS,
+    *((1, key) for key in ("rd", "ro", "a", "br", "tf", "fpr")),
+    *((-1, key) for key in ("t2f", "t3f", "t1f", "bp", "tr", "fpc")),
+)
+_NO_LINES = dict.fromkeys(_FIELDS, ())
 
 
 class ZeroMinutesError(ValueError):
@@ -90,9 +95,7 @@ def valoracion_acb(line: BoxscoreLine) -> float:
     Blocks received (tr) subtract here even though they carry no weight in
     the defensive/offensive indices.
     """
-    credits = derived_points(line) + line.rd + line.ro + line.a + line.br + line.tf + line.fpr
-    debits = line.t2f + line.t3f + line.t1f + line.bp + line.tr + line.fpc
-    return float(credits - debits)
+    return _line_value("valoracion", None, line)
 
 
 def per_minute(value: float, minutes: float) -> float:
@@ -102,31 +105,56 @@ def per_minute(value: float, minutes: float) -> float:
     return value / minutes
 
 
+def _fold(terms: Iterable[tuple[float, str]], columns: Mapping[str, Sequence[int]]) -> Iterable:
+    """The sum of ``coefficient * columns[key]`` over the (coefficient, key)
+    ``terms``, for every line at once: the products are added in the order of
+    ``terms``, starting from int 0, as :func:`~boxmetrics.stats.left_sum` adds
+    one line's products."""
+    total = repeat(0)
+    for coefficient, key in terms:
+        total = map(add, total, map(mul, repeat(coefficient), columns[key]))
+    return total
+
+
+def _kernel(
+    metric: str, weights: WeightConfig | None, columns: Mapping[str, Sequence]
+) -> Iterable[float | None]:
+    """The raw per-game values of ``metric`` for every line of ``columns``, one
+    column per line field by name, in their order; None for a plus_minus the
+    source did not report. This is the one home of every metric's formula."""
+    if metric == "plus_minus":
+        return [None if value is None else float(value) for value in columns["plus_minus"]]
+    if metric in ("points", "valoracion"):
+        # Integer sums, exact in any order, then one float per line.
+        return map(float, _fold(_POINTS if metric == "points" else _VALORACION, columns))
+    if metric == "id":
+        return _fold(zip(weights.defensive, DEFENSIVE_KEYS), columns)
+    if metric == "io":
+        return _fold(zip(weights.offensive, OFFENSIVE_KEYS), columns)
+    if metric == "rend":
+        return map(
+            add,
+            _fold(zip(weights.defensive, DEFENSIVE_KEYS), columns),
+            _fold(zip(weights.offensive, OFFENSIVE_KEYS), columns),
+        )
+    raise ValueError(f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}")
+
+
+def _line_value(metric: str, weights: WeightConfig | None, line: BoxscoreLine) -> float | None:
+    """:func:`_kernel` on the one line ``line``."""
+    return next(iter(_kernel(metric, weights, dict(zip(_FIELDS, zip(line))))))
+
+
 def metric_function(metric: str, weights: WeightConfig) -> Callable[[BoxscoreLine], float | None]:
     """The raw per-game value of ``metric`` as a function of one line.
 
-    Resolve it once per series and apply it to every line. The id/io sums
-    multiply each coefficient by its count and add the products in the order
-    of ``DEFENSIVE_KEYS``/``OFFENSIVE_KEYS``. The function returns None for
-    plus_minus when the source did not report it.
+    It is the season columns' kernel applied to one line, so it gives the
+    same bits. The id/io sums multiply each coefficient by its count and add
+    the products in the order of ``DEFENSIVE_KEYS``/``OFFENSIVE_KEYS``. The
+    function returns None for plus_minus when the source did not report it.
     """
-    defensive, offensive = weights.defensive, weights.offensive
-    if metric == "points":
-        return lambda line: float(derived_points(line))
-    if metric == "id":
-        return lambda line: left_sum(map(mul, defensive, _defensive_counts(line)))
-    if metric == "io":
-        return lambda line: left_sum(map(mul, offensive, _offensive_counts(line)))
-    if metric == "rend":
-        return lambda line: (
-            left_sum(map(mul, defensive, _defensive_counts(line)))
-            + left_sum(map(mul, offensive, _offensive_counts(line)))
-        )
-    if metric == "valoracion":
-        return valoracion_acb
-    if metric == "plus_minus":
-        return lambda line: None if line.plus_minus is None else float(line.plus_minus)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}")
+    _kernel(metric, weights, _NO_LINES)  # an unknown metric fails here, not on a line
+    return partial(_line_value, metric, weights)
 
 
 def metric_value(line: BoxscoreLine, metric: str, weights: WeightConfig) -> float | None:
@@ -145,21 +173,22 @@ def series_values(
 ) -> tuple[list[float], Sequence[BoxscoreLine]]:
     """Values of ``metric`` over ``lines`` and the lines they come from;
     :func:`_excluded` says which lines are left out."""
+    columns = dict(zip(_FIELDS, zip(*lines))) if lines else _NO_LINES
     values, keep = _excluded(
-        lines, list(map(metric_function(metric, weights), lines)), metric, per_minute_values
+        _kernel(metric, weights, columns), columns["minutes"], metric, per_minute_values
     )
-    return list(values), _kept(lines, keep)
+    return list(values), list(compress(lines, keep))
 
 
 def _excluded(
-    lines: Sequence[BoxscoreLine],
-    values: Sequence[float | None],
+    values: Iterable[float | None],
+    minutes: Sequence[float],
     metric: str,
     per_minute_values: bool,
-) -> tuple[array, list[bool] | None]:
-    """The series of ``values``, the per-game values of ``metric`` over
-    ``lines``, as floats in an ``array('d')``, and which lines it keeps
-    (None: all of them).
+) -> tuple[array, list[bool]]:
+    """The series of ``values``, the per-game values of ``metric`` on lines
+    that played ``minutes``, as floats in an ``array('d')``, and which lines
+    it keeps.
 
     This is the one place lines are left out of a series: lines with no
     reported plus_minus from a plus_minus series, and zero-minute (DNP)
@@ -170,19 +199,48 @@ def _excluded(
     if metric == "plus_minus":
         keep = [value is not None for value in values]
     elif per_minute_values:
-        keep = [line.minutes != 0.0 for line in lines]
+        keep = [value != 0.0 for value in minutes]
     else:
-        return array("d", values), None
+        values = array("d", values)
+        return values, [True] * len(values)
     values = compress(values, keep)
     if per_minute_values:
         # Every kept line has minutes > 0, so this is per_minute() per line.
-        values = map(truediv, values, compress(map(_minutes, lines), keep))
-    return array("d", values), None if all(keep) else keep
+        values = map(truediv, values, compress(minutes, keep))
+    return array("d", values), keep
 
 
-def _kept(column: Sequence, keep: list[bool] | None) -> Sequence:
-    """The entries of a per-line ``column`` on the lines a series keeps."""
-    return column if keep is None else list(compress(column, keep))
+def _key(metric: str, weights: WeightConfig) -> tuple:
+    """The season column key of ``metric`` under ``weights``, which only id,
+    io and rend read."""
+    if metric in ("id", "io", "rend"):
+        return metric, weights.defensive, weights.offensive
+    return (metric,)
+
+
+def _season_column(dataset: Dataset, metric: str, weights: WeightConfig) -> Sequence:
+    """The per-game values of ``metric`` for every line of ``dataset``, in its
+    index order, so that a player's values are one slice of it. Built on the
+    first request per metric and weights and kept in the dataset, so a line
+    is evaluated once per metric and weights. A table asks for it before it
+    reads its players' series."""
+    key = _key(metric, weights)
+    column = dataset._columns.get(key)
+    if column is None:
+        values = _kernel(metric, weights, dataset._store)
+        if metric != "plus_minus":
+            values = array("d", values)
+        column = dataset._columns[key] = _pick(values, dataset._order)
+    return column
+
+
+def _minutes(dataset: Dataset) -> array:
+    """Every line's minutes in the index order of ``dataset``, for the
+    per-minute series that tables read; built on the first request and kept."""
+    minutes = dataset._columns.get("minutes")
+    if minutes is None:
+        minutes = dataset._columns["minutes"] = _pick(dataset._store["minutes"], dataset._order)
+    return minutes
 
 
 def _series(
@@ -191,22 +249,20 @@ def _series(
     metric: str,
     weights: WeightConfig,
     per_minute_values: bool,
-) -> tuple[array, list[bool] | None]:
-    """One player's series as :func:`_excluded` gives it. The per-game series
-    is built on its first request and kept in ``dataset``, so a line is
-    evaluated once per metric and weights; a per-minute series divides it.
-    Callers only read what comes back."""
-    lines = dataset._by_player[player_id]
-    key = (metric, weights.defensive, weights.offensive, player_id)
-    per_game = dataset._columns.get(key)
-    if per_game is None:
-        values = list(map(metric_function(metric, weights), lines))
-        per_game = dataset._columns[key] = _excluded(lines, values, metric, False)
-    if not per_minute_values:
-        return per_game
-    # A per-game series keeps every line but for plus_minus, which has no
-    # per-minute form, so its values line up with the player's lines.
-    return _excluded(lines, per_game[0], metric, True)
+) -> tuple[array, list[bool]]:
+    """One player's series as :func:`_excluded` gives it: a slice of the
+    season column of ``metric`` and ``weights`` once a table has built it.
+    Before that, a request about one player evaluates that player's lines
+    alone, and keeps nothing. Callers only read what comes back."""
+    start, stop = dataset._by_player[player_id]
+    column = dataset._columns.get(_key(metric, weights))
+    if column is None:
+        lines = _take(dataset._store, dataset._order[start:stop])
+        values, minutes = _kernel(metric, weights, lines), lines["minutes"]
+    else:
+        values = column[start:stop]
+        minutes = _minutes(dataset)[start:stop] if per_minute_values else ()
+    return _excluded(values, minutes, metric, per_minute_values)
 
 
 def parse_metric_name(name: str, per_minute: bool = False) -> tuple[str, bool]:
@@ -245,19 +301,20 @@ def player_series(
     absent players and EmptySeriesError when no qualifying games remain.
     """
     weights = weights or WeightConfig.defaults()
-    lines = dataset._by_player.get(player_id)
-    if not lines:
+    if player_id not in dataset._by_player:
         raise UnknownPlayerError(f"no lines for player {player_id!r}")
     values, keep = _series(dataset, player_id, metric, weights, per_minute_values)
     if not values:
         raise EmptySeriesError(
             f"player {player_id!r} has no qualifying games for metric {metric!r}"
         )
+    start, stop = dataset._by_player[player_id]
+    game_ids = _pick(dataset._store["game_id"], dataset._order[start:stop])
     return MetricSeries(
         player_id=player_id,
         metric_name=combined_metric_name(metric, per_minute_values),
         values=tuple(values),
-        game_ids=tuple(map(_game_id, _kept(lines, keep))),
+        game_ids=tuple(compress(game_ids, keep)),
     )
 
 

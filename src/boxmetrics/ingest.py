@@ -7,7 +7,8 @@ checked :class:`Dataset` comes back, or a typed error naming the offending
 row/field is raised and nothing is returned. Lines are decoded and checked
 a block of rows at a time, column by column; a block that fails is read
 again one row at a time, through the same decoder and the same checks, and
-the first row that fails is the error. Each rule has one home: value types
+the first row that fails is the error, before any row the CSV reader itself
+cannot read. Each rule has one home: value types
 in :func:`~boxmetrics.model.check_types` (JSON; the CSV decoder makes the
 types itself), value domains in :func:`~boxmetrics.model.check_fields`,
 references in :func:`_check_references`, and the points column in
@@ -26,10 +27,12 @@ import csv
 import io
 import json
 import sys
+from array import array
+from collections import Counter
 from contextlib import suppress
 from datetime import date
 from functools import cached_property, partial
-from itertools import islice, repeat
+from itertools import compress, islice, repeat
 from operator import attrgetter, itemgetter
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
@@ -79,7 +82,6 @@ _LINE_FIELDS = frozenset(LINES_HEADER)
 _LINE_FIELDS_WITH_POINTS = _LINE_FIELDS | {OPTIONAL_LINES_COLUMN}
 _game_cells = itemgetter(*GAMES_HEADER)
 _game_fields = attrgetter(*GAMES_HEADER)
-_line_fields = attrgetter(*LINES_HEADER)
 # Rows per block of the lines table: enough that a block's checks run at C
 # speed, few enough that its decoded columns stay small next to the season.
 _BLOCK_ROWS = 1024
@@ -124,7 +126,11 @@ class Dataset:
     """A validated season: games keyed by id plus all player lines.
 
     A dataset is immutable and, holding a dict, unhashable; two datasets are
-    equal when their games and lines are, wherever they came from.
+    equal when their games and lines are, wherever they came from. It holds
+    its lines as one column per line field (see :func:`_new_store`). The tuple
+    of :class:`~boxmetrics.model.BoxscoreLine` records, ``lines``, is built
+    from those columns on first use and kept; a dataset built from lines
+    keeps the lines it was given.
     """
 
     def __init__(
@@ -133,10 +139,20 @@ class Dataset:
         lines: Iterable[BoxscoreLine],
         provenance: Provenance = Provenance("<memory>", "memory"),
     ) -> None:
-        vars(self).update(games=dict(games), lines=tuple(lines), provenance=provenance)
+        lines = tuple(lines)
+        vars(self).update(games=dict(games), lines=lines, provenance=provenance)
         self.__post_init__()
+        vars(self)["_store"] = _extend(_new_store(), zip(*lines))
 
     __setattr__ = __delattr__ = _frozen
+
+    def __getattr__(self, name: str) -> tuple[BoxscoreLine, ...]:
+        # Reached only for an attribute the instance lacks: the lines of a
+        # parsed season, built on first use. No command asks for them.
+        if name != "lines":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        lines = vars(self)["lines"] = _lines(self._store)
+        return lines
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -163,48 +179,115 @@ class Dataset:
 
     @classmethod
     def _from_checked(
-        cls,
-        games: dict[str, GameMeta],
-        lines: tuple[BoxscoreLine, ...],
-        provenance: Provenance,
+        cls, games: dict[str, GameMeta], store: dict[str, Sequence], provenance: Provenance
     ) -> "Dataset":
-        """A dataset whose lines already passed :func:`_check_references`
-        against ``games``, so ``__post_init__`` need not check them again."""
+        """A dataset of the lines in ``store``, which already passed
+        :func:`_check_references` against ``games``, so ``__post_init__`` need
+        not check them again."""
         dataset = object.__new__(cls)
-        vars(dataset).update(games=games, lines=lines, provenance=provenance)
+        vars(dataset).update(games=games, _store=store, provenance=provenance)
         return dataset
 
     @cached_property
-    def _by_player(self) -> dict[str, tuple[BoxscoreLine, ...]]:
-        """Each player's lines in chronological (date, game_id) order.
+    def _order(self) -> array:
+        """Every row of the store in (player_id, date, game_id) order: each
+        player's lines form one run, chronological. Built once, on first use."""
+        games, store = self.games, self._store
+        chronological = sorted(games, key=lambda gid: (games[gid].date, gid))
+        rank = dict(zip(chronological, range(len(chronological))))
+        ranks = list(map(rank.__getitem__, store["game_id"]))
+        order = sorted(range(len(ranks)), key=ranks.__getitem__)
+        # A stable sort, so each player's rows stay chronological.
+        order.sort(key=store["player_id"].__getitem__)
+        return array("I", order)
 
-        Built once, on first use; it holds references to the lines, not copies.
-        """
-        grouped: dict[str, list[BoxscoreLine]] = {}
-        for line in self.lines:
-            grouped.setdefault(line.player_id, []).append(line)
-        order = {gid: (game.date, gid) for gid, game in self.games.items()}
-        return {
-            player_id: tuple(sorted(mine, key=lambda ln: order[ln.game_id]))
-            for player_id, mine in grouped.items()
-        }
+    @cached_property
+    def _by_player(self) -> dict[str, tuple[int, int]]:
+        """Each player's (start, stop) positions in :attr:`_order`, in player
+        id order. Built once, on first use."""
+        counts = Counter(self._store["player_id"])
+        by_player, start = {}, 0
+        for player_id in sorted(counts):
+            by_player[player_id] = start, start + counts[player_id]
+            start += counts[player_id]
+        return by_player
 
     @cached_property
     def _columns(self) -> dict[tuple, object]:
-        """Per-player columns derived from :attr:`_by_player`, each filled on
-        its first request and keyed by everything it depends on, the player
-        id last. The lines never change, so a column never goes stale."""
+        """Season-wide columns in :attr:`_order`, derived from the store, each
+        filled on its first request and keyed by everything it depends on.
+        The lines never change, so a column never goes stale."""
         return {}
 
     def player_ids(self) -> list[str]:
-        return sorted(self._by_player)
+        return list(self._by_player)
 
     def lines_for(self, player_id: str) -> list[BoxscoreLine]:
         """All lines for a player in chronological (date, game_id) order.
 
         The list is the caller's own: changing it leaves the dataset as is.
         """
-        return list(self._by_player.get(player_id, ()))
+        start, stop = self._by_player.get(player_id, (0, 0))
+        return list(_lines(_take(self._store, self._order[start:stop])))
+
+
+_FIELDS = BoxscoreLine._fields
+
+
+def _new_store() -> dict[str, list | array]:
+    """Empty season columns, one per line field in record order: ids and
+    names as lists of str, minutes as doubles, each count as one byte per
+    line (a list of int once a count does not fit), plus_minus as a list,
+    where None stays None, and starter as one byte per line."""
+    return {
+        **{name: [] for name in _FIELDS[:4]},
+        "minutes": array("d"),
+        **{name: array("B") for name in _FIELDS[5:20]},
+        "plus_minus": [],
+        "starter": array("B"),
+    }
+
+
+def _extend(store: dict, columns: Iterable[Sequence]) -> dict:
+    """``store`` with ``columns``, checked values of every line field in
+    record order, appended."""
+    for name, values in zip(_FIELDS, columns):
+        column = store[name]
+        if type(column) is not array:
+            column += values
+        elif column.typecode == "d":
+            column += array("d", values)
+        else:
+            try:
+                # bytes() converts at C speed, and rejects a value over 255.
+                column.frombytes(bytes(values))
+            except ValueError:
+                # A count that does not fit: the column holds ints from now on.
+                store[name] = [*column, *values]
+    return store
+
+
+def _pick(column: Sequence, rows: Sequence[int]) -> Sequence:
+    """The values of ``column`` at ``rows``, in that order, in a column of the
+    same type."""
+    values = map(column.__getitem__, rows)
+    return array(column.typecode, values) if type(column) is array else list(values)
+
+
+def _take(store: dict, rows: Sequence[int]) -> dict:
+    """The lines of ``store`` at ``rows``, in that order, as a store."""
+    return {name: _pick(column, rows) for name, column in store.items()}
+
+
+def _line_values(store: dict, fields: Sequence[str]) -> Iterator[tuple]:
+    """Each line's values of ``fields``, the last of which is starter, in
+    row order."""
+    return zip(*map(store.__getitem__, fields[:-1]), map(bool, store["starter"]))
+
+
+def _lines(store: dict) -> tuple[BoxscoreLine, ...]:
+    """The records of the lines in ``store``, whose values passed their checks."""
+    return tuple(map(tuple.__new__, repeat(BoxscoreLine), _line_values(store, _FIELDS)))
 
 
 def _as_text(stream: IO | str) -> io.TextIOBase:
@@ -325,30 +408,42 @@ def _parse_lines(
     """The season of ``games`` and ``rows``, read :data:`_BLOCK_ROWS` rows at a
     time. A block that fails is read again a row at a time, and the first row
     that fails is the error, named by ``where`` and the row's number counted
-    from ``start``."""
+    from ``start``. A row the reader cannot read fails after the rows before it."""
     pairs = _pairs(games)
-    lines: list[BoxscoreLine] = []
+    store = _new_store()
     seen: set[tuple[str, str]] = set()
-    rows = iter(rows)
-    while block := list(islice(rows, _BLOCK_ROWS)):
+    rows, failure = iter(rows), None
+    while failure is None:
+        block = []
         try:
-            lines += _block_lines(games, pairs, seen, columns_of(block))
+            # extend keeps the rows read before the reader fails.
+            block += islice(rows, _BLOCK_ROWS)
+        except IngestError as exc:
+            failure = exc
+        if not block:
+            break
+        try:
+            _block_lines(games, pairs, seen, columns_of(block), store)
         except ValueError:
-            for idx, row in enumerate(block, start=start + len(lines)):
+            for idx, row in enumerate(block, start=start + len(store["game_id"])):
                 try:
-                    lines += _block_lines(games, pairs, seen, columns_of([row]))
+                    _block_lines(games, pairs, seen, columns_of([row]), store)
                 except ValueError as exc:
                     raise _located(f"{where} {idx}", exc) from None
         # Freed before the next block is read, so two never coexist.
         del block
-    return Dataset._from_checked(games, tuple(lines), provenance)
+    if failure is not None:
+        raise failure
+    return Dataset._from_checked(games, store, provenance)
 
 
-def _block_lines(games: dict, pairs: set, seen: set, decoded: tuple[list, list | None]) -> list:
-    """The records of a block ``decoded`` into line-field columns and the
-    points column or None, once every check passes; their keys join ``seen``.
-    A line whose points are None has no points to check. The error names the
-    first bad row of a block of one."""
+def _block_lines(
+    games: dict, pairs: set, seen: set, decoded: tuple[list, list | None], store: dict
+) -> None:
+    """Append a block ``decoded`` into line-field columns and the points
+    column or None to ``store``, once every check passes; its keys join
+    ``seen``. A line whose points are None has no points to check. The error
+    names the first bad row of a block of one."""
     columns, points = decoded
     # Each id text is held once, however many lines (and keys) repeat it.
     columns[:4] = [list(map(sys.intern, column)) for column in columns[:4]]
@@ -365,8 +460,7 @@ def _block_lines(games: dict, pairs: set, seen: set, decoded: tuple[list, list |
                 raise BadValueError(f"column 'points' must be >= 0, got {got}")
             raise PointsMismatchError(f"points column says {got} but counts derive {want}")
     seen |= keys
-    # Checked above, so built without BoxscoreLine's own checks.
-    return list(map(tuple.__new__, repeat(BoxscoreLine), zip(*columns)))
+    _extend(store, columns)
 
 
 def _read_rows(reader: Iterable[list[str]], what: str) -> Iterator[list[str]]:
@@ -605,7 +699,7 @@ def serialize_csv(dataset: Dataset) -> tuple[str, str]:
     """Canonical CSV text for (games, lines), preserving dataset order."""
     return (
         _csv_text(GAMES_HEADER, map(_game_fields, dataset.games.values())),
-        _csv_text(LINES_HEADER, map(_line_fields, dataset.lines)),
+        _csv_text(LINES_HEADER, _line_values(dataset._store, LINES_HEADER)),
     )
 
 
@@ -613,7 +707,10 @@ def serialize_json(dataset: Dataset) -> str:
     """Canonical JSON text mirroring the CSV schema, preserving order."""
     doc = {
         "games": [dict(zip(GAMES_HEADER, _game_fields(g))) for g in dataset.games.values()],
-        "lines": [dict(zip(LINES_HEADER, _line_fields(line))) for line in dataset.lines],
+        "lines": [
+            dict(zip(LINES_HEADER, values))
+            for values in _line_values(dataset._store, LINES_HEADER)
+        ],
     }
     # The game dates are the only values JSON has no type for.
     return json.dumps(doc, indent=2, ensure_ascii=False, default=cell_text) + "\n"
@@ -639,7 +736,8 @@ def _qualified(dataset: Dataset, min_games: int) -> list[str]:
     """The ids, sorted, of the players with at least ``min_games`` games."""
     if min_games < 1:
         raise ValueError(f"min_games must be >= 1, got {min_games}")
-    return sorted(pid for pid, mine in dataset._by_player.items() if len(mine) >= min_games)
+    by_player = dataset._by_player
+    return [pid for pid, (start, stop) in by_player.items() if stop - start >= min_games]
 
 
 def filter_min_games(dataset: Dataset, min_games: int) -> Dataset:
@@ -653,5 +751,7 @@ def filter_min_games(dataset: Dataset, min_games: int) -> Dataset:
     if len(kept) == len(dataset._by_player):
         return dataset
     # A subset of checked lines against the same games needs no new check.
-    lines = tuple(line for line in dataset.lines if line.player_id in kept)
-    return Dataset._from_checked(dict(dataset.games), lines, dataset.provenance)
+    player_ids = dataset._store["player_id"]
+    rows = list(compress(range(len(player_ids)), map(kept.__contains__, player_ids)))
+    store = _take(dataset._store, rows)
+    return Dataset._from_checked(dict(dataset.games), store, dataset.provenance)

@@ -15,10 +15,10 @@ from functools import cache
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .indices import _series, combined_metric_name, parse_metric_name
+from .indices import _season_column, _series, combined_metric_name, parse_metric_name
 from .ingest import Dataset, _csv_text, _qualified, cell_text
 from .model import DEFAULT_CLOSE_THRESHOLD, WeightConfig
-from .splits import InsufficientSplitError, plus_minus_summary, split_compare
+from .splits import InsufficientSplitError, _sides, plus_minus_summary, split_compare
 from .stats import (
     COMPARABILITY_TOLERANCE,
     SeriesSummary,
@@ -148,8 +148,8 @@ def rank_values(
 
 def _player_names(dataset: Dataset, min_games: int) -> dict[str, str]:
     """The name of each player with at least ``min_games`` games, in id order."""
-    by_player = dataset._by_player
-    return {pid: by_player[pid][0].player_name for pid in _qualified(dataset, min_games)}
+    names, order, by_player = dataset._store["player_name"], dataset._order, dataset._by_player
+    return {pid: names[order[by_player[pid][0]]] for pid in _qualified(dataset, min_games)}
 
 
 def _series_by_player(
@@ -157,6 +157,7 @@ def _series_by_player(
 ) -> Iterator[tuple[str, Sequence[float]]]:
     """(player_id, per-game values) for each of ``players``, skipping
     players with no qualifying games."""
+    _season_column(dataset, metric, weights)
     for player_id in players:
         values = _series(dataset, player_id, metric, weights, per_minute)[0]
         if values:
@@ -337,6 +338,9 @@ def plus_minus_overview(
     names = _player_names(dataset, min_games)
     if not names:
         raise EmptyAfterFilterError("no players after filter")
+    _season_column(dataset, "plus_minus", weights)
+    for kind in ("close_game", "win_loss"):
+        _sides(dataset, kind, close_threshold)
     rows = []
     for player_id in sorted(names, key=lambda pid: (names[pid], pid)):
         summary = plus_minus_summary(player_id, dataset, close_threshold=close_threshold)
@@ -370,6 +374,8 @@ def win_loss_table(
     names = _player_names(dataset, min_games)
     if not names:
         raise EmptyAfterFilterError("no players after filter")
+    _season_column(dataset, parse_metric_name(metric_name)[0], weights)
+    _sides(dataset, "win_loss", close_threshold)
     rows = []
     for player_id in sorted(names, key=lambda pid: (names[pid], pid)):
         try:
@@ -537,10 +543,12 @@ def format_display(value: Cell, decimals: int) -> str:
 def _half_up(decimals: int) -> Callable[[float], str]:
     """A float's repr rounded half-away-from-zero to ``decimals``, as text.
     ``decimal`` is imported on the first text table, not with the module."""
-    from decimal import ROUND_HALF_UP, Decimal
+    from decimal import MAX_PREC, ROUND_HALF_UP, Context, Decimal
 
     quantum = Decimal(1).scaleb(-decimals)
-    return lambda value: str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    # The default context's 28 digits cannot hold 1e26 to two decimals.
+    quantize = Context(prec=MAX_PREC, rounding=ROUND_HALF_UP).quantize
+    return lambda value: str(quantize(Decimal(repr(value)), quantum))
 
 
 # Control characters and the Unicode line and paragraph separators, escaped

@@ -8,11 +8,11 @@ Welch test and reports the means with a significance verdict.
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import compress, repeat
 from typing import NamedTuple, Sequence
 
-from .indices import _kept, _series, parse_metric_name
-from .ingest import Dataset
+from .indices import _series, parse_metric_name
+from .ingest import Dataset, _pick
 from .model import (
     DEFAULT_CLOSE_THRESHOLD,
     SPLIT_KINDS,
@@ -62,14 +62,35 @@ class SplitLabel(_Checked, _LabelFields):
         return self.side if self.kind != "competition" else f"competition={self.side}"
 
 
+def _side(
+    kind: str,
+    team: str,
+    starter: bool,
+    game: GameMeta,
+    close_threshold: int = DEFAULT_CLOSE_THRESHOLD,
+) -> str:
+    """The side of a ``kind`` split that a line of ``team``, in the starting
+    five or not, falls on in ``game``: win/loss, close/normal, home/away,
+    starter/bench, or the game's competition. The one rule for every side."""
+    if kind == "win_loss":
+        margin = game.margin(team)
+        if margin == 0:
+            raise TiedScoreError(
+                f"game {game.game_id!r} ended tied; ties are rejected at ingestion"
+            )
+        return "win" if margin > 0 else "loss"
+    if kind == "close_game":
+        return "close" if is_close_game(game, close_threshold) else "normal"
+    if kind == "home_away":
+        return "home" if team == game.home_team else "away"
+    if kind == "starter_bench":
+        return "starter" if starter else "bench"
+    return game.competition
+
+
 def game_outcome(line: BoxscoreLine, game: GameMeta) -> str:
     """"win" or "loss" from the line's team perspective."""
-    margin = game.margin(line.team)
-    if margin == 0:
-        raise TiedScoreError(
-            f"game {game.game_id!r} ended tied; ties are rejected at ingestion"
-        )
-    return "win" if margin > 0 else "loss"
+    return _side("win_loss", line.team, line.starter, game)
 
 
 def is_close_game(game: GameMeta, threshold: int = DEFAULT_CLOSE_THRESHOLD) -> bool:
@@ -85,15 +106,7 @@ def side_of(
 ) -> str:
     """The side of a ``kind`` split this (line, game) falls on: win/loss,
     close/normal, home/away, starter/bench, or the game's competition."""
-    if kind == "win_loss":
-        return game_outcome(line, game)
-    if kind == "close_game":
-        return "close" if is_close_game(game, close_threshold) else "normal"
-    if kind == "home_away":
-        return "home" if line.team == game.home_team else "away"
-    if kind == "starter_bench":
-        return "starter" if line.starter else "bench"
-    return game.competition
+    return _side(kind, line.team, line.starter, game, close_threshold)
 
 
 class LabelStat(NamedTuple):
@@ -111,20 +124,37 @@ class PlusMinusSummary(NamedTuple):
     by_label: tuple[LabelStat, ...]
 
 
-def _sides(
-    dataset: Dataset, player_id: str, kind: str, close_threshold: int
-) -> tuple[str, ...]:
-    """The side of a ``kind`` split each of the player's lines falls on, in
-    index order; decided on the first request per dataset."""
-    key = ("sides", kind, close_threshold, player_id)
+def _decided(dataset: Dataset, kind: str, close_threshold: int, rows: Sequence[int]) -> list[str]:
+    """The side of a ``kind`` split each of the lines at ``rows`` falls on."""
+    store = dataset._store
+    teams, starters, game_ids = (
+        map(store[field].__getitem__, rows) for field in ("team", "starter", "game_id")
+    )
+    games = map(dataset.games.__getitem__, game_ids)
+    return list(map(_side, repeat(kind), teams, starters, games, repeat(close_threshold)))
+
+
+def _sides(dataset: Dataset, kind: str, close_threshold: int) -> list[str]:
+    """The side of a ``kind`` split each line of the season falls on, in the
+    dataset's index order; decided on the first request per dataset. A table
+    asks for it before it reads its players' sides."""
+    key = ("sides", kind, close_threshold)
     sides = dataset._columns.get(key)
     if sides is None:
-        games = dataset.games
-        sides = dataset._columns[key] = tuple(
-            side_of(kind, line, games[line.game_id], close_threshold)
-            for line in dataset._by_player[player_id]
-        )
+        sides = dataset._columns[key] = _decided(dataset, kind, close_threshold, dataset._order)
     return sides
+
+
+def _player_sides(
+    dataset: Dataset, player_id: str, kind: str, close_threshold: int
+) -> list[str]:
+    """One player's slice of :func:`_sides` once a table has built it; before
+    that, the sides of that player's lines alone, decided and not kept."""
+    start, stop = dataset._by_player[player_id]
+    sides = dataset._columns.get(("sides", kind, close_threshold))
+    if sides is None:
+        return _decided(dataset, kind, close_threshold, dataset._order[start:stop])
+    return sides[start:stop]
 
 
 def _pm_stat(label: str, values: Sequence[float], dnp: Sequence[bool]) -> LabelStat:
@@ -153,14 +183,15 @@ def plus_minus_summary(
             SplitLabel("win_loss", "win"),
             SplitLabel("win_loss", "loss"),
         )
-    lines = dataset._by_player.get(player_id)
-    if not lines:
+    if player_id not in dataset._by_player:
         raise UnknownPlayerError(f"no lines for player {player_id!r}")
+    start, stop = dataset._by_player[player_id]
     values, keep = _series(dataset, player_id, "plus_minus", _NO_WEIGHTS, False)
-    dnp = _kept([line.dnp for line in lines], keep)
+    minutes = _pick(dataset._store["minutes"], dataset._order[start:stop])
+    dnp = [value == 0.0 for value in compress(minutes, keep)]
     stats = []
     for label in labels:
-        sides = _kept(_sides(dataset, player_id, label.kind, close_threshold), keep)
+        sides = compress(_player_sides(dataset, player_id, label.kind, close_threshold), keep)
         on_side = [side == label.side for side in sides]
         stats.append(
             _pm_stat(str(label), list(compress(values, on_side)), list(compress(dnp, on_side)))
@@ -194,9 +225,9 @@ def split_compare(
         raise ValueError(f"unknown split kind {split_kind!r}")
     weights = weights or WeightConfig.defaults()
     metric, use_per_minute = parse_metric_name(metric_name)
-    if not dataset._by_player.get(player_id):
+    if player_id not in dataset._by_player:
         raise UnknownPlayerError(f"no lines for player {player_id!r}")
-    sides = _sides(dataset, player_id, split_kind, close_threshold)
+    sides = _player_sides(dataset, player_id, split_kind, close_threshold)
     values, keep = _series(dataset, player_id, metric, weights, use_per_minute)
     if split_kind != "competition":
         side_pairs = [_SIDES[split_kind]]
@@ -204,7 +235,7 @@ def split_compare(
         side_pairs = [(competition, "rest")]
     else:
         side_pairs = [(name, "rest") for name in sorted(set(sides))]
-    sides = _kept(sides, keep)
+    sides = list(compress(sides, keep))
     strict = split_kind != "competition" or competition is not None
     results = []
     for side_a, side_b in side_pairs:

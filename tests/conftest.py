@@ -179,7 +179,8 @@ def random_seasons(draw, max_games: int = 8, max_players: int = 4) -> tuple[Data
     """(season, close threshold): two teams, two competitions, final margins
     at, just above and well above the threshold (never tied), starters and
     bench players, DNP lines (with and without a plus_minus), missing
-    plus_minus, and minutes given as floats or ints."""
+    plus_minus, minutes given as floats or ints, and now and then a count too
+    large for one byte."""
     threshold = draw(st.integers(0, 6))
     margins = sorted({threshold, threshold + 1, threshold + 9} - {0})
     games = {}
@@ -197,6 +198,9 @@ def random_seasons(draw, max_games: int = 8, max_players: int = 4) -> tuple[Data
             home_score=base + margin if home_wins else base,
             away_score=base if home_wins else base + margin,
         )
+    counts = st.integers(0, 9)
+    if draw(st.booleans()):
+        counts |= st.integers(256, 10**30)
     lines = []
     for p in range(draw(st.integers(1, max_players))):
         team = draw(st.sampled_from(["MAD", "BCN"]))
@@ -208,7 +212,7 @@ def random_seasons(draw, max_games: int = 8, max_players: int = 4) -> tuple[Data
                 draw(st.one_of(
                     st.just(0.0), st.floats(0.5, 40.0), st.integers(1, 40)
                 )),
-                *draw(st.lists(st.integers(0, 9), min_size=15, max_size=15)),
+                *draw(st.lists(counts, min_size=15, max_size=15)),
                 draw(st.one_of(st.none(), st.integers(-20, 20))),
                 draw(st.booleans()),
             ))

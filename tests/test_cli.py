@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxmetrics import METRICS, Dataset
+from boxmetrics import METRICS, Dataset, cli
 from boxmetrics.cli import main
 from boxmetrics.ingest import GAMES_HEADER, LINES_HEADER, cell_text, serialize_csv, serialize_json
 from boxmetrics.splits import SPLIT_KINDS
@@ -616,3 +616,53 @@ def test_every_command_on_any_text_exits_cleanly_with_valid_output(
                 _check_outputs({ext: files[stem] for ext, files in outputs.items()})
         elif outputs:
             _check_outputs(outputs)
+
+
+# Every command with arguments it runs on the six-game season.
+_EVERY_COMMAND = {
+    "validate": ["validate"],
+    "rank": ["rank", "rend", "--min-games", "1"],
+    "regularity": ["regularity", "rend", "--per-minute", "--min-games", "1"],
+    "delta": ["delta", "valoracion", "rend", "--min-games", "1"],
+    "splits": ["splits", "p1", "rend_per_minute", "home_away"],
+    "splits-all": ["splits", "all", "plus_minus", "--min-games", "1"],
+    "correlate": ["correlate", "valoracion", "points", "--min-games", "1"],
+    "report-all": ["report-all", "--min-games", "1"],
+}
+
+
+@pytest.mark.parametrize("source", ["csv", "json"])
+@pytest.mark.parametrize(
+    "command,fmt",
+    [
+        (command, fmt)
+        for command in _EVERY_COMMAND
+        for fmt in (("text",) if command == "validate" else ("csv", "json", "text"))
+    ],
+)
+def test_no_command_builds_the_line_records(tmp_path, monkeypatch, capsys, command, fmt, source):
+    # A parsed season keeps its lines as columns; the records are built only
+    # when asked for, and no command asks.
+    loaded = []
+
+    def load_dataset(*args):
+        loaded.append(load(*args))
+        return loaded[-1]
+
+    load = cli.load_dataset
+    monkeypatch.setattr(cli, "load_dataset", load_dataset)
+    if source == "csv":
+        inputs = []
+        for name, text in zip(("games", "lines"), serialize_csv(build_season())):
+            (tmp_path / f"{name}.csv").write_text(text, encoding="utf-8")
+            inputs += [f"--{name}", str(tmp_path / f"{name}.csv")]
+    else:
+        (tmp_path / "season.json").write_text(serialize_json(build_season()), encoding="utf-8")
+        inputs = ["--json", str(tmp_path / "season.json")]
+    argv = [*_EVERY_COMMAND[command], *inputs]
+    if command != "validate":
+        argv += ["--format", fmt]
+    if command == "report-all":
+        argv += ["--out", str(tmp_path / "reports")]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert len(loaded) == 1 and "lines" not in vars(loaded[0])

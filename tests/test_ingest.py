@@ -8,6 +8,7 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from datetime import date
 from unittest.mock import patch
 
@@ -130,6 +131,20 @@ def test_parse_csv_names_the_row_the_csv_reader_cannot_read(table, cell):
         parse_csv(texts["games"], texts["lines"])
     assert str(error.value).startswith(f"{table} row {row}: ")
     assert csv.field_size_limit() == 131_072
+
+
+def test_a_bad_row_read_before_one_the_csv_reader_cannot_read_is_the_error():
+    # The reader fails on row 12, inside the block that holds row 4. The rows
+    # it read before failing are checked first, so row 4 is the error.
+    games_text, lines_text = serialize_csv(build_season())
+    rows = list(csv.reader(io.StringIO(lines_text)))
+    rows[3][rows[0].index("starter")] = "TRUE"
+    rows[11][rows[0].index("player_name")] = _HUGE_CELL
+    out = io.StringIO()
+    csv.writer(out).writerows(rows)
+    with pytest.raises(BadValueError) as error:
+        parse_csv(games_text, out.getvalue())
+    assert str(error.value) == "lines row 4: column 'starter' must be 'true' or 'false', got 'TRUE'"
 
 
 def test_parse_json_rejects_a_document_nested_too_deep():
@@ -904,6 +919,24 @@ def test_full_season_parses_to_checked_records(fmt, with_points):
         rebuilt = BoxscoreLine(*line)
         assert rebuilt == line
         assert (hash(rebuilt), repr(rebuilt)) == (hash(line), repr(line))
+
+
+@pytest.mark.parametrize("fmt", ("csv", "json"))
+def test_a_parsed_season_holds_its_lines_as_columns(fmt):
+    # One column per line field, counts and starter one byte per line: the
+    # line records the parsers built before took about 285 bytes per line.
+    season = _synthetic_season(221, 34)
+    texts = serialize_csv(season) if fmt == "csv" else (serialize_json(season),)
+    parse = parse_csv if fmt == "csv" else parse_json
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        parsed = parse(*texts)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert "lines" not in vars(parsed)
+    assert retained <= 160 * len(season.lines), retained / len(season.lines)
 
 
 @pytest.mark.parametrize("at", ("first", "last"))

@@ -347,10 +347,10 @@ def _cut_to_one_game(season: Dataset, player_ids: list[str]) -> Dataset:
 def test_report_all_evaluates_each_line_once_per_metric(
     tmp_path, monkeypatch, one_game_players, min_games
 ):
-    # Every table reads the same per-player columns, so across all 20 reports
-    # a line is evaluated at most once per metric and each split side of a
-    # line is decided at most once per (kind, close threshold). That holds
-    # when a table's own games filter drops players the others keep, as
+    # Every table reads the same season columns, so across all 20 reports a
+    # line is evaluated at most once per metric and each split side of a line
+    # is decided at most once per (kind, close threshold). That holds when a
+    # table's own games filter drops players the others keep, as
     # regularity's filter at 2 games does with one-game players.
     season = _cut_to_one_game(_synthetic_season(40, 12), one_game_players)
     games_text, lines_text = serialize_csv(season)
@@ -358,23 +358,19 @@ def test_report_all_evaluates_each_line_once_per_metric(
     (tmp_path / "lines.csv").write_text(lines_text, encoding="utf-8")
     evaluations: Counter = Counter()
     decisions: Counter = Counter()
-    metric_function, side_of = indices.metric_function, splits.side_of
+    kernel, side = indices._kernel, splits._side
 
-    def counting_metric_function(metric, weights):
-        value_of = metric_function(metric, weights)
+    def counting_kernel(metric, weights, columns):
+        for player_id, game_id in zip(columns["player_id"], columns["game_id"]):
+            evaluations[metric, player_id, game_id] += 1
+        return kernel(metric, weights, columns)
 
-        def counted(line):
-            evaluations[metric, line.player_id, line.game_id] += 1
-            return value_of(line)
+    def counting_side(kind, team, starter, game, close_threshold=splits.DEFAULT_CLOSE_THRESHOLD):
+        decisions[kind, close_threshold, team, bool(starter), game.game_id] += 1
+        return side(kind, team, starter, game, close_threshold)
 
-        return counted
-
-    def counting_side_of(kind, line, game, close_threshold=splits.DEFAULT_CLOSE_THRESHOLD):
-        decisions[kind, close_threshold, line.player_id, line.game_id] += 1
-        return side_of(kind, line, game, close_threshold)
-
-    monkeypatch.setattr(indices, "metric_function", counting_metric_function)
-    monkeypatch.setattr(splits, "side_of", counting_side_of)
+    monkeypatch.setattr(indices, "_kernel", counting_kernel)
+    monkeypatch.setattr(splits, "_side", counting_side)
     inputs = ["--games", str(tmp_path / "games.csv"), "--lines", str(tmp_path / "lines.csv")]
     out = str(tmp_path / "out")
     assert main(["report-all", *inputs, "--min-games", min_games, "--out", out]) == 0
@@ -383,7 +379,10 @@ def test_report_all_evaluates_each_line_once_per_metric(
     repeated = sorted(key for key, count in evaluations.items() if count > 1)
     assert not repeated, f"{len(repeated)} (metric, line) pairs evaluated again, e.g. {repeated[0]}"
     assert sum(evaluations.values()) <= 6 * len(season.lines)
-    repeated = sorted(key for key, count in decisions.items() if count > 1)
+    # The side rule sees a line's team, starter flag and game, not its
+    # player, so its decisions are counted against the lines that share them.
+    alike = Counter((line.team, line.starter, line.game_id) for line in season.lines)
+    repeated = sorted(key for key, count in decisions.items() if count > alike[key[2:]])
     assert decisions and not repeated, f"{len(repeated)} sides decided again"
 
 

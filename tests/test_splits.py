@@ -19,9 +19,23 @@ from boxmetrics import (
     plus_minus_summary,
     split_compare,
 )
-from boxmetrics.indices import METRICS, EmptySeriesError, combined_metric_name, player_series
+from boxmetrics.indices import (
+    METRICS,
+    EmptySeriesError,
+    _season_column,
+    combined_metric_name,
+    player_series,
+)
+from boxmetrics.ingest import parse_csv, serialize_csv
+from boxmetrics.splits import _sides
 from conftest import make_game, make_line, random_seasons, winloss_season
-from oracles import naive_player_series, naive_plus_minus_summary, naive_split_compare
+from oracles import (
+    naive_lines_for,
+    naive_metric_value,
+    naive_player_series,
+    naive_plus_minus_summary,
+    naive_split_compare,
+)
 
 
 def test_game_outcome_sides():
@@ -268,7 +282,7 @@ OTHER_WEIGHTS = WeightConfig.with_overrides(
 
 column_calls = st.fixed_dictionaries(
     {
-        "what": st.sampled_from(("series", "split", "plus_minus")),
+        "what": st.sampled_from(("series", "split", "plus_minus", "season")),
         "player": st.integers(0, 3),
         "metric": st.sampled_from(METRICS),
         "per_minute_first": st.booleans(),
@@ -299,13 +313,20 @@ def _naive_series_bits(dataset, player_id, metric, weights, per_minute_values):
 
 
 @settings(max_examples=80, deadline=None)
-@given(data=random_seasons(), calls=st.lists(column_calls, min_size=1, max_size=25))
-def test_columns_match_line_by_line_oracles_in_any_call_order(data, calls):
+@given(
+    data=random_seasons(),
+    calls=st.lists(column_calls, min_size=1, max_size=25),
+    round_trip=st.booleans(),
+)
+def test_columns_match_line_by_line_oracles_in_any_call_order(data, calls, round_trip):
     # One shared season answers every call, in the drawn order, so a column
     # built for one call is read by the later ones: per-game before
     # per-minute and the reverse, two weight configurations, two close
-    # thresholds.
+    # thresholds, and one player's lines before and after a table has built
+    # the season columns. The oracles read the season built in memory; the
+    # program reads it as built or as parsed back from its CSV text.
     season, threshold = data
+    dataset = parse_csv(*serialize_csv(season)) if round_trip else season
     player_ids = season.player_ids()
     assume(player_ids)
     for call in calls:
@@ -317,30 +338,37 @@ def test_columns_match_line_by_line_oracles_in_any_call_order(data, calls):
             forms = forms[::-1]
         if call["what"] == "series":
             for per_minute_values in forms:
-                args = (season, player_id, metric, weights, per_minute_values)
-                assert _series_bits(*args) == _naive_series_bits(*args), call
+                args = (player_id, metric, weights, per_minute_values)
+                assert _series_bits(dataset, *args) == _naive_series_bits(season, *args), call
         elif call["what"] == "split":
             competition = call["competition"] if call["kind"] == "competition" else None
             for per_minute_values in forms:
-                args = (
-                    player_id,
-                    combined_metric_name(metric, per_minute_values),
-                    call["kind"],
-                    season,
-                    weights,
-                )
+                name = combined_metric_name(metric, per_minute_values)
                 options = dict(close_threshold=close_threshold, competition=competition)
-                assert _comparisons(split_compare, *args, **options) == _comparisons(
-                    naive_split_compare, *args, **options
+                assert _comparisons(
+                    split_compare, player_id, name, call["kind"], dataset, weights, **options
+                ) == _comparisons(
+                    naive_split_compare, player_id, name, call["kind"], season, weights, **options
                 ), call
-        else:
+        elif call["what"] == "plus_minus":
             labels = ALL_LABELS if call["all_labels"] else None
             summary = plus_minus_summary(
-                player_id, season, labels, close_threshold=close_threshold
+                player_id, dataset, labels, close_threshold=close_threshold
             )
             expected = naive_plus_minus_summary(
                 player_id, season, labels, close_threshold=close_threshold
             )
             assert [_exact(s) for s in (summary.overall, *summary.by_label)] == [
                 _exact(s) for s in (expected.overall, *expected.by_label)
+            ], call
+        else:
+            # What a table does first: the season columns the later calls read.
+            column = _season_column(dataset, metric, weights)
+            _sides(dataset, call["kind"], close_threshold)
+            expected = [
+                naive_metric_value(line, metric, weights)
+                for pid in player_ids for line in naive_lines_for(season, pid)
+            ]
+            assert [None if v is None else v.hex() for v in column] == [
+                None if v is None else v.hex() for v in expected
             ], call
