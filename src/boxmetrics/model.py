@@ -158,6 +158,9 @@ _new_fields = _LineFields.__new__
 # Each count's position in a line, in the order its checks run.
 _COUNT_INDEX = tuple((name, _LineFields._fields.index(name)) for name in STAT_KEYS + ("tr",))
 _INT, _INT_OR_NONE, _BOOL, _FLOAT, _STR = {int}, {int, type(None)}, {bool}, {float}, {str}
+# The least int that float() cannot convert: every metric turns a count
+# into a float.
+_FLOAT_OVERFLOW = 2**1024 - 2**970
 
 
 def check_types(columns: Sequence[Sequence]) -> None:
@@ -185,16 +188,19 @@ def check_types(columns: Sequence[Sequence]) -> None:
 
 def check_fields(columns: Sequence[Sequence]) -> None:
     """Raise ValueError for the first value outside its domain in ``columns``,
-    one per line field, whose counts are ints (see :func:`check_types`): an
-    id that is no non-empty string, a name that is no string, minutes that
-    are no finite float >= 0, a negative count."""
+    one per line field, whose counts are ints (see :func:`check_types`) or
+    ``bytes``, which hold only valid counts: an id that is no non-empty
+    string, a name that is no string, minutes that are no finite float >= 0,
+    a negative count, a count too large for a float."""
     player_ids, names, teams, game_ids, minutes = columns[:5]
+    counts = [column for column in columns[5:20] if type(column) is not bytes]
     # min() can miss a NaN that is not first; the sum is NaN or inf then.
     if (
         {*map(type, chain(*columns[:4]))} == _STR
         and all(player_ids) and all(teams) and all(game_ids) and {*map(type, minutes)} == _FLOAT
         and min(minutes) >= 0.0 and sum(minutes) < math.inf
-        and min(chain(*columns[5:20])) >= 0
+        and min(chain(*counts), default=0) >= 0
+        and max(chain(*counts), default=0) < _FLOAT_OVERFLOW
     ):
         return
     for name, column in (("player_id", player_ids), ("team", teams), ("game_id", game_ids)):
@@ -215,6 +221,8 @@ def check_fields(columns: Sequence[Sequence]) -> None:
     for name, index in _COUNT_INDEX:
         if min(columns[index]) < 0:
             raise ValueError(f"{name} must be >= 0, got {min(columns[index])}")
+        if max(columns[index]) >= _FLOAT_OVERFLOW:
+            raise ValueError(f"{name} must fit in a float, got {max(columns[index])}")
 
 
 def derived_points(line: BoxscoreLine) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from datetime import date, timedelta
 
 import pytest
@@ -36,6 +37,15 @@ def make_game(**overrides) -> GameMeta:
     )
     values.update(overrides)
     return GameMeta(**values)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Every test reaps each child process it starts, a worker that reads a
+    lines file included."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

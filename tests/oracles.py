@@ -185,6 +185,10 @@ def _naive_line_checks(fields: dict) -> None:
             raise ValueError(f"{name} must be an integer count, got {value!r}")
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ValueError(f"{name} must fit in a float, got {value}") from None
     plus_minus = fields["plus_minus"]
     if plus_minus is not None and (isinstance(plus_minus, bool) or not isinstance(plus_minus, int)):
         raise ValueError(f"plus_minus must be an integer or absent, got {plus_minus!r}")

@@ -282,6 +282,23 @@ def test_a_name_utf8_cannot_encode_is_rejected_at_ingest(tmp_path, capsys, comma
     )
 
 
+@pytest.mark.parametrize("command", (["validate"], ["rank", "rend", "--min-games", "3"]))
+def test_a_count_no_float_can_hold_exits_2_naming_it(season_files, capsys, command):
+    # Every metric turns each count into a float; the player with this line
+    # has too few games to be ranked, but the season is read whole.
+    path = Path(season_files["lines"])
+    rows = path.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, row in enumerate(rows) if row.startswith("G02,p4,"))
+    cells = rows[i].split(",")
+    cells[LINES_HEADER.index("rd")] = str(10**400)
+    rows[i] = ",".join(cells)
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(_base(season_files, *command)) == 2
+    assert capsys.readouterr().err == (
+        f"error: lines row {i + 1}: rd must fit in a float, got {10**400}\n"
+    )
+
+
 def test_invalid_alpha_rejected(season_files):
     args = _base(season_files, "rank", "rend") + ["--alpha", "1.5", "--min-games", "1"]
     assert main(args) == 2

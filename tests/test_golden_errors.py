@@ -5,7 +5,7 @@ put into a 1,026-line season at rows 1, 1024, 1025 and the last row, in each
 format it applies to: the first row, both sides of the first block boundary,
 and the last row. The four placements cycle through the fault's bad values
 (or, for ``empty_id``, the id columns). Each game fault is put into the first
-and the last game. The inputs come from a seeded generator, so the file pins
+and the last game. One count too large for a float is put into the last row. The inputs come from a seeded generator, so the file pins
 every message byte for byte. Regenerate it only for an intended message change::
 
     PYTHONPATH=src python tests/test_golden_errors.py --write
@@ -146,6 +146,11 @@ def cases():
                 yield f"{fmt} {fault} game {i + 1}", fmt, _text(fmt, broken, line_texts[False])
     # The loop ends on JSON, whose tables these are.
     yield from _text_cases(games, lines, game_texts, line_texts)
+    # A count no float can hold, in the last line; it draws nothing either.
+    broken = list(line_texts[False])
+    broken[-1] = _row_text("json", {**lines[-1], "rd": 10**400}, False)
+    yield (f"json count_too_large rd=10**400 row {ROWS[-1]} points=False", "json",
+           _text("json", game_texts, broken))
 
 
 def _text_cases(games, lines, game_texts, line_texts):

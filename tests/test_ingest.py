@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import math
+import os
 import re
 import sys
 import tracemalloc
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boxmetrics import BoxscoreLine, Dataset, GameMeta, derived_points, filter_min_games, ingest
+from boxmetrics import _halves
 from boxmetrics.ingest import (
     BadValueError,
     DanglingGameRefError,
@@ -168,8 +170,9 @@ def _decoded_int_column(name: str, column: list[str]) -> list:
     row = "G01,p1,Arco,MAD,25.5,4,2,1,1,3,1,5,2,4,2,1,1,0,2,3,7,true,14".split(",")
     i = (*ingest.LINES_HEADER, "points").index(name)
     columns, points = ingest._csv_columns(True, [[*row[:i], raw, *row[i + 1:]] for raw in column])
-    # From minutes on, the decoded columns are in header order.
-    return points if name == "points" else columns[i]
+    # From minutes on, the decoded columns are in header order; a count
+    # column whose cells all fit in a byte is bytes.
+    return list(points if name == "points" else columns[i])
 
 
 def _result_or_error(call, *args) -> object:
@@ -209,6 +212,18 @@ def test_parse_json_rejects_non_finite_minutes(raw):
     assert bad != text
     with pytest.raises(BadValueError, match=r"lines entry 2: .*minutes"):
         parse_json(bad)
+
+
+@pytest.mark.parametrize("table", ("games", "lines"))
+@pytest.mark.parametrize("errors", ("surrogateescape", "surrogatepass"))
+def test_a_stream_that_decodes_loosely_has_its_texts_checked(table, errors):
+    # Only a strict UTF-8 decode proves that UTF-8 can encode every text.
+    texts = dict(zip(("games", "lines"), serialize_csv(build_season())))
+    old, bad = {"games": ("liga", "li\udcffga"), "lines": ("Cano", "Ca\udcffno")}[table]
+    raw = texts[table].replace(old, bad, 1).encode("utf-8", errors)
+    texts[table] = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8", errors=errors, newline="")
+    with pytest.raises(BadValueError, match="which UTF-8 cannot encode"):
+        parse_csv(texts["games"], texts["lines"])
 
 
 def test_parse_csv_duplicate_line():
@@ -560,6 +575,8 @@ def _break_line(draw, fault: str, fmt: str, cells: dict, earlier: list[dict]) ->
     elif fault == "missing_field":
         # "points" is optional: an entry without it is still valid.
         del cells[draw(st.sampled_from(sorted(set(cells) - {"points"})))]
+    elif fault == "count_too_large":
+        cells[draw(st.sampled_from(_COUNTS))] = 10**400  # no float holds it
     else:
         cells["bonus"] = 1
     return cells
@@ -662,8 +679,8 @@ def test_parsers_match_naive_parsers(fault, data):
 
 # Faults a shared check finds; the decoders' own faults differ by format.
 _SHARED_FAULTS = ("dangling_game", "wrong_team", "duplicate_line", "empty_id", "count_negative",
-                  "minutes_negative", *_GAME_FAULTS, "points_mismatch", "points_negative",
-                  "text_not_utf8", "game_text_not_utf8")
+                  "count_too_large", "minutes_negative", *_GAME_FAULTS, "points_mismatch",
+                  "points_negative", "text_not_utf8", "game_text_not_utf8")
 _LOCATED = re.compile(r"(games|lines) (row|entry) (\d+): (.*)", re.DOTALL)
 
 
@@ -812,6 +829,116 @@ def test_parsers_match_naive_parsers_at_every_block_size(edit, data):
         assert type(got) is type(expected)
         assert (type(got), str(got)) == (type(outcomes[0]), str(outcomes[0]))
         assert _where_and_field(got) == _where_and_field(expected)
+
+
+@pytest.fixture
+def two_cores(monkeypatch) -> list[bool]:
+    """load_dataset reads every lines file it can on two cores, whatever its
+    size and the CPUs here. The list gets, for each worker started, whether
+    its lines were taken."""
+    monkeypatch.setattr(ingest, "_TWO_CORES_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    taken = []
+    read_halves = _halves.read_halves
+
+    def spy(*args):
+        taken.append(read_halves(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(_halves, "read_halves", spy)
+    return taken
+
+
+def _typed(call, *args) -> tuple:
+    """The dataset ``call`` returns and the type of each of its columns, or the
+    class and message of the error it raises."""
+    try:
+        dataset = call(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    types = [getattr(column, "typecode", type(column)) for column in dataset._store.values()]
+    return dataset, types
+
+
+def _loaded_and_parsed(tmp_path, games_text: str, lines_text: str) -> tuple:
+    """:func:`_typed` of load_dataset on files of these texts, and of
+    parse_csv on the same files, opened as load_dataset opens them."""
+    paths = tmp_path / "games.csv", tmp_path / "lines.csv"
+    for path, text in zip(paths, (games_text, lines_text)):
+        path.write_text(text, encoding="utf-8", newline="")
+    loaded = _typed(load_dataset, *map(str, paths))
+    with paths[0].open(encoding="utf-8", newline="") as games:
+        with paths[1].open(encoding="utf-8", newline="") as lines:
+            return loaded, _typed(parse_csv, games, lines)
+
+
+def test_two_cores_read_every_golden_csv_input_as_one_does(tmp_path, two_cores):
+    from test_golden_errors import cases
+
+    for case, fmt, args in cases():
+        if fmt == "csv":
+            loaded, parsed = _loaded_and_parsed(tmp_path, *args)
+            assert loaded == parsed, case
+    # The faults after the first row are in the worker's half.
+    assert False in two_cores
+
+
+# edit -> (the data rows it changes, counted from the split: 0 is the last
+# row before it, 1 the first after it; whether the worker's lines are taken,
+# or None where no worker runs to its end, or none starts)
+_HALF_EDITS = {
+    "clean": ((), True),
+    "fault_first_half": ((-400,), None),
+    "fault_before_split": ((0,), None),
+    "fault_after_split": ((1,), False),
+    "fault_second_half": ((400,), False),
+    "duplicate_across": ((-500, 300), False),
+    "field_too_large": ((300,), False),
+    "fault_then_field_too_large": ((200, 300), False),
+    "quote_after_split": ((5,), True),
+    "quote_before_split": ((-5,), None),
+    "blank_line": ((-300,), None),
+    "line_ends": ((-300, -100), True),
+}
+_VALID_HALF_EDITS = ("clean", "quote_after_split", "quote_before_split", "line_ends")
+
+
+@pytest.mark.parametrize("edit", _HALF_EDITS)
+def test_two_cores_read_a_season_as_one_does(tmp_path, two_cores, edit):
+    """A season read on two cores with ``edit`` made near or far from the
+    split: the dataset one reader reads, with the same column types, or its
+    error class and message."""
+    games_text, lines_text = serialize_csv(_synthetic_season(114, 9))
+    # The split is after the first newline at or past the middle; the first
+    # row of the text is the header.
+    first = lines_text[: lines_text.find("\n", len(lines_text) // 2) + 1].count("\n") - 1
+    offsets, taken = _HALF_EDITS[edit]
+    # rows[0] is the header and rows[-1] the empty text after the last row.
+    rows = lines_text.split("\r\n")
+    at = [first + offset for offset in offsets]
+    cells = [rows[i].split(",") for i in at]
+    if "fault" in edit:
+        cells[0][11] = "x" * len(cells[0][11])  # rd; the split stays where it was
+    if edit == "duplicate_across":
+        cells[1] = cells[0]
+    elif "field_too_large" in edit:
+        cells[-1][2] = "N" * 400
+    elif edit.startswith("quote"):
+        cells[0][2] = '"N,3"'
+    elif edit == "blank_line":
+        cells[0] = []
+    for i, row in zip(at, cells):
+        rows[i] = ",".join(row)
+    ends = dict(zip(at, ("\r", "\n"))) if edit == "line_ends" else {}
+    lines_text = "".join(row + ends.get(i, "\r\n") for i, row in enumerate(rows[:-1]))
+    limit = csv.field_size_limit(300 if "field_too_large" in edit else csv.field_size_limit())
+    try:
+        loaded, parsed = _loaded_and_parsed(tmp_path, games_text, lines_text)
+    finally:
+        csv.field_size_limit(limit)
+    assert loaded == parsed
+    assert isinstance(parsed[0], Dataset) == (edit in _VALID_HALF_EDITS)
+    assert two_cores == ([] if taken is None else [taken])
 
 
 # Documents where the decoder's object hook turns line-shaped objects into

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from boxmetrics import (
     SPLIT_KINDS,
+    STAT_KEYS,
     InsufficientSplitError,
     SplitLabel,
     TiedScoreError,
@@ -35,6 +38,7 @@ from oracles import (
     naive_player_series,
     naive_plus_minus_summary,
     naive_split_compare,
+    neumaier_sum,
 )
 
 
@@ -280,13 +284,20 @@ OTHER_WEIGHTS = WeightConfig.with_overrides(
     {"rd": 0.5, "a": 1.5, "bp": -0.25, "t3c": 2.75, "fpc": -1.5}
 )
 
+# Finite weights from the smallest subnormal to 1e15, some of them, like 0.1,
+# with no exact binary form.
+random_weights = st.lists(
+    st.floats(-1e6, 1e6) | st.sampled_from((5e-324, 1e-300, 0.1, -0.1, 1 / 3, 1e15, -1e15)),
+    min_size=len(STAT_KEYS), max_size=len(STAT_KEYS),
+).map(lambda ws: WeightConfig(dict(zip(STAT_KEYS, ws))))
+
 column_calls = st.fixed_dictionaries(
     {
         "what": st.sampled_from(("series", "split", "plus_minus", "season")),
         "player": st.integers(0, 3),
         "metric": st.sampled_from(METRICS),
         "per_minute_first": st.booleans(),
-        "weights": st.sampled_from((WeightConfig.defaults(), OTHER_WEIGHTS)),
+        "weights": st.sampled_from((WeightConfig.defaults(), OTHER_WEIGHTS)) | random_weights,
         "kind": st.sampled_from(SPLIT_KINDS),
         "competition": st.sampled_from((None, "liga", "copa")),
         "threshold_step": st.integers(0, 1),
@@ -317,8 +328,9 @@ def _naive_series_bits(dataset, player_id, metric, weights, per_minute_values):
     data=random_seasons(),
     calls=st.lists(column_calls, min_size=1, max_size=25),
     round_trip=st.booleans(),
+    neumaier=st.booleans(),
 )
-def test_columns_match_line_by_line_oracles_in_any_call_order(data, calls, round_trip):
+def test_columns_match_line_by_line_oracles_in_any_call_order(data, calls, round_trip, neumaier):
     # One shared season answers every call, in the drawn order, so a column
     # built for one call is read by the later ones: per-game before
     # per-minute and the reverse, two weight configurations, two close
@@ -329,46 +341,49 @@ def test_columns_match_line_by_line_oracles_in_any_call_order(data, calls, round
     dataset = parse_csv(*serialize_csv(season)) if round_trip else season
     player_ids = season.player_ids()
     assume(player_ids)
-    for call in calls:
-        player_id = player_ids[call["player"] % len(player_ids)]
-        metric, weights = call["metric"], call["weights"]
-        close_threshold = threshold + call["threshold_step"]
-        forms = (False,) if metric == "plus_minus" else (False, True)
-        if call["per_minute_first"]:
-            forms = forms[::-1]
-        if call["what"] == "series":
-            for per_minute_values in forms:
-                args = (player_id, metric, weights, per_minute_values)
-                assert _series_bits(dataset, *args) == _naive_series_bits(season, *args), call
-        elif call["what"] == "split":
-            competition = call["competition"] if call["kind"] == "competition" else None
-            for per_minute_values in forms:
-                name = combined_metric_name(metric, per_minute_values)
-                options = dict(close_threshold=close_threshold, competition=competition)
-                assert _comparisons(
-                    split_compare, player_id, name, call["kind"], dataset, weights, **options
-                ) == _comparisons(
-                    naive_split_compare, player_id, name, call["kind"], season, weights, **options
-                ), call
-        elif call["what"] == "plus_minus":
-            labels = ALL_LABELS if call["all_labels"] else None
-            summary = plus_minus_summary(
-                player_id, dataset, labels, close_threshold=close_threshold
-            )
-            expected = naive_plus_minus_summary(
-                player_id, season, labels, close_threshold=close_threshold
-            )
-            assert [_exact(s) for s in (summary.overall, *summary.by_label)] == [
-                _exact(s) for s in (expected.overall, *expected.by_label)
-            ], call
-        else:
-            # What a table does first: the season columns the later calls read.
-            column = _season_column(dataset, metric, weights)
-            _sides(dataset, call["kind"], close_threshold)
-            expected = [
-                naive_metric_value(line, metric, weights)
-                for pid in player_ids for line in naive_lines_for(season, pid)
-            ]
-            assert [None if v is None else v.hex() for v in column] == [
-                None if v is None else v.hex() for v in expected
-            ], call
+    # From Python 3.12 on, the builtin sum() adds floats with compensation.
+    with patch("builtins.sum", neumaier_sum if neumaier else sum):
+        for call in calls:
+            player_id = player_ids[call["player"] % len(player_ids)]
+            metric, weights = call["metric"], call["weights"]
+            close_threshold = threshold + call["threshold_step"]
+            forms = (False,) if metric == "plus_minus" else (False, True)
+            if call["per_minute_first"]:
+                forms = forms[::-1]
+            if call["what"] == "series":
+                for per_minute_values in forms:
+                    args = (player_id, metric, weights, per_minute_values)
+                    assert _series_bits(dataset, *args) == _naive_series_bits(season, *args), call
+            elif call["what"] == "split":
+                competition = call["competition"] if call["kind"] == "competition" else None
+                for per_minute_values in forms:
+                    name = combined_metric_name(metric, per_minute_values)
+                    options = dict(close_threshold=close_threshold, competition=competition)
+                    kind = call["kind"]
+                    assert _comparisons(
+                        split_compare, player_id, name, kind, dataset, weights, **options
+                    ) == _comparisons(
+                        naive_split_compare, player_id, name, kind, season, weights, **options
+                    ), call
+            elif call["what"] == "plus_minus":
+                labels = ALL_LABELS if call["all_labels"] else None
+                summary = plus_minus_summary(
+                    player_id, dataset, labels, close_threshold=close_threshold
+                )
+                expected = naive_plus_minus_summary(
+                    player_id, season, labels, close_threshold=close_threshold
+                )
+                assert [_exact(s) for s in (summary.overall, *summary.by_label)] == [
+                    _exact(s) for s in (expected.overall, *expected.by_label)
+                ], call
+            else:
+                # What a table does first: the season columns the later calls read.
+                column = _season_column(dataset, metric, weights)
+                _sides(dataset, call["kind"], close_threshold)
+                expected = [
+                    naive_metric_value(line, metric, weights)
+                    for pid in player_ids for line in naive_lines_for(season, pid)
+                ]
+                assert [None if v is None else v.hex() for v in column] == [
+                    None if v is None else v.hex() for v in expected
+                ], call
