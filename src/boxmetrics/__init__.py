@@ -24,8 +24,8 @@ _EXPORTS = {
     ),
     "indices": (
         "METRICS", "EmptySeriesError", "IndexValue", "ZeroMinutesError", "defensive_index",
-        "metric_function", "metric_value", "offensive_index", "per_minute", "player_mean",
-        "player_series", "rendimiento", "series_values", "valoracion_acb",
+        "metric_value", "offensive_index", "per_minute", "player_series", "rendimiento",
+        "valoracion_acb",
     ),
     "stats": (
         "ConstantInputError", "CorrelationTest", "LengthMismatchError", "SeriesSummary",

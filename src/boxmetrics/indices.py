@@ -13,6 +13,7 @@ from __future__ import annotations
 from array import array
 from functools import partial
 from itertools import compress, repeat
+from math import isfinite
 from operator import add, mul, truediv
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -25,7 +26,6 @@ from .model import (
     WeightConfig,
 )
 from .ingest import _FIELDS, Dataset, _pick, _take
-from .stats import left_sum
 
 # Metric keys understood by series builders, rankings and splits.
 METRICS = ("points", "id", "io", "rend", "valoracion", "plus_minus")
@@ -39,7 +39,6 @@ _VALORACION = (
     *((1, key) for key in ("rd", "ro", "a", "br", "tf", "fpr")),
     *((-1, key) for key in ("t2f", "t3f", "t1f", "bp", "tr", "fpc")),
 )
-_NO_LINES = dict.fromkeys(_FIELDS, ())
 
 
 class ZeroMinutesError(ValueError):
@@ -65,12 +64,12 @@ class IndexValue(NamedTuple):
 
 def defensive_index(line: BoxscoreLine, weights: WeightConfig) -> float:
     """Weighted sum over the defensive keys (rd, tf, fpc, br)."""
-    return metric_function("id", weights)(line)
+    return metric_value(line, "id", weights)
 
 
 def offensive_index(line: BoxscoreLine, weights: WeightConfig) -> float:
     """Weighted sum over the offensive keys (shooting, ro, a, fpr, bp)."""
-    return metric_function("io", weights)(line)
+    return metric_value(line, "io", weights)
 
 
 def rendimiento(line: BoxscoreLine, weights: WeightConfig) -> IndexValue:
@@ -95,7 +94,7 @@ def valoracion_acb(line: BoxscoreLine) -> float:
     Blocks received (tr) subtract here even though they carry no weight in
     the defensive/offensive indices.
     """
-    return _line_value("valoracion", None, line)
+    return metric_value(line, "valoracion", None)
 
 
 def per_minute(value: float, minutes: float) -> float:
@@ -140,44 +139,15 @@ def _kernel(
     raise ValueError(f"unknown metric {metric!r}; expected one of {', '.join(METRICS)}")
 
 
-def _line_value(metric: str, weights: WeightConfig | None, line: BoxscoreLine) -> float | None:
-    """:func:`_kernel` on the one line ``line``."""
-    return next(iter(_kernel(metric, weights, dict(zip(_FIELDS, zip(line))))))
-
-
-def metric_function(metric: str, weights: WeightConfig) -> Callable[[BoxscoreLine], float | None]:
-    """The raw per-game value of ``metric`` as a function of one line.
+def metric_value(line: BoxscoreLine, metric: str, weights: WeightConfig | None) -> float | None:
+    """Raw per-game value of ``metric`` for one line; None for plus_minus
+    when the source did not report it. Only id, io and rend read ``weights``.
 
     It is the season columns' kernel applied to one line, so it gives the
     same bits. The id/io sums multiply each coefficient by its count and add
-    the products in the order of ``DEFENSIVE_KEYS``/``OFFENSIVE_KEYS``. The
-    function returns None for plus_minus when the source did not report it.
+    the products in the order of ``DEFENSIVE_KEYS``/``OFFENSIVE_KEYS``.
     """
-    _kernel(metric, weights, _NO_LINES)  # an unknown metric fails here, not on a line
-    return partial(_line_value, metric, weights)
-
-
-def metric_value(line: BoxscoreLine, metric: str, weights: WeightConfig) -> float | None:
-    """Raw per-game value of ``metric`` for one line.
-
-    Returns None for plus_minus when the source did not report it.
-    """
-    return metric_function(metric, weights)(line)
-
-
-def series_values(
-    lines: Sequence[BoxscoreLine],
-    metric: str,
-    weights: WeightConfig,
-    per_minute_values: bool = False,
-) -> tuple[list[float], Sequence[BoxscoreLine]]:
-    """Values of ``metric`` over ``lines`` and the lines they come from;
-    :func:`_excluded` says which lines are left out."""
-    columns = dict(zip(_FIELDS, zip(*lines))) if lines else _NO_LINES
-    values, keep = _excluded(
-        _kernel(metric, weights, columns), columns["minutes"], metric, per_minute_values
-    )
-    return list(values), list(compress(lines, keep))
+    return next(iter(_kernel(metric, weights, dict(zip(_FIELDS, zip(line))))))
 
 
 def _excluded(
@@ -218,50 +188,75 @@ def _key(metric: str, weights: WeightConfig) -> tuple:
     return (metric,)
 
 
-def _season_column(dataset: Dataset, metric: str, weights: WeightConfig) -> Sequence:
-    """The per-game values of ``metric`` for every line of ``dataset``, in its
-    index order, so that a player's values are one slice of it. Built on the
-    first request per metric and weights and kept in the dataset, so a line
-    is evaluated once per metric and weights. A table asks for it before it
-    reads its players' series."""
-    key = _key(metric, weights)
+def _column(dataset: Dataset, key: tuple, build: Callable, player_id: str | None = None):
+    """The one reader and writer of ``dataset._columns``: season-wide
+    columns in the dataset's index order, each keyed by everything it
+    depends on, so that a player's values are one slice of it. The lines
+    never change, so a column never goes stale.
+
+    Without ``player_id``, the column under ``key``, ``build(dataset._order)``
+    on the first request and kept. With one, that player's slice of it once
+    it is built; before that, ``build`` over that player's rows alone, kept
+    nowhere, so a request about one player evaluates one player, not the
+    season. Callers only read what comes back."""
     column = dataset._columns.get(key)
-    if column is None:
-        values = _kernel(metric, weights, dataset._store)
+    if player_id is None:
+        if column is None:
+            column = dataset._columns[key] = build(dataset._order)
+        return column
+    start, stop = dataset._by_player[player_id]
+    return build(dataset._order[start:stop]) if column is None else column[start:stop]
+
+
+def _finite(metric: str, weights: WeightConfig, columns: Mapping[str, Sequence]) -> Sequence | None:
+    """:func:`_kernel` on ``columns`` as an ``array('d')`` (a list for
+    plus_minus), or None if a value is beyond the float range or not finite."""
+    try:
+        values = _kernel(metric, weights, columns)
         if metric != "plus_minus":
             values = array("d", values)
-        column = dataset._columns[key] = _pick(values, dataset._order)
-    return column
+    except OverflowError:
+        return None
+    return values if all(map(isfinite, filter(None, values))) else None
 
 
-def _minutes(dataset: Dataset) -> array:
-    """Every line's minutes in the index order of ``dataset``, for the
-    per-minute series that tables read; built on the first request and kept."""
-    minutes = dataset._columns.get("minutes")
-    if minutes is None:
-        minutes = dataset._columns["minutes"] = _pick(dataset._store["minutes"], dataset._order)
-    return minutes
+def _values(dataset: Dataset, metric: str, weights: WeightConfig, rows: Sequence[int]) -> Sequence:
+    """The per-game values of ``metric`` for the lines at ``rows`` of the
+    store, in that order, checked once per column by :func:`_finite`. The
+    whole season is evaluated in store order and picked once; fewer lines
+    are picked first. A value that is not finite is a ValueError naming the
+    metric and the first such line's player and game."""
+    store = dataset._store
+    season = len(rows) == len(dataset._order)
+    values = _finite(metric, weights, store if season else _take(store, rows))
+    if values is None:
+        bad = next(row for row in rows if _finite(metric, weights, _take(store, (row,))) is None)
+        raise ValueError(
+            f"{metric} of player {store['player_id'][bad]!r} in game "
+            f"{store['game_id'][bad]!r} is not a finite number"
+        )
+    return _pick(values, rows) if season else values
+
+
+def _season_column(dataset: Dataset, metric: str, weights: WeightConfig) -> Sequence:
+    """The per-game values of ``metric`` under ``weights`` for every line of
+    ``dataset``, in its index order, built once and kept, so a line is
+    evaluated once per metric and weights. A table asks for it, and so for
+    the minutes its per-minute series divide by, before it reads its
+    players' series."""
+    _column(dataset, ("minutes",), partial(_pick, dataset._store["minutes"]))
+    return _column(dataset, _key(metric, weights), partial(_values, dataset, metric, weights))
 
 
 def _series(
-    dataset: Dataset,
-    player_id: str,
-    metric: str,
-    weights: WeightConfig,
-    per_minute_values: bool,
+    dataset: Dataset, player_id: str, metric: str, weights: WeightConfig, per_minute_values: bool
 ) -> tuple[array, list[bool]]:
-    """One player's series as :func:`_excluded` gives it: a slice of the
-    season column of ``metric`` and ``weights`` once a table has built it.
-    Before that, a request about one player evaluates that player's lines
-    alone, and keeps nothing. Callers only read what comes back."""
-    start, stop = dataset._by_player[player_id]
-    column = dataset._columns.get(_key(metric, weights))
-    if column is None:
-        lines = _take(dataset._store, dataset._order[start:stop])
-        values, minutes = _kernel(metric, weights, lines), lines["minutes"]
-    else:
-        values = column[start:stop]
-        minutes = _minutes(dataset)[start:stop] if per_minute_values else ()
+    """One player's series as :func:`_excluded` gives it, from the columns
+    :func:`_column` gives for that player."""
+    values = _column(
+        dataset, _key(metric, weights), partial(_values, dataset, metric, weights), player_id
+    )
+    minutes = _column(dataset, ("minutes",), partial(_pick, dataset._store["minutes"]), player_id)
     return _excluded(values, minutes, metric, per_minute_values)
 
 
@@ -316,18 +311,3 @@ def player_series(
         values=tuple(values),
         game_ids=tuple(compress(game_ids, keep)),
     )
-
-
-def player_mean(
-    dataset: Dataset,
-    player_id: str,
-    metric: str,
-    weights: WeightConfig | None = None,
-    *,
-    per_minute_values: bool = False,
-) -> float:
-    """Mean of the per-game series (per-game values averaged, not totals)."""
-    series = player_series(
-        dataset, player_id, metric, weights, per_minute_values=per_minute_values
-    )
-    return left_sum(series.values) / len(series.values)

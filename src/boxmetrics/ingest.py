@@ -27,7 +27,6 @@ still hold a tie, and asking for that game's outcome then raises
 
 from __future__ import annotations
 
-import codecs
 import csv
 import io
 import json
@@ -220,9 +219,8 @@ class Dataset:
 
     @cached_property
     def _columns(self) -> dict[tuple, object]:
-        """Season-wide columns in :attr:`_order`, derived from the store, each
-        filled on its first request and keyed by everything it depends on.
-        The lines never change, so a column never goes stale."""
+        """Season-wide columns in :attr:`_order`, derived from the store;
+        :func:`boxmetrics.indices._column` alone reads and fills them."""
         return {}
 
     def player_ids(self) -> list[str]:
@@ -297,11 +295,13 @@ def _lines(store: dict) -> tuple[BoxscoreLine, ...]:
 
 
 def _as_text(stream: IO | str) -> io.TextIOBase:
-    """``stream`` as a text stream; bytes are decoded as UTF-8."""
+    """``stream`` as a text stream; bytes are decoded as UTF-8. Text is read
+    as a file opened with ``newline=""`` is, so a row may end in ``\n``,
+    ``\r\n`` or a lone ``\r``."""
     if isinstance(stream, io.TextIOBase):
         return stream
     data = stream if isinstance(stream, str) else stream.read()
-    return io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data)
+    return io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data, newline="")
 
 
 def _located(where: str, exc: ValueError) -> IngestError:
@@ -481,25 +481,18 @@ def _read_rows(reader: Iterable[list[str]], what: str) -> Iterator[list[str]]:
         raise BadValueError(f"{what} row {read + 1}: {exc}") from None
 
 
-def _csv_rows(
-    stream: IO | str, header: tuple[str, ...], what: str
-) -> tuple[Iterator, bool, bool]:
-    """The rows after a CSV table's header, which must be exactly ``header``;
-    whether the lines table carries the optional points column; and whether
-    UTF-8 can encode every text, as it can when ``stream`` decodes strict UTF-8."""
-    encodable = (
-        isinstance(stream, io.TextIOWrapper) and stream.errors == "strict"
-        and codecs.lookup(stream.encoding).name == "utf-8"
-    )
+def _csv_rows(stream: IO | str, header: tuple[str, ...], what: str) -> tuple[Iterator, bool]:
+    """The rows after a CSV table's header, which must be exactly ``header``,
+    and whether the lines table carries the optional points column."""
     rows = _read_rows(csv.reader(_as_text(stream)), what)
     try:
         actual = tuple(next(rows))
     except StopIteration:
         raise MissingColumnError(f"{what} file is empty; expected a header row")
     if actual == header:
-        return rows, False, encodable
+        return rows, False
     if what == "lines" and actual == header + (OPTIONAL_LINES_COLUMN,):
-        return rows, True, encodable
+        return rows, True
     missing = [c for c in header if c not in actual]
     if missing:
         raise MissingColumnError(f"{what} header: missing column(s) {', '.join(missing)}")
@@ -509,12 +502,11 @@ def _csv_rows(
     )
 
 
-def _csv_game(row: list[str], encodable: bool = False) -> tuple:
+def _csv_game(row: list[str]) -> tuple:
     if len(row) != len(GAMES_HEADER):
         raise BadValueError(f"expected {len(GAMES_HEADER)} fields, got {len(row)}")
-    if not encodable:
-        for i in (0, 2, 3, 4):  # game_id, competition, home_team, away_team
-            _check_encodable(row[i:i + 1], GAMES_HEADER[i])
+    for i in (0, 2, 3, 4):  # game_id, competition, home_team, away_team
+        _check_encodable(row[i:i + 1], GAMES_HEADER[i])
     home, away = (_int_cells([row[i]], GAMES_HEADER[i])[0] for i in (5, 6))
     return (*row[:5], home, away)
 
@@ -522,19 +514,16 @@ def _csv_game(row: list[str], encodable: bool = False) -> tuple:
 _STARTER = {"true": True, "false": False}
 
 
-def _csv_columns(
-    has_points: bool, block: list[list[str]], encodable: bool = False
-) -> tuple[list, list | None]:
+def _csv_columns(has_points: bool, block: list[list[str]]) -> tuple[list, list | None]:
     """A block of rows as line-field columns and the points column or None;
-    the ids and names are checked as UTF-8 unless ``encodable``. The error
-    names the first bad cell of a block of one row."""
+    the ids and names are checked as UTF-8. The error names the first bad
+    cell of a block of one row."""
     width = len(LINES_HEADER) + has_points
     if {*map(len, block)} != {width}:
         raise BadValueError(f"expected {width} fields, got {len(block[0])}")
     game_id, player_id, name, team, minutes, *cells = zip(*block)
-    if not encodable:
-        for column, field in zip((game_id, player_id, name, team), LINES_HEADER):
-            _check_encodable(column, field)
+    for column, field in zip((game_id, player_id, name, team), LINES_HEADER):
+        _check_encodable(column, field)
     # LINES_HEADER lists the counts in BoxscoreLine's field order. A count
     # column of texts of 0..255 is decoded straight to bytes, in one C pass.
     counts = [
@@ -569,10 +558,10 @@ def _parse_csv(
     """:func:`parse_csv`. ``read_halves``, when given, is :func:`_parse_lines`
     on two cores; it returns False when it leaves the rows after its first
     half for :func:`_parse_lines`."""
-    games_rows, _, encodable = _csv_rows(games_stream, GAMES_HEADER, "games")
-    games = _parse_games(games_rows, partial(_csv_game, encodable=encodable), "games row", 2)
-    lines_rows, has_points, encodable = _csv_rows(lines_stream, LINES_HEADER, "lines")
-    columns_of = partial(_csv_columns, has_points, encodable=encodable)
+    games_rows, _ = _csv_rows(games_stream, GAMES_HEADER, "games")
+    games = _parse_games(games_rows, _csv_game, "games row", 2)
+    lines_rows, has_points = _csv_rows(lines_stream, LINES_HEADER, "lines")
+    columns_of = partial(_csv_columns, has_points)
     store = _new_store()
     args = games, _pairs(games), set(), store, lines_rows, columns_of, "lines row", 2
     if read_halves is None or not read_halves(*args):

@@ -8,10 +8,11 @@ Welch test and reports the means with a significance verdict.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import compress, repeat
 from typing import NamedTuple, Sequence
 
-from .indices import _series, parse_metric_name
+from .indices import _column, _series, parse_metric_name
 from .ingest import Dataset, _pick
 from .model import (
     DEFAULT_CLOSE_THRESHOLD,
@@ -98,17 +99,6 @@ def is_close_game(game: GameMeta, threshold: int = DEFAULT_CLOSE_THRESHOLD) -> b
     return abs(game.home_score - game.away_score) <= threshold
 
 
-def side_of(
-    kind: str,
-    line: BoxscoreLine,
-    game: GameMeta,
-    close_threshold: int = DEFAULT_CLOSE_THRESHOLD,
-) -> str:
-    """The side of a ``kind`` split this (line, game) falls on: win/loss,
-    close/normal, home/away, starter/bench, or the game's competition."""
-    return _side(kind, line.team, line.starter, game, close_threshold)
-
-
 class LabelStat(NamedTuple):
     """Mean plus_minus over one label's games; mean is None when empty."""
 
@@ -134,27 +124,15 @@ def _decided(dataset: Dataset, kind: str, close_threshold: int, rows: Sequence[i
     return list(map(_side, repeat(kind), teams, starters, games, repeat(close_threshold)))
 
 
-def _sides(dataset: Dataset, kind: str, close_threshold: int) -> list[str]:
-    """The side of a ``kind`` split each line of the season falls on, in the
-    dataset's index order; decided on the first request per dataset. A table
-    asks for it before it reads its players' sides."""
-    key = ("sides", kind, close_threshold)
-    sides = dataset._columns.get(key)
-    if sides is None:
-        sides = dataset._columns[key] = _decided(dataset, kind, close_threshold, dataset._order)
-    return sides
-
-
-def _player_sides(
-    dataset: Dataset, player_id: str, kind: str, close_threshold: int
+def _sides(
+    dataset: Dataset, kind: str, close_threshold: int, player_id: str | None = None
 ) -> list[str]:
-    """One player's slice of :func:`_sides` once a table has built it; before
-    that, the sides of that player's lines alone, decided and not kept."""
-    start, stop = dataset._by_player[player_id]
-    sides = dataset._columns.get(("sides", kind, close_threshold))
-    if sides is None:
-        return _decided(dataset, kind, close_threshold, dataset._order[start:stop])
-    return sides[start:stop]
+    """The side of a ``kind`` split each line falls on, in the dataset's
+    index order, through :func:`~boxmetrics.indices._column`: the season's,
+    decided once and kept, or one player's. A table asks for the season's
+    before it reads its players' sides."""
+    decide = partial(_decided, dataset, kind, close_threshold)
+    return _column(dataset, ("sides", kind, close_threshold), decide, player_id)
 
 
 def _pm_stat(label: str, values: Sequence[float], dnp: Sequence[bool]) -> LabelStat:
@@ -191,7 +169,7 @@ def plus_minus_summary(
     dnp = [value == 0.0 for value in compress(minutes, keep)]
     stats = []
     for label in labels:
-        sides = compress(_player_sides(dataset, player_id, label.kind, close_threshold), keep)
+        sides = compress(_sides(dataset, label.kind, close_threshold, player_id), keep)
         on_side = [side == label.side for side in sides]
         stats.append(
             _pm_stat(str(label), list(compress(values, on_side)), list(compress(dnp, on_side)))
@@ -227,7 +205,7 @@ def split_compare(
     metric, use_per_minute = parse_metric_name(metric_name)
     if player_id not in dataset._by_player:
         raise UnknownPlayerError(f"no lines for player {player_id!r}")
-    sides = _player_sides(dataset, player_id, split_kind, close_threshold)
+    sides = _sides(dataset, split_kind, close_threshold, player_id)
     values, keep = _series(dataset, player_id, metric, weights, use_per_minute)
     if split_kind != "competition":
         side_pairs = [_SIDES[split_kind]]

@@ -299,6 +299,29 @@ def test_a_count_no_float_can_hold_exits_2_naming_it(season_files, capsys, comma
     )
 
 
+@pytest.mark.parametrize(
+    "field, power, metric",
+    [("plus_minus", 400, "plus_minus"), ("t2c", 308, "points"), ("ro", 308, "rend")],
+)
+def test_a_metric_value_that_is_not_finite_exits_2_naming_it(
+    season_files, capsys, field, power, metric
+):
+    # Ingest accepts each value, but no float holds the metric of its line.
+    path = Path(season_files["lines"])
+    rows = path.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, row in enumerate(rows) if row.split(",")[1] == "p1")
+    cells = rows[i].split(",")
+    cells[LINES_HEADER.index(field)] = str(10**power)
+    rows[i] = ",".join(cells)
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    assert main(_base(season_files, "validate")) == 0
+    capsys.readouterr()
+    assert main(_base(season_files, "rank", metric, "--min-games", "1")) == 2
+    assert capsys.readouterr().err == (
+        f"error: {metric} of player 'p1' in game {cells[0]!r} is not a finite number\n"
+    )
+
+
 def test_invalid_alpha_rejected(season_files):
     args = _base(season_files, "rank", "rend") + ["--alpha", "1.5", "--min-games", "1"]
     assert main(args) == 2

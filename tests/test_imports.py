@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -73,10 +75,10 @@ PUBLIC_NAMES = [
     "UnknownTeamError", "WeightConfig", "ZeroMinutesError", "comparable_means",
     "correlation_significance", "correlation_table", "defensive_index", "derived_points",
     "filter_min_games", "game_outcome", "is_close_game", "kendall_tau", "load_dataset",
-    "metric_function", "metric_value", "offensive_index", "parse_csv", "parse_json", "pearson",
-    "per_minute", "player_mean", "player_series", "plus_minus_overview", "plus_minus_summary",
+    "metric_value", "offensive_index", "parse_csv", "parse_json", "pearson",
+    "per_minute", "player_series", "plus_minus_overview", "plus_minus_summary",
     "rank_delta", "rank_players", "rank_values", "regularity_table", "render", "rendimiento",
-    "serialize_csv", "serialize_json", "series_values", "spearman", "split_compare", "summarize",
+    "serialize_csv", "serialize_json", "spearman", "split_compare", "summarize",
     "valoracion_acb", "welch_test", "win_loss_table",
 ]
 CLASS_ATTRIBUTES = {
@@ -137,6 +139,33 @@ def test_public_names_and_class_attributes_are_pinned():
                 for attr in vars(cls) if not attr.startswith("_")
             })
     assert attributes == CLASS_ATTRIBUTES
+
+
+def _named(node: ast.AST) -> Counter:
+    """How often each name is read in ``node``, as a variable or an attribute."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_private_function_and_class_is_named_outside_itself():
+    # A top-level function or class that no code of the package names, other
+    # than its own body, is dead; the exports are named by their callers.
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(boxmetrics.__file__).parent.glob("*.py"))
+    ]
+    named = sum(map(_named, trees), Counter())
+    unused = [
+        node.name
+        for tree in trees for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in boxmetrics.__all__
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and named[node.name] == _named(node)[node.name]
+    ]
+    assert unused == []
 
 
 def _loaded(*argv: str) -> set[str]:

@@ -19,16 +19,14 @@ from boxmetrics import (
     WeightConfig,
     ZeroMinutesError,
     defensive_index,
-    metric_function,
     metric_value,
     offensive_index,
     per_minute,
     player_series,
     rendimiento,
-    series_values,
     valoracion_acb,
 )
-from boxmetrics.indices import parse_metric_name, player_mean
+from boxmetrics.indices import parse_metric_name
 from conftest import index_fixture_lines, make_line
 from oracles import (
     formula_defensive,
@@ -36,7 +34,6 @@ from oracles import (
     formula_valoracion,
     naive_metric_value,
     naive_player_series,
-    naive_side_values,
     neumaier_sum,
 )
 
@@ -192,12 +189,6 @@ def test_all_round_player_outranks_pure_scorer_at_equal_valoracion(weights):
     assert rendimiento(all_round, weights).rend_raw > rendimiento(scorer, weights).rend_raw
 
 
-def test_player_mean_is_mean_of_per_game_values(season, weights):
-    series = player_series(season, "p1", "points", weights)
-    expected = sum(series.values) / len(series.values)
-    assert player_mean(season, "p1", "points", weights) == expected
-
-
 # --- one series path against the per-line oracles ---------------------------
 
 coefficients = st.one_of(
@@ -259,11 +250,6 @@ def test_series_path_matches_per_line_oracles(weights, rows, players):
             [naive_metric_value(ln, metric, weights) for ln in lines]
         )
         for per_minute_values in (False, True) if metric != "plus_minus" else (False,):
-            expected = naive_side_values(
-                [(ln, games[ln.game_id]) for ln in lines], metric, per_minute_values, weights
-            )
-            values, kept = series_values(lines, metric, weights, per_minute_values)
-            assert _bits(values) == _bits(expected) and len(kept) == len(values)
             for player_id in dataset.player_ids():
                 want_values, want_games = naive_player_series(
                     dataset, player_id, metric, weights, per_minute_values
@@ -285,13 +271,13 @@ def test_defensive_and_offensive_coefficients_follow_key_order():
     assert config.offensive == tuple(config[key] for key in OFFENSIVE_KEYS)
     # Key k has weight k + 1 and count k + 20, k = 0..13 in STAT_KEYS order.
     line = make_line(**dict(zip(STAT_KEYS, range(20, 34))))
-    assert metric_function("id", config)(line) == sum((k + 1) * (k + 20) for k in range(4))
-    assert metric_function("io", config)(line) == sum((k + 1) * (k + 20) for k in range(4, 14))
+    assert metric_value(line, "id", config) == sum((k + 1) * (k + 20) for k in range(4))
+    assert metric_value(line, "io", config) == sum((k + 1) * (k + 20) for k in range(4, 14))
 
 
-def test_metric_function_rejects_unknown_metric(weights):
+def test_metric_value_rejects_unknown_metric(weights):
     with pytest.raises(ValueError, match="unknown metric"):
-        metric_function("steals", weights)
+        metric_value(make_line(), "steals", weights)
 
 
 def test_parse_metric_name_per_minute_flag():

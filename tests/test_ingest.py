@@ -226,6 +226,17 @@ def test_a_stream_that_decodes_loosely_has_its_texts_checked(table, errors):
         parse_csv(texts["games"], texts["lines"])
 
 
+@pytest.mark.parametrize("encode", [str, lambda text: io.BytesIO(text.encode("utf-8"))])
+def test_parse_csv_reads_every_line_end_as_the_same_season(encode):
+    # Text is read as load_dataset reads a file, opened with newline="".
+    season = build_season()
+    texts = serialize_csv(season)
+    assert all(text.count("\r\n") == text.count("\n") > 1 for text in texts)
+    for end in ("\n", "\r\n", "\r"):
+        games, lines = (encode(text.replace("\r\n", end)) for text in texts)
+        assert parse_csv(games, lines) == season, repr(end)
+
+
 def test_parse_csv_duplicate_line():
     dup = LINES_CSV.replace("G02,p1", "G01,p1")
     with pytest.raises(DuplicateLineError):

@@ -30,8 +30,9 @@ from boxmetrics.indices import (
     player_series,
 )
 from boxmetrics.ingest import parse_csv, serialize_csv
+from boxmetrics.report import rank_players, win_loss_table
 from boxmetrics.splits import _sides
-from conftest import make_game, make_line, random_seasons, winloss_season
+from conftest import build_season, make_game, make_line, random_seasons, winloss_season
 from oracles import (
     naive_lines_for,
     naive_metric_value,
@@ -387,3 +388,22 @@ def test_columns_match_line_by_line_oracles_in_any_call_order(data, calls, round
                 assert [None if v is None else v.hex() for v in column] == [
                     None if v is None else v.hex() for v in expected
                 ], call
+
+
+def test_one_player_requests_keep_no_season_column():
+    # Before a table has built a season column, a request about one player
+    # evaluates that player's lines alone and keeps nothing, so a one-player
+    # command does not evaluate the season. A table's columns then give the
+    # same answer.
+    dataset = parse_csv(*serialize_csv(build_season()))
+    args = ("p1", "rend_per_minute", "win_loss", dataset)
+    alone = _comparisons(split_compare, *args)
+    assert alone and alone[0] != "insufficient"
+    plus_minus_summary("p1", dataset)
+    player_series(dataset, "p1", "rend", per_minute_values=True)
+    assert dataset._columns == {}
+    rank_players(dataset, "rend_per_minute")
+    assert dataset._columns
+    assert _comparisons(split_compare, *args) == alone
+    win_loss_table(dataset, "rend_per_minute")
+    assert _comparisons(split_compare, *args) == alone
