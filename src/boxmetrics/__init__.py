@@ -37,9 +37,9 @@ _EXPORTS = {
         "plus_minus_summary", "split_compare",
     ),
     "report": (
-        "EmptyAfterFilterError", "PlayerSetMismatchError", "RankedRow", "RankedTable",
-        "Table", "correlation_table", "plus_minus_overview", "rank_delta", "rank_players",
-        "rank_values", "regularity_table", "render", "win_loss_table",
+        "EmptyAfterFilterError", "PlayerSetMismatchError", "RankedTable", "Table",
+        "correlation_table", "plus_minus_overview", "rank_delta", "rank_players", "rank_values",
+        "regularity_table", "render", "win_loss_table",
     ),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

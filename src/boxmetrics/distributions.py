@@ -16,28 +16,20 @@ _TINY = 1e-300
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz scheme."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _TINY:
-        d = _TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _MAX_ITERATIONS + 1):
+    """Continued fraction for the incomplete beta, modified Lentz scheme: one
+    half-step per partial numerator, tested for convergence after each pair."""
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    # c starts infinite, so the first half-step leaves it at 1.0 and sets h = d.
+    c, d, h = math.inf, 1.0, 1.0
+    for step in range(2 * _MAX_ITERATIONS + 1):
+        m = (step + 1) // 2
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _TINY:
-            d = _TINY
-        c = 1.0 + aa / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        if step == 0:
+            aa = -qab * x / qap
+        elif step % 2:
+            aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        else:
+            aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
         if abs(d) < _TINY:
             d = _TINY
@@ -47,7 +39,7 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _EPSILON:
+        if step and not step % 2 and abs(delta - 1.0) < _EPSILON:
             return h
     raise ArithmeticError(f"incomplete beta did not converge for a={a}, b={b}, x={x}")
 

@@ -164,8 +164,6 @@ def _excluded(
     reported plus_minus from a plus_minus series, and zero-minute (DNP)
     lines from a per-minute series, whose values are divided by minutes.
     """
-    if per_minute_values and metric == "plus_minus":
-        raise ValueError("plus_minus has no per-minute form")
     if metric == "plus_minus":
         keep = [value is not None for value in values]
     elif per_minute_values:
@@ -198,14 +196,22 @@ def _column(dataset: Dataset, key: tuple, build: Callable, player_id: str | None
     on the first request and kept. With one, that player's slice of it once
     it is built; before that, ``build`` over that player's rows alone, kept
     nowhere, so a request about one player evaluates one player, not the
-    season. Callers only read what comes back."""
+    season. A player with no lines is an UnknownPlayerError. Callers only
+    read what comes back."""
     column = dataset._columns.get(key)
     if player_id is None:
         if column is None:
             column = dataset._columns[key] = build(dataset._order)
         return column
+    if player_id not in dataset._by_player:
+        raise UnknownPlayerError(f"no lines for player {player_id!r}")
     start, stop = dataset._by_player[player_id]
     return build(dataset._order[start:stop]) if column is None else column[start:stop]
+
+
+def _field(dataset: Dataset, name: str, player_id: str | None = None) -> Sequence:
+    """Line field ``name`` in index order, through :func:`_column`: the season's or a player's."""
+    return _column(dataset, (name,), partial(_pick, dataset._store[name]), player_id)
 
 
 def _finite(metric: str, weights: WeightConfig, columns: Mapping[str, Sequence]) -> Sequence | None:
@@ -244,7 +250,7 @@ def _season_column(dataset: Dataset, metric: str, weights: WeightConfig) -> Sequ
     evaluated once per metric and weights. A table asks for it, and so for
     the minutes its per-minute series divide by, before it reads its
     players' series."""
-    _column(dataset, ("minutes",), partial(_pick, dataset._store["minutes"]))
+    _field(dataset, "minutes")
     return _column(dataset, _key(metric, weights), partial(_values, dataset, metric, weights))
 
 
@@ -256,8 +262,7 @@ def _series(
     values = _column(
         dataset, _key(metric, weights), partial(_values, dataset, metric, weights), player_id
     )
-    minutes = _column(dataset, ("minutes",), partial(_pick, dataset._store["minutes"]), player_id)
-    return _excluded(values, minutes, metric, per_minute_values)
+    return _excluded(values, _field(dataset, "minutes", player_id), metric, per_minute_values)
 
 
 def parse_metric_name(name: str, per_minute: bool = False) -> tuple[str, bool]:
@@ -291,23 +296,22 @@ def player_series(
 ) -> MetricSeries:
     """Per-game series of ``metric`` for one player, in chronological order.
 
-    Zero-minute lines are excluded from per-minute series, and lines with no
-    reported plus_minus from plus_minus series. Raises UnknownPlayerError for
-    absent players and EmptySeriesError when no qualifying games remain.
+    ``metric`` and ``per_minute_values`` are read as :func:`parse_metric_name`
+    reads a name and its flag. Zero-minute lines are excluded from per-minute
+    series, and lines with no reported plus_minus from plus_minus series.
+    Raises UnknownPlayerError for absent players and EmptySeriesError when no
+    qualifying games remain.
     """
     weights = weights or WeightConfig.defaults()
-    if player_id not in dataset._by_player:
-        raise UnknownPlayerError(f"no lines for player {player_id!r}")
+    metric, per_minute_values = parse_metric_name(metric, per_minute_values)
     values, keep = _series(dataset, player_id, metric, weights, per_minute_values)
     if not values:
         raise EmptySeriesError(
             f"player {player_id!r} has no qualifying games for metric {metric!r}"
         )
-    start, stop = dataset._by_player[player_id]
-    game_ids = _pick(dataset._store["game_id"], dataset._order[start:stop])
     return MetricSeries(
         player_id=player_id,
         metric_name=combined_metric_name(metric, per_minute_values),
         values=tuple(values),
-        game_ids=tuple(compress(game_ids, keep)),
+        game_ids=tuple(compress(_field(dataset, "game_id", player_id), keep)),
     )

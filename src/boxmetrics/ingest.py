@@ -144,10 +144,8 @@ class Dataset:
         lines: Iterable[BoxscoreLine],
         provenance: Provenance = Provenance("<memory>", "memory"),
     ) -> None:
-        lines = tuple(lines)
-        vars(self).update(games=dict(games), lines=lines, provenance=provenance)
+        vars(self).update(games=dict(games), lines=tuple(lines), provenance=provenance)
         self.__post_init__()
-        vars(self)["_store"] = _extend(_new_store(), zip(*lines))
 
     __setattr__ = __delattr__ = _frozen
 
@@ -171,16 +169,12 @@ class Dataset:
         )
 
     def __post_init__(self) -> None:
-        # The checks of a dataset built in memory, which _from_checked skips.
-        pairs = _pairs(self.games)
-        seen: set[tuple[str, str]] = set()
-        for line in self.lines:
-            try:
-                seen |= _check_references(
-                    self.games, pairs, seen, (line.player_id,), (line.team,), (line.game_id,)
-                )
-            except IngestError as exc:
-                raise _located(f"line for player {line.player_id!r}", exc) from None
+        # The lines of a dataset built in memory are checked and stored as a
+        # parser's rows are, an error naming the line's position from 1.
+        store = _new_store()
+        _parse_lines(self.games, _pairs(self.games), set(), store, iter(self.lines),
+                     lambda block: (list(zip(*block)), None), "line", 1)
+        vars(self)["_store"] = store
 
     @classmethod
     def _from_checked(

@@ -42,32 +42,33 @@ class PlayerSetMismatchError(ValueError):
     """Rank delta requested for tables over different player sets."""
 
 
-class RankedRow(NamedTuple):
-    rank: int
-    player_id: str
-    player_name: str
-    value: float | None
-    aux: tuple[tuple[str, Cell], ...] = ()
-    notes: tuple[str, ...] = ()
-
-
 class RankedTable(NamedTuple):
-    """Players ordered by a metric, ranks 1..n, deterministic tie-break."""
+    """Players ordered by a metric, ranks 1..n, deterministic tie-break.
+
+    Each row holds one cell per column: rank, player_id, player_name, value,
+    any further columns, then the notes as printed (``"tie"``,
+    ``"constant,incomparable-mean"`` or ``""``).
+    """
 
     title: str
     metric_name: str
-    rows: tuple[RankedRow, ...]
+    columns: tuple[str, ...]
+    rows: tuple[tuple[Cell, ...], ...]
     meta: Mapping[str, Cell]
     display_decimals: int = 2
 
     def rank_of(self, player_id: str) -> int:
         for row in self.rows:
-            if row.player_id == player_id:
-                return row.rank
+            if row[1] == player_id:
+                return row[0]
         raise KeyError(player_id)
 
     def player_ids(self) -> set[str]:
-        return {row.player_id for row in self.rows}
+        return {row[1] for row in self.rows}
+
+
+# The first columns of every ranked table.
+_RANKED_COLUMNS = ("rank", "player_id", "player_name", "value")
 
 
 class Table(NamedTuple):
@@ -116,31 +117,21 @@ def rank_values(
         raise EmptyAfterFilterError("nothing to rank")
     aux = aux or {}
     indexed = sorted(
-        range(len(entries)),
-        key=lambda i: (-entries[i][2], entries[i][1], entries[i][0]),
+        range(len(entries)), key=lambda i: (-entries[i][2], entries[i][1], entries[i][0])
     )
     value_counts: dict[float, int] = {}
     for _, _, value in entries:
         value_counts[value] = value_counts.get(value, 0) + 1
-    rows = []
-    for rank, i in enumerate(indexed, start=1):
-        player_id, player_name, value = entries[i]
-        notes = ("tie",) if value_counts[value] > 1 else ()
-        row_aux = tuple((name, column[i]) for name, column in aux.items())
-        rows.append(
-            RankedRow(
-                rank=rank,
-                player_id=player_id,
-                player_name=player_name,
-                value=value,
-                aux=row_aux,
-                notes=notes,
-            )
-        )
+    rows = tuple(
+        (rank, *entries[i], *(column[i] for column in aux.values()),
+         "tie" if value_counts[entries[i][2]] > 1 else "")
+        for rank, i in enumerate(indexed, start=1)
+    )
     return RankedTable(
         title=title or f"ranking by {metric_name}",
         metric_name=metric_name,
-        rows=tuple(rows),
+        columns=(*_RANKED_COLUMNS, *aux, "notes"),
+        rows=rows,
         meta=dict(meta or {}),
         display_decimals=display_decimals,
     )
@@ -150,6 +141,14 @@ def _player_names(dataset: Dataset, min_games: int) -> dict[str, str]:
     """The name of each player with at least ``min_games`` games, in id order."""
     names, order, by_player = dataset._store["player_name"], dataset._order, dataset._by_player
     return {pid: names[order[by_player[pid][0]]] for pid in _qualified(dataset, min_games)}
+
+
+def _by_name(dataset: Dataset, min_games: int) -> list[tuple[str, str]]:
+    """(player_id, name) of each player with ``min_games`` games or more, by name, then id."""
+    names = _player_names(dataset, min_games)
+    if not names:
+        raise EmptyAfterFilterError("no players after filter")
+    return sorted(names.items(), key=lambda item: (item[1], item[0]))
 
 
 def _series_by_player(
@@ -221,10 +220,10 @@ def rank_delta(table_a: RankedTable, table_b: RankedTable) -> Table:
         raise PlayerSetMismatchError(
             f"tables rank different players (only in a: {only_a}, only in b: {only_b})"
         )
-    names = {row.player_id: row.player_name for row in table_a.rows}
+    names = {row[1]: row[2] for row in table_a.rows}
     # Built from the last row up, so a player's first row wins, as in rank_of.
     ranks_a, ranks_b = (
-        {row.player_id: row.rank for row in reversed(table.rows)} for table in (table_a, table_b)
+        {row[1]: row[0] for row in reversed(table.rows)} for table in (table_a, table_b)
     )
     rows = []
     for player_id in sorted(names):
@@ -288,29 +287,17 @@ def regularity_table(
     rows = []
     for rank, player_id in enumerate(regular + constant, start=1):
         summary = summaries[player_id]
-        notes: list[str] = []
-        if summary.constant_series:
-            notes.append("constant")
+        notes = ["constant"] if summary.constant_series else []
         if not comparable_means(summary, median_summary):
             notes.append("incomparable-mean")
-        rows.append(
-            RankedRow(
-                rank=rank,
-                player_id=player_id,
-                player_name=names[player_id],
-                value=summary.regularity,
-                aux=(
-                    ("mean", summary.mean),
-                    ("mean_rank", mean_rank[player_id]),
-                    ("sd", summary.sd_sample),
-                    ("games", summary.n),
-                ),
-                notes=tuple(notes),
-            )
-        )
+        rows.append((
+            rank, player_id, names[player_id], summary.regularity, summary.mean,
+            mean_rank[player_id], summary.sd_sample, summary.n, ",".join(notes),
+        ))
     return RankedTable(
         title=f"regularity of {effective_name}",
         metric_name=f"{effective_name}:regularity",
+        columns=(*_RANKED_COLUMNS, "mean", "mean_rank", "sd", "games", "notes"),
         rows=tuple(rows),
         meta=base_meta(
             weights,
@@ -335,16 +322,14 @@ def plus_minus_overview(
 ) -> Table:
     """Mean plus_minus per player: total, close games, wins, losses."""
     weights = weights or WeightConfig.defaults()
-    names = _player_names(dataset, min_games)
-    if not names:
-        raise EmptyAfterFilterError("no players after filter")
+    players = _by_name(dataset, min_games)
     _season_column(dataset, "plus_minus", weights)
     for kind in ("close_game", "win_loss"):
         _sides(dataset, kind, close_threshold)
     rows = []
-    for player_id in sorted(names, key=lambda pid: (names[pid], pid)):
+    for player_id, name in players:
         summary = plus_minus_summary(player_id, dataset, close_threshold=close_threshold)
-        cells: list[Cell] = [player_id, names[player_id], summary.overall.mean]
+        cells: list[Cell] = [player_id, name, summary.overall.mean]
         for stat in summary.by_label:
             cells.append(stat.mean)
         rows.append(tuple(cells))
@@ -371,13 +356,11 @@ def win_loss_table(
     with an "insufficient" note and no test result.
     """
     weights = weights or WeightConfig.defaults()
-    names = _player_names(dataset, min_games)
-    if not names:
-        raise EmptyAfterFilterError("no players after filter")
+    players = _by_name(dataset, min_games)
     _season_column(dataset, parse_metric_name(metric_name)[0], weights)
     _sides(dataset, "win_loss", close_threshold)
     rows = []
-    for player_id in sorted(names, key=lambda pid: (names[pid], pid)):
+    for player_id, name in players:
         try:
             comparison = split_compare(
                 player_id,
@@ -389,12 +372,12 @@ def win_loss_table(
                 close_threshold=close_threshold,
             )[0]
         except InsufficientSplitError:
-            rows.append((player_id, names[player_id], None, None, None, None, None, "insufficient"))
+            rows.append((player_id, name, None, None, None, None, None, "insufficient"))
             continue
         rows.append(
             (
                 player_id,
-                names[player_id],
+                name,
                 comparison.n_a,
                 comparison.mean_a,
                 comparison.n_b,
@@ -561,22 +544,6 @@ def _escaped(text: str) -> str:
     return text if text.isprintable() else text.translate(_ESCAPES)
 
 
-def _as_grid(table: RankedTable | Table) -> tuple[tuple[str, ...], list[tuple[Cell, ...]]]:
-    if isinstance(table, Table):
-        return table.columns, list(table.rows)
-    columns = ["rank", "player_id", "player_name", "value"]
-    if table.rows:
-        columns.extend(name for name, _ in table.rows[0].aux)
-    columns.append("notes")
-    grid = []
-    for row in table.rows:
-        cells: list[Cell] = [row.rank, row.player_id, row.player_name, row.value]
-        cells.extend(value for _, value in row.aux)
-        cells.append(",".join(row.notes))
-        grid.append(tuple(cells))
-    return tuple(columns), grid
-
-
 def _json_cells(cells: Mapping[str, Cell]) -> dict[str, Cell]:
     """``cells`` with each non-finite float as null: strict JSON has no
     Infinity or NaN (a table's flags, such as ``degenerate``, say why)."""
@@ -594,7 +561,7 @@ def render(table: RankedTable | Table, fmt: str = "text") -> bytes:
     text carry the table metadata. A non-finite value is written as null in
     JSON and as ``inf``/``-inf``/``nan`` in CSV and text.
     """
-    columns, grid = _as_grid(table)
+    columns, grid = table.columns, table.rows
     if fmt == "csv":
         return _csv_text(columns, grid).encode("utf-8")
     if fmt == "json":

@@ -12,8 +12,8 @@ from functools import partial
 from itertools import compress, repeat
 from typing import NamedTuple, Sequence
 
-from .indices import _column, _series, parse_metric_name
-from .ingest import Dataset, _pick
+from .indices import _column, _field, _series, parse_metric_name
+from .ingest import Dataset
 from .model import (
     DEFAULT_CLOSE_THRESHOLD,
     SPLIT_KINDS,
@@ -21,7 +21,6 @@ from .model import (
     GameMeta,
     SplitComparison,
     TiedScoreError,
-    UnknownPlayerError,
     WeightConfig,
     _Checked,
 )
@@ -73,20 +72,22 @@ def _side(
     """The side of a ``kind`` split that a line of ``team``, in the starting
     five or not, falls on in ``game``: win/loss, close/normal, home/away,
     starter/bench, or the game's competition. The one rule for every side."""
+    if kind == "competition":
+        return game.competition
     if kind == "win_loss":
         margin = game.margin(team)
         if margin == 0:
             raise TiedScoreError(
                 f"game {game.game_id!r} ended tied; ties are rejected at ingestion"
             )
-        return "win" if margin > 0 else "loss"
-    if kind == "close_game":
-        return "close" if is_close_game(game, close_threshold) else "normal"
-    if kind == "home_away":
-        return "home" if team == game.home_team else "away"
-    if kind == "starter_bench":
-        return "starter" if starter else "bench"
-    return game.competition
+        second = margin > 0
+    elif kind == "close_game":
+        second = not is_close_game(game, close_threshold)
+    elif kind == "home_away":
+        second = team != game.home_team
+    else:
+        second = not starter
+    return _SIDES[kind][second]
 
 
 def game_outcome(line: BoxscoreLine, game: GameMeta) -> str:
@@ -161,12 +162,8 @@ def plus_minus_summary(
             SplitLabel("win_loss", "win"),
             SplitLabel("win_loss", "loss"),
         )
-    if player_id not in dataset._by_player:
-        raise UnknownPlayerError(f"no lines for player {player_id!r}")
-    start, stop = dataset._by_player[player_id]
     values, keep = _series(dataset, player_id, "plus_minus", _NO_WEIGHTS, False)
-    minutes = _pick(dataset._store["minutes"], dataset._order[start:stop])
-    dnp = [value == 0.0 for value in compress(minutes, keep)]
+    dnp = [value == 0.0 for value in compress(_field(dataset, "minutes", player_id), keep)]
     stats = []
     for label in labels:
         sides = compress(_sides(dataset, label.kind, close_threshold, player_id), keep)
@@ -203,8 +200,6 @@ def split_compare(
         raise ValueError(f"unknown split kind {split_kind!r}")
     weights = weights or WeightConfig.defaults()
     metric, use_per_minute = parse_metric_name(metric_name)
-    if player_id not in dataset._by_player:
-        raise UnknownPlayerError(f"no lines for player {player_id!r}")
     sides = _sides(dataset, split_kind, close_threshold, player_id)
     values, keep = _series(dataset, player_id, metric, weights, use_per_minute)
     if split_kind != "competition":

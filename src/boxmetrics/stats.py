@@ -67,16 +67,28 @@ def left_sum(values: Iterable[float]) -> float:
     return total
 
 
+def _in_range(value: float, what: str) -> float:
+    """``value``, a result of finite inputs; one that overflowed, or a ratio
+    whose terms underflowed to 0/0, is a ValueError naming ``what``."""
+    if not math.isfinite(value):
+        raise ValueError(f"{what} is out of the float range")
+    return value
+
+
 def mean(values: Sequence[float]) -> float:
     if not values:
         raise TooFewSamplesError("mean of an empty sequence")
-    return left_sum(values) / len(values)
+    return _in_range(left_sum(values), f"the sum of {len(values)} values") / len(values)
 
 
 def _squared_deviations(values: Sequence[float]) -> tuple[float, float]:
     """(mean, sum of squared deviations from the mean) of ``values``."""
     center = mean(values)
-    return center, left_sum((v - center) ** 2 for v in values)
+    try:
+        spread = left_sum((v - center) ** 2 for v in values)
+    except OverflowError:
+        spread = math.inf
+    return center, _in_range(spread, f"the sum of {len(values)} squared deviations")
 
 
 def summarize(series: MetricSeries | Sequence[float]) -> SeriesSummary:
@@ -132,7 +144,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     ssy = left_sum(d * d for d in dy)
     if ssx == 0.0 or ssy == 0.0:
         raise ConstantInputError("pearson undefined for a constant input")
-    r = left_sum(a * b for a, b in zip(dx, dy)) / math.sqrt(ssx * ssy)
+    ss = _in_range(ssx * ssy, "the product of pearson's sums of squares")
+    r = left_sum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss)
     return max(-1.0, min(1.0, r))
 
 
@@ -271,11 +284,14 @@ def welch_test(
             t_stat = math.inf if diff > 0 else -math.inf
             p, degenerate = 0.0, True
     else:
-        t_stat = (mean_a - mean_b) / math.sqrt(se_sq)
-        df = se_sq * se_sq / (
-            (var_a / n_a) ** 2 / (n_a - 1) + (var_b / n_b) ** 2 / (n_b - 1)
-        )
-        p = student_t_two_sided_p(t_stat, df)
+        t_stat = _in_range((mean_a - mean_b) / math.sqrt(se_sq), "welch's t statistic")
+        try:
+            df = se_sq * se_sq / (
+                (var_a / n_a) ** 2 / (n_a - 1) + (var_b / n_b) ** 2 / (n_b - 1)
+            )
+        except (OverflowError, ZeroDivisionError):
+            df = math.nan
+        p = student_t_two_sided_p(t_stat, _in_range(df, "welch's degrees-of-freedom ratio"))
         degenerate = False
     return SplitComparison(
         metric_name=metric_name,

@@ -385,11 +385,11 @@ def naive_rank_delta(table_a, table_b) -> list[tuple]:
 
     def rank_of(table, player_id: str) -> int:
         for row in table.rows:
-            if row.player_id == player_id:
-                return row.rank
+            if row[1] == player_id:
+                return row[0]
         raise KeyError(player_id)
 
-    names = {row.player_id: row.player_name for row in table_a.rows}
+    names = {row[1]: row[2] for row in table_a.rows}
     rows = []
     for pid in sorted(names):
         rank_a, rank_b = rank_of(table_a, pid), rank_of(table_b, pid)

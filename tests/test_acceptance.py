@@ -330,9 +330,7 @@ def test_criterion_09_scale_invariance():
             moved_table = rank_players(
                 season, metric, weights.scaled(k), per_minute=per_min, min_games=1
             )
-            if [(r.rank, r.player_id) for r in base_table.rows] != [
-                (r.rank, r.player_id) for r in moved_table.rows
-            ]:
+            if [r[:2] for r in base_table.rows] != [r[:2] for r in moved_table.rows]:
                 ranking_ok = False
     ok = regularity_ok and ranking_ok
     _report(9, "regularity scale-invariant, rankings weight-scale-invariant", ok)

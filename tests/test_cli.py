@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from boxmetrics import METRICS, Dataset, cli
+from boxmetrics import METRICS, STAT_KEYS, Dataset, cli
 from boxmetrics.cli import main
 from boxmetrics.ingest import GAMES_HEADER, LINES_HEADER, cell_text, serialize_csv, serialize_json
 from boxmetrics.splits import SPLIT_KINDS
@@ -322,6 +322,101 @@ def test_a_metric_value_that_is_not_finite_exits_2_naming_it(
     )
 
 
+def _edit_first_line(season_files, player_id: str, **cells) -> None:
+    """Give the first line of ``player_id`` in the lines CSV these ``cells``."""
+    path = Path(season_files["lines"])
+    rows = path.read_text(encoding="utf-8").splitlines()
+    i = next(i for i, row in enumerate(rows) if row.split(",")[1] == player_id)
+    values = rows[i].split(",")
+    for field, value in cells.items():
+        values[LINES_HEADER.index(field)] = str(value)
+    rows[i] = ",".join(values)
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "weights, cells, argv, what",
+    [
+        ({"rd": 1e300}, {}, ["regularity", "rend", "--min-games", "2"],
+         "the sum of 6 squared deviations"),
+        ({"rd": 1e300}, {}, ["splits", "p1", "rend", "win_loss"],
+         "the sum of 3 squared deviations"),
+        ({"rd": 1e300}, {}, ["report-all", "--min-games", "1"], "the sum of 6 squared deviations"),
+        ({"rd": 1e300}, {}, ["correlate", "rend", "points", "--min-games", "1"],
+         "the product of pearson's sums of squares"),
+        ({"rd": 1e307, "ro": 1e307}, {}, ["rank", "rend", "--min-games", "1", "--format", "csv"],
+         "the sum of 6 values"),
+        ({}, {"ro": 10**307, "minutes": 0.1}, ["rank", "rend", "--per-minute", "--min-games", "1"],
+         "the sum of 6 values"),
+        # Both terms of Welch's degrees-of-freedom ratio underflow to 0.
+        (dict.fromkeys(STAT_KEYS, 1e-85), {}, ["splits", "p1", "rend", "win_loss"],
+         "welch's degrees-of-freedom ratio"),
+    ],
+    ids=["regularity", "splits", "report-all", "correlate", "rank-mean", "rank-per-minute",
+         "splits-underflow"],
+)
+def test_a_statistic_that_overflows_exits_2(
+    season_files, tmp_path, capsys, weights, cells, argv, what
+):
+    # Every metric value is finite, so validate and the column check pass;
+    # a sum, a square or a per-minute quotient of them is not.
+    _edit_first_line(season_files, "p1", **cells)
+    argv = _base(season_files, *argv)
+    if weights:
+        override = tmp_path / "weights.json"
+        override.write_text(json.dumps(weights), encoding="utf-8")
+        argv += ["--weights", str(override)]
+    if argv[0] == "report-all":
+        argv += ["--out", str(tmp_path / "reports")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {what} is out of the float range\n"
+    assert not (tmp_path / "reports").exists()
+
+
+def _drop_last_field_of_row_3(text: str) -> str:
+    rows = text.splitlines()
+    rows[2] = rows[2].rsplit(",", 1)[0]
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "target, edit, message",
+    [
+        ("games", lambda text: "", "games file is empty; expected a header row"),
+        ("lines", lambda text: "", "lines file is empty; expected a header row"),
+        ("games", _drop_last_field_of_row_3, "games row 3: expected 7 fields, got 6"),
+        ("json", lambda doc: {**doc, "games": [1, *doc["games"][1:]]},
+         "games entry 1: must be an object"),
+        ("json", lambda doc: {**doc, "games": {}}, "'games' and 'lines' must be arrays"),
+        ("weights", lambda text: "[1, 2]", "weight configuration must be a JSON object"),
+    ],
+    ids=["empty-games", "empty-lines", "short-games-row", "games-entry-1", "games-object",
+         "weights-array"],
+)
+def test_an_input_of_the_wrong_shape_exits_2_with_its_message(
+    season_files, tmp_path, capsys, target, edit, message
+):
+    if target == "json":
+        doc = tmp_path / "season.json"
+        edited = edit(json.loads(serialize_json(build_season())))
+        doc.write_text(json.dumps(edited), encoding="utf-8")
+        argv = ["validate", "--json", str(doc)]
+    elif target == "weights":
+        override = tmp_path / "weights.json"
+        override.write_text(edit(""), encoding="utf-8")
+        argv = _base(season_files, "validate", "--weights", str(override))
+    else:
+        path = Path(season_files[target])
+        path.write_text(edit(path.read_text(encoding="utf-8")), encoding="utf-8")
+        argv = _base(season_files, "validate")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_invalid_alpha_rejected(season_files):
     args = _base(season_files, "rank", "rend") + ["--alpha", "1.5", "--min-games", "1"]
     assert main(args) == 2
@@ -584,11 +679,18 @@ def _text_rows(text: str) -> int:
 
 
 def _check_outputs(outputs: dict[str, bytes]) -> None:
-    """One table rendered in each format: strict JSON, and the same row count
-    in the CSV, the JSON and the text table."""
+    """One table rendered in each format: strict JSON, the same row count in
+    the CSV, the JSON and the text table, and no non-finite number but a
+    degenerate Welch row's t_stat."""
     doc = json.loads(outputs["json"].decode("utf-8"), parse_constant=_no_json_constant)
     csv_rows = list(csv.reader(io.StringIO(outputs["csv"].decode("utf-8"), newline="")))
     assert len(csv_rows) - 1 == len(doc["rows"]) == _text_rows(outputs["txt"].decode("utf-8"))
+    for csv_row, json_row in zip(csv_rows[1:], doc["rows"]):
+        for name, cell in zip(csv_rows[0], csv_row):
+            # A non-finite float is this text in CSV and null in JSON; a
+            # name that reads "inf" is a string in JSON.
+            if cell in ("inf", "-inf", "nan") and json_row[name] is None:
+                assert name == "t_stat", (name, cell)
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -615,6 +717,16 @@ def test_every_command_on_any_text_exits_cleanly_with_valid_output(
         inputs = ["--json", str(directory / "season.json")]
     else:
         inputs = ["--games", str(directory / "games.csv"), "--lines", str(directory / "lines.csv")]
+    # Weights of any size a float holds, for some of the keys, make sums and
+    # squares of finite metric values overflow; a power of ten of any exponent
+    # gives every size an equal chance.
+    weight = st.floats(min_value=-1e308, max_value=1e308) | st.integers(-308, 308).map(
+        lambda exponent: 10.0 ** exponent
+    )
+    weights = data.draw(st.none() | st.dictionaries(st.sampled_from(STAT_KEYS), weight))
+    if weights is not None:
+        (directory / "weights.json").write_text(json.dumps(weights), encoding="utf-8")
+        inputs += ["--weights", str(directory / "weights.json")]
     metric, other = (data.draw(st.sampled_from(_METRIC_NAMES)) for _ in range(2))
     player = data.draw(st.sampled_from(player_ids))
     kind = data.draw(st.sampled_from((None, *SPLIT_KINDS)))

@@ -70,7 +70,7 @@ PUBLIC_NAMES = [
     "DEFAULT_WEIGHTS", "DEFENSIVE_KEYS", "Dataset", "EmptyAfterFilterError", "EmptySeriesError",
     "GameMeta", "IndexValue", "IngestError", "InsufficientSplitError", "LengthMismatchError",
     "METRICS", "MetricSeries", "OFFENSIVE_KEYS", "PlayerSetMismatchError", "Provenance",
-    "RankedRow", "RankedTable", "SPLIT_KINDS", "STAT_KEYS", "SeriesSummary", "SplitComparison",
+    "RankedTable", "SPLIT_KINDS", "STAT_KEYS", "SeriesSummary", "SplitComparison",
     "SplitLabel", "Table", "TiedScoreError", "TooFewSamplesError", "UnknownPlayerError",
     "UnknownTeamError", "WeightConfig", "ZeroMinutesError", "comparable_means",
     "correlation_significance", "correlation_table", "defensive_index", "derived_points",
@@ -105,9 +105,9 @@ CLASS_ATTRIBUTES = {
     "MetricSeries": ["game_ids", "metric_name", "player_id", "values"],
     "PlayerSetMismatchError": [],
     "Provenance": ["format", "source"],
-    "RankedRow": ["aux", "notes", "player_id", "player_name", "rank", "value"],
     "RankedTable": [
-        "display_decimals", "meta", "metric_name", "player_ids", "rank_of", "rows", "title",
+        "columns", "display_decimals", "meta", "metric_name", "player_ids", "rank_of", "rows",
+        "title",
     ],
     "SeriesSummary": ["constant_series", "mean", "n", "regularity", "sd_population", "sd_sample"],
     "SplitComparison": [
@@ -150,8 +150,10 @@ def _named(node: ast.AST) -> Counter:
 
 
 def test_every_private_function_and_class_is_named_outside_itself():
-    # A top-level function or class that no code of the package names, other
-    # than its own body, is dead; the exports are named by their callers.
+    # A top-level function or class, or a private module constant, that no
+    # code of the package names other than its own statement, is dead; the
+    # exports are named by their callers. So is a module-level import that no
+    # code of its own module names.
     trees = [
         ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(Path(boxmetrics.__file__).parent.glob("*.py"))
@@ -165,6 +167,22 @@ def test_every_private_function_and_class_is_named_outside_itself():
         and not (node.name.startswith("__") and node.name.endswith("__"))
         and named[node.name] == _named(node)[node.name]
     ]
+    for tree in trees:
+        in_module = _named(tree)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                unused += [
+                    name.id
+                    for target in targets for name in ast.walk(target)
+                    if isinstance(name, ast.Name) and name.id.startswith("_")
+                    and not name.id.endswith("__") and named[name.id] == _named(node)[name.id]
+                ]
+            elif isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                bound = [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+                unused += [name for name in bound if not in_module[name]]
     assert unused == []
 
 

@@ -1100,7 +1100,7 @@ def test_dataset_built_in_memory_names_the_bad_line(fault, at):
     with pytest.raises(error) as raised:
         Dataset(games=season.games, lines=lines)
     assert type(raised.value) is error
-    assert str(raised.value) == f"line for player {line.player_id!r}: {message}"
+    assert str(raised.value) == f"line {i % len(lines) + 1}: {message}"
 
 
 # One bad field each, as a JSON value and as a BoxscoreLine argument.

@@ -16,7 +16,6 @@ from boxmetrics import (
     IndexValue,
     MetricSeries,
     Provenance,
-    RankedRow,
     RankedTable,
     SeriesSummary,
     SplitComparison,
@@ -126,17 +125,11 @@ RECORDS = [
         "dnp_included=0), by_label=())",
     ),
     (
-        RankedRow,
-        (1, "p1", "Arco", 2.5),
-        dict(rank=1, player_id="p1", player_name="Arco", value=2.5),
-        "RankedRow(rank=1, player_id='p1', player_name='Arco', value=2.5, aux=(), notes=())",
-    ),
-    (
         RankedTable,
-        ("t", "rend", (), {"alpha": 0.05}),
-        dict(title="t", metric_name="rend", rows=(), meta={"alpha": 0.05}),
-        "RankedTable(title='t', metric_name='rend', rows=(), meta={'alpha': 0.05}, "
-        "display_decimals=2)",
+        ("t", "rend", ("rank",), (), {"alpha": 0.05}),
+        dict(title="t", metric_name="rend", columns=("rank",), rows=(), meta={"alpha": 0.05}),
+        "RankedTable(title='t', metric_name='rend', columns=('rank',), rows=(), "
+        "meta={'alpha': 0.05}, display_decimals=2)",
     ),
     (
         Table,

@@ -32,7 +32,7 @@ from boxmetrics import indices, splits
 from boxmetrics.cli import main
 from boxmetrics.ingest import serialize_csv
 from boxmetrics.model import SPLIT_KINDS
-from boxmetrics.report import RankedRow, RankedTable, format_display, split_table
+from boxmetrics.report import RankedTable, format_display, split_table
 from conftest import build_season, make_line, random_seasons, winloss_season
 from oracles import formula_defensive, formula_offensive, naive_rank_delta
 from test_acceptance import _synthetic_season
@@ -40,8 +40,8 @@ from test_acceptance import _synthetic_season
 
 def test_rank_values_single_entry():
     table = rank_values("rend", [("p1", "Solo", -3.0)])
-    assert table.rows[0].rank == 1
-    assert table.rows[0].value == -3.0
+    assert table.rows[0][0] == 1
+    assert table.rows[0][3] == -3.0
 
 
 def test_rank_values_orders_descending():
@@ -49,7 +49,7 @@ def test_rank_values_orders_descending():
         "valoracion_per_minute",
         [("a", "Rodriguez", 0.63), ("b", "Pleiss", 0.74)],
     )
-    assert [(r.rank, r.player_name) for r in table.rows] == [(1, "Pleiss"), (2, "Rodriguez")]
+    assert [(r[0], r[2]) for r in table.rows] == [(1, "Pleiss"), (2, "Rodriguez")]
 
 
 def test_rank_values_tie_break_alphabetical_and_flagged():
@@ -57,12 +57,12 @@ def test_rank_values_tie_break_alphabetical_and_flagged():
         "points",
         [("z", "Zeta", 5.0), ("a", "Alfa", 5.0), ("m", "Mid", 7.0)],
     )
-    assert [(r.rank, r.player_name) for r in table.rows] == [
+    assert [(r[0], r[2]) for r in table.rows] == [
         (1, "Mid"), (2, "Alfa"), (3, "Zeta"),
     ]
-    assert table.rows[1].notes == ("tie",)
-    assert table.rows[2].notes == ("tie",)
-    assert table.rows[0].notes == ()
+    assert table.rows[1][-1] == "tie"
+    assert table.rows[2][-1] == "tie"
+    assert table.rows[0][-1] == ""
 
 
 def test_rank_values_empty():
@@ -72,10 +72,10 @@ def test_rank_values_empty():
 
 def test_rank_players_points_matches_hand_means(season, weights):
     table = rank_players(season, "points", weights, min_games=1)
-    by_id = {row.player_id: row for row in table.rows}
+    by_id = {row[1]: row for row in table.rows}
     # p4 scored 2*1=2 then 2*2+3+1=8 -> mean 5.0 over two games
-    assert by_id["p4"].value == pytest.approx(5.0)
-    ranks = [row.player_id for row in table.rows]
+    assert by_id["p4"][3] == pytest.approx(5.0)
+    ranks = [row[1] for row in table.rows]
     assert len(ranks) == 4
     assert table.meta["weights_fingerprint"] == weights.fingerprint()
     assert table.meta["min_games"] == 1
@@ -83,16 +83,16 @@ def test_rank_players_points_matches_hand_means(season, weights):
 
 def test_rank_players_min_games_filter(season, weights):
     table = rank_players(season, "points", weights, min_games=3)
-    assert {row.player_id for row in table.rows} == {"p1", "p2", "p3"}
+    assert {row[1] for row in table.rows} == {"p1", "p2", "p3"}
     with pytest.raises(EmptyAfterFilterError):
         rank_players(season, "points", weights, min_games=50)
 
 
 def test_rank_players_per_minute_uses_per_game_quotients(season, weights):
     table = rank_players(season, "points", weights, per_minute=True, min_games=1)
-    by_id = {row.player_id: row for row in table.rows}
+    by_id = {row[1]: row for row in table.rows}
     # p4: 2 points in 10 minutes, 8 points in 14 minutes
-    assert by_id["p4"].value == pytest.approx((2 / 10 + 8 / 14) / 2, rel=1e-12)
+    assert by_id["p4"][3] == pytest.approx((2 / 10 + 8 / 14) / 2, rel=1e-12)
     assert table.metric_name == "points_per_minute"
 
 
@@ -124,8 +124,9 @@ def test_rank_delta_matches_a_scan_of_the_rows(data):
         order += data.draw(st.lists(st.sampled_from(ids), max_size=3))
         ranks = data.draw(st.lists(st.integers(1, len(ids)), min_size=len(order),
                                    max_size=len(order)))
-        rows = tuple(RankedRow(rank, pid, pid.upper(), None) for rank, pid in zip(ranks, order))
-        return RankedTable(title=metric, metric_name=metric, rows=rows, meta={})
+        rows = tuple((rank, pid, pid.upper(), None, "") for rank, pid in zip(ranks, order))
+        columns = ("rank", "player_id", "player_name", "value", "notes")
+        return RankedTable(title=metric, metric_name=metric, columns=columns, rows=rows, meta={})
 
     a, b = table("a"), table("b")
     assert rank_delta(a, b).rows == tuple(naive_rank_delta(a, b))
@@ -163,19 +164,19 @@ def _three_player_points_season() -> Dataset:
 def test_regularity_table_hand_example(weights):
     dataset = _three_player_points_season()
     table = regularity_table(dataset, "points", weights, min_games=2)
-    rows = {row.player_id: row for row in table.rows}
+    rows = {row[1]: dict(zip(table.columns, row)) for row in table.rows}
     # X: mean 12, sd 2 -> regularity 6; Y: mean 13, sd sqrt(3) -> 13/sqrt(3)
-    assert rows["x"].value == pytest.approx(6.0, rel=1e-12)
-    assert rows["y"].value == pytest.approx(13.0 / (3 ** 0.5), rel=1e-12)
-    assert rows["y"].rank == 1 and rows["x"].rank == 2
+    assert rows["x"]["value"] == pytest.approx(6.0, rel=1e-12)
+    assert rows["y"]["value"] == pytest.approx(13.0 / (3 ** 0.5), rel=1e-12)
+    assert rows["y"]["rank"] == 1 and rows["x"]["rank"] == 2
     # constant series ranks last with a marker, no number
-    assert rows["z"].value is None
-    assert rows["z"].rank == 3
-    assert "constant" in rows["z"].notes
+    assert rows["z"]["value"] is None
+    assert rows["z"]["rank"] == 3
+    assert "constant" in rows["z"]["notes"].split(",")
     # z's mean (5) is far from the median mean (12): warned
-    assert "incomparable-mean" in rows["z"].notes
-    assert "incomparable-mean" not in rows["x"].notes
-    aux_x = dict(rows["x"].aux)
+    assert "incomparable-mean" in rows["z"]["notes"].split(",")
+    assert "incomparable-mean" not in rows["x"]["notes"].split(",")
+    aux_x = rows["x"]
     assert aux_x["mean"] == pytest.approx(12.0)
     assert aux_x["sd"] == pytest.approx(2.0)
     assert aux_x["mean_rank"] == 2
@@ -184,7 +185,7 @@ def test_regularity_table_hand_example(weights):
 
 def test_regularity_table_requires_two_games(season, weights):
     table = regularity_table(season, "rend", weights, per_minute=True, min_games=2)
-    ids = {row.player_id for row in table.rows}
+    ids = {row[1] for row in table.rows}
     assert "p4" in ids  # two games is enough
     single_game = Dataset(
         games={"G01": build_season().games["G01"]},
@@ -270,7 +271,7 @@ def test_render_csv_full_precision_round_trip(season, weights):
     header, data = rows[0], rows[1:]
     value_col = header.index("value")
     parsed = [float(row[value_col]) for row in data]
-    assert parsed == [row.value for row in table.rows]
+    assert parsed == [row[3] for row in table.rows]
     assert payload.count("\r\n") == len(table.rows) + 1
 
 
@@ -279,7 +280,7 @@ def test_render_json_full_precision_round_trip(season, weights):
     doc = json.loads(render(table, "json").decode("utf-8"))
     assert doc["meta"]["weights_fingerprint"] == weights.fingerprint()
     values = [row["value"] for row in doc["rows"]]
-    assert values == [row.value for row in table.rows]
+    assert values == [row[3] for row in table.rows]
 
 
 def test_render_rejects_unknown_format(season, weights):
@@ -295,9 +296,7 @@ def test_rankings_invariant_under_weight_scaling(season, factor):
     for metric, per_minute in (("rend", False), ("rend", True), ("io", True)):
         base = rank_players(season, metric, base_weights, per_minute=per_minute, min_games=1)
         moved = rank_players(season, metric, scaled, per_minute=per_minute, min_games=1)
-        assert [(r.rank, r.player_id) for r in base.rows] == [
-            (r.rank, r.player_id) for r in moved.rows
-        ]
+        assert [r[:2] for r in base.rows] == [r[:2] for r in moved.rows]
 
 
 @given(exponent=st.integers(min_value=-4, max_value=4))
@@ -308,22 +307,22 @@ def test_rend_ranking_invariant_under_binary_weight_scaling(exponent):
     moved = rank_players(
         season, "rend", WeightConfig.defaults().scaled(factor), per_minute=True, min_games=1
     )
-    assert [r.player_id for r in base.rows] == [r.player_id for r in moved.rows]
-    assert [r.value * factor for r in base.rows] == [r.value for r in moved.rows]
+    assert [r[1] for r in base.rows] == [r[1] for r in moved.rows]
+    assert [r[3] * factor for r in base.rows] == [r[3] for r in moved.rows]
 
 
 def test_index_table_consistent_with_formula_oracle(season, weights):
     # ranking values equal the oracle-formula means, not just internal ones
     table = rank_players(season, "id", weights, min_games=1)
     for row in table.rows:
-        lines = season.lines_for(row.player_id)
+        lines = season.lines_for(row[1])
         expected = sum(formula_defensive(ln) for ln in lines) / len(lines)
-        assert row.value == pytest.approx(expected, rel=1e-15)
+        assert row[3] == pytest.approx(expected, rel=1e-15)
     table = rank_players(season, "io", weights, min_games=1)
     for row in table.rows:
-        lines = season.lines_for(row.player_id)
+        lines = season.lines_for(row[1])
         expected = sum(formula_offensive(ln) for ln in lines) / len(lines)
-        assert row.value == pytest.approx(expected, rel=1e-15)
+        assert row[3] == pytest.approx(expected, rel=1e-15)
 
 
 def _cut_to_one_game(season: Dataset, player_ids: list[str]) -> Dataset:
