@@ -3,9 +3,10 @@
 :func:`~boxmetrics.ingest.load_dataset` imports this module only for a lines
 file of at least ``ingest._TWO_CORES_BYTES``, so no other command compiles
 it. A forked worker reads the second half of the file while this process
-reads the first, and the worker's lines are taken only when they are what
-one reader would read there; otherwise this process reads the second half
-itself, so a season, or its error, is the one a single reader gives.
+reads the first, and the worker's lines are taken once it has read them all
+without an error; otherwise this process reads the second half itself. The
+caller checks the whole season's (player_id, game_id) keys afterwards, so a
+season, or its error, is the one a single reader gives.
 """
 
 from __future__ import annotations
@@ -51,14 +52,14 @@ def reader(path: str) -> Callable[..., bool] | None:
 
 
 def read_halves(
-    path: str, first: int, split: int, games: dict, pairs: set, seen: set, store: dict,
+    path: str, first: int, split: int, games: dict, pairs: set, store: dict,
     rows: Iterator, columns_of, where: str, start: int,
 ) -> bool:
     """:func:`~boxmetrics.ingest._parse_lines` on the ``first`` rows of
     ``rows`` while a forked worker reads those of the lines file at ``path``
     from byte ``split`` on; True once the worker's lines are appended too.
     False leaves ``rows`` after its first half, for this process to read as
-    one reader does: no worker started, it failed, or its keys repeat."""
+    one reader does: no worker started, or it failed."""
     try:
         read_fd, write_fd = os.pipe()
     except OSError:
@@ -74,7 +75,7 @@ def read_halves(
         if pid < 0:
             return False
         try:
-            _parse_lines(games, pairs, seen, store, islice(rows, first), columns_of, where, start)
+            _parse_lines(games, pairs, store, islice(rows, first), columns_of, where, start)
             payload = pipe.read()
         except BaseException:
             # A worker blocked on a full pipe would never exit by itself.
@@ -88,11 +89,8 @@ def read_halves(
         columns = marshal.loads(payload)
     except (EOFError, ValueError, TypeError):
         return False
-    # Freed before the keys are built.
+    # Freed before the columns are appended.
     del payload
-    keys = set(zip(columns[0], columns[3]))
-    if len(keys) < len(columns[0]) or not keys.isdisjoint(seen):
-        return False
     _extend(store, columns)
     return True
 
@@ -101,18 +99,16 @@ def _worker(
     games: dict, pairs: set, columns_of, path: str, split: int, write_fd: int
 ) -> NoReturn:
     """The forked worker of :func:`read_halves`: ``_parse_lines`` on the rows
-    of the lines file at ``path`` from byte ``split`` on, keeping no keys (the
-    parent checks them), then their columns written to ``write_fd``,
-    marshalled, arrays as bytes. It exits 0 when all of that succeeded, else
-    1, and writes nothing to stdout or stderr."""
+    of the lines file at ``path`` from byte ``split`` on, then their columns
+    written to ``write_fd``, marshalled, arrays as bytes. It exits 0 when all
+    of that succeeded, else 1, and writes nothing to stdout or stderr."""
     code = 1
     try:
         with open(path, "rb") as handle:
             handle.seek(split)
             rows = csv.reader(io.TextIOWrapper(handle, encoding="utf-8", newline=""))
             store = _new_store()
-            # _block_lines's |= makes a new frozenset, so this one stays empty.
-            _parse_lines(games, pairs, frozenset(), store, rows, columns_of, "", 0)
+            _parse_lines(games, pairs, store, rows, columns_of, "", 0)
         with open(write_fd, "wb") as pipe:
             marshal.dump([c.tobytes() if type(c) is array else c for c in store.values()], pipe)
         code = 0

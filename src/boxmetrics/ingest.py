@@ -11,9 +11,11 @@ the first row that fails is the error, before any row the CSV reader itself
 cannot read. Each rule has one home: value types
 in :func:`~boxmetrics.model.check_types` (JSON; the CSV decoder makes the
 types itself), value domains in :func:`~boxmetrics.model.check_fields`,
-references in :func:`_check_references`, and the points column in
-:func:`_block_lines`. A :class:`~boxmetrics.model.BoxscoreLine` and a
-:class:`Dataset` built in memory run the same functions.
+references in :func:`_check_references`, the points column in
+:func:`_block_lines`, and one line per (player_id, game_id) key in
+:func:`_check_unique`, once the rows are stored. A
+:class:`~boxmetrics.model.BoxscoreLine` and a :class:`Dataset` built in
+memory run the same functions.
 
 :func:`load_dataset` may read a large lines file on two cores (see
 ``boxmetrics._halves``); the season, or its error, is the one a single
@@ -38,7 +40,7 @@ from contextlib import suppress
 from datetime import date
 from functools import cached_property, partial
 from itertools import compress, islice, repeat
-from operator import attrgetter, itemgetter
+from operator import attrgetter, eq, itemgetter
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
 from .model import BoxscoreLine, GameMeta, _frozen, check_fields, check_types
@@ -149,13 +151,10 @@ class Dataset:
 
     __setattr__ = __delattr__ = _frozen
 
-    def __getattr__(self, name: str) -> tuple[BoxscoreLine, ...]:
-        # Reached only for an attribute the instance lacks: the lines of a
-        # parsed season, built on first use. No command asks for them.
-        if name != "lines":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        lines = vars(self)["lines"] = _lines(self._store)
-        return lines
+    @cached_property
+    def lines(self) -> tuple[BoxscoreLine, ...]:
+        """The lines as records, built on first use; no command asks for them."""
+        return _lines(self._store)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -171,34 +170,29 @@ class Dataset:
     def __post_init__(self) -> None:
         # The lines of a dataset built in memory are checked and stored as a
         # parser's rows are, an error naming the line's position from 1.
-        store = _new_store()
-        _parse_lines(self.games, _pairs(self.games), set(), store, iter(self.lines),
+        store = vars(self)["_store"] = _new_store()
+        _parse_lines(self.games, _pairs(self.games), store, iter(self.lines),
                      lambda block: (list(zip(*block)), None), "line", 1)
-        vars(self)["_store"] = store
+        _check_unique(store, self._order, "line", 1)
 
     @classmethod
     def _from_checked(
-        cls, games: dict[str, GameMeta], store: dict[str, Sequence], provenance: Provenance
+        cls, games: dict[str, GameMeta], store: dict[str, Sequence], provenance: Provenance,
+        where: str | None = None, start: int = 0,
     ) -> "Dataset":
         """A dataset of the lines in ``store``, which already passed
-        :func:`_check_references` against ``games``, so ``__post_init__`` need
-        not check them again."""
+        :func:`_parse_lines` against ``games``, so ``__post_init__`` need not
+        check them again; with ``where``, :func:`_check_unique` runs first."""
         dataset = object.__new__(cls)
         vars(dataset).update(games=games, _store=store, provenance=provenance)
+        if where is not None:
+            _check_unique(store, dataset._order, where, start)
         return dataset
 
     @cached_property
     def _order(self) -> array:
-        """Every row of the store in (player_id, date, game_id) order: each
-        player's lines form one run, chronological. Built once, on first use."""
-        games, store = self.games, self._store
-        chronological = sorted(games, key=lambda gid: (games[gid].date, gid))
-        rank = dict(zip(chronological, range(len(chronological))))
-        ranks = list(map(rank.__getitem__, store["game_id"]))
-        order = sorted(range(len(ranks)), key=ranks.__getitem__)
-        # A stable sort, so each player's rows stay chronological.
-        order.sort(key=store["player_id"].__getitem__)
-        return array("I", order)
+        """:func:`_sorted_rows` of the store. Built once, on first use."""
+        return _sorted_rows(self.games, self._store)
 
     @cached_property
     def _by_player(self) -> dict[str, tuple[int, int]]:
@@ -265,6 +259,35 @@ def _extend(store: dict, columns: Iterable[Sequence]) -> dict:
     return store
 
 
+def _sorted_rows(games: Mapping[str, GameMeta], store: dict) -> array:
+    """Every row of ``store`` in (player_id, date, game_id) order: each
+    player's lines form one run, chronological, and the lines of one
+    (player_id, game_id) key are neighbours, in row order."""
+    chronological = sorted(games, key=lambda gid: (games[gid].date, gid))
+    rank = dict(zip(chronological, range(len(chronological))))
+    ranks = list(map(rank.__getitem__, store["game_id"]))
+    order = sorted(range(len(ranks)), key=ranks.__getitem__)
+    # A stable sort, so each player's rows stay chronological and in row order.
+    order.sort(key=store["player_id"].__getitem__)
+    return array("I", order)
+
+
+def _check_unique(store: dict, order: Sequence[int], where: str, start: int) -> None:
+    """Reject the first row of ``store`` whose (player_id, game_id) key an
+    earlier row holds, named by ``where`` and its number counted from
+    ``start``. In ``order``, :func:`_sorted_rows` of ``store``, the rows of
+    one key are neighbours."""
+    player_ids, game_ids = store["player_id"], store["game_id"]
+    in_order = list(map(game_ids.__getitem__, order))
+    # Neighbours in one game: a repeat, or two players' runs meeting.
+    pairs = compress(zip(order, order[1:]), map(eq, in_order, in_order[1:]))
+    repeats = [b for a, b in pairs if player_ids[a] == player_ids[b]]
+    if repeats:
+        row = min(repeats)
+        key = player_ids[row], game_ids[row]
+        raise DuplicateLineError(f"{where} {start + row}: duplicate (player_id, game_id) = {key!r}")
+
+
 def _pick(column: Sequence, rows: Sequence[int]) -> Sequence:
     """The values of ``column`` at ``rows``, in that order, in a column of the
     same type."""
@@ -314,26 +337,18 @@ def _pairs(games: Mapping[str, GameMeta]) -> set[tuple[str, str]]:
 def _check_references(
     games: Mapping[str, GameMeta],
     pairs: set[tuple[str, str]],
-    seen: set[tuple[str, str]],
-    player_ids: Sequence[str],
     teams: Sequence[str],
     game_ids: Sequence[str],
-) -> set[tuple[str, str]]:
-    """The (player_id, game_id) keys of the lines in these columns. Each line
-    must name one of ``games``, a team that played in it (one of ``pairs``) and
-    a key unseen in ``seen`` and in the other lines; the error names the bad one."""
-    keys = set(zip(player_ids, game_ids))
-    if (
-        pairs.issuperset(zip(game_ids, teams))
-        and len(keys) == len(game_ids) and keys.isdisjoint(seen)
-    ):
-        return keys
-    for player_id, team, game_id in zip(player_ids, teams, game_ids):
+) -> None:
+    """Each line of these columns must name one of ``games`` and a team that
+    played in it (one of ``pairs``); the error names the first bad one."""
+    if pairs.issuperset(zip(game_ids, teams)):
+        return
+    for team, game_id in zip(teams, game_ids):
         if game_id not in games:
             raise DanglingGameRefError(f"unknown game_id {game_id!r}")
         if (game_id, team) not in pairs:
             raise BadValueError(f"team {team!r} did not play in game {game_id!r}")
-    raise DuplicateLineError(f"duplicate (player_id, game_id) = {(player_id, game_id)!r}")
 
 
 def _check_encodable(texts: Sequence[str], field: str) -> None:
@@ -406,14 +421,15 @@ def _parse_games(rows: Iterable, cells_of, where: str, start: int) -> dict[str, 
 
 
 def _parse_lines(
-    games: dict[str, GameMeta], pairs: set, seen: set, store: dict, rows: Iterator,
+    games: dict[str, GameMeta], pairs: set, store: dict, rows: Iterator,
     columns_of, where: str, start: int,
 ) -> None:
     """Append the lines of ``rows`` to ``store``, read :data:`_BLOCK_ROWS` rows
-    at a time; their keys join ``seen``. A block that fails is read again a row
-    at a time, and the first row that fails is the error, named by ``where``
-    and the row's number counted from ``start``. A row the reader cannot read
-    fails after the rows before it."""
+    at a time, every check but :func:`_check_unique` run. A block that fails
+    is read again a row at a time, and the first row that fails is the error,
+    named by ``where`` and the row's number counted from ``start``, unless
+    :func:`_check_unique` rejects a row stored before it. A row the reader
+    cannot read fails after the rows before it."""
     failure = None
     while failure is None:
         block = []
@@ -425,30 +441,30 @@ def _parse_lines(
         if not block:
             break
         try:
-            _block_lines(games, pairs, seen, columns_of(block), store)
+            _block_lines(games, pairs, columns_of(block), store)
         except ValueError:
             for idx, row in enumerate(block, start=start + len(store["game_id"])):
                 try:
-                    _block_lines(games, pairs, seen, columns_of([row]), store)
+                    _block_lines(games, pairs, columns_of([row]), store)
                 except ValueError as exc:
-                    raise _located(f"{where} {idx}", exc) from None
+                    failure = _located(f"{where} {idx}", exc)
+                    break
         # Freed before the next block is read, so two never coexist.
         del block
     if failure is not None:
+        _check_unique(store, _sorted_rows(games, store), where, start)
         raise failure
 
 
-def _block_lines(
-    games: dict, pairs: set, seen: set, decoded: tuple[list, list | None], store: dict
-) -> None:
+def _block_lines(games: dict, pairs: set, decoded: tuple[list, list | None], store: dict) -> None:
     """Append a block ``decoded`` into line-field columns and the points
-    column or None to ``store``, once every check passes; its keys join
-    ``seen``. A line whose points are None has no points to check. The error
-    names the first bad row of a block of one."""
+    column or None to ``store``, once every check passes. A line whose points
+    are None has no points to check. The error names the first bad row of a
+    block of one."""
     columns, points = decoded
-    # Each id text is held once, however many lines (and keys) repeat it.
+    # Each id text is held once, however many lines repeat it.
     columns[:4] = [list(map(sys.intern, column)) for column in columns[:4]]
-    keys = _check_references(games, pairs, seen, columns[0], columns[2], columns[3])
+    _check_references(games, pairs, columns[2], columns[3])
     check_fields(columns)
     if points is not None:
         # columns[5:10:2] is t2c, t3c, t1c
@@ -460,7 +476,6 @@ def _block_lines(
             if got < 0:
                 raise BadValueError(f"column 'points' must be >= 0, got {got}")
             raise PointsMismatchError(f"points column says {got} but counts derive {want}")
-    seen |= keys
     _extend(store, columns)
 
 
@@ -557,10 +572,10 @@ def _parse_csv(
     lines_rows, has_points = _csv_rows(lines_stream, LINES_HEADER, "lines")
     columns_of = partial(_csv_columns, has_points)
     store = _new_store()
-    args = games, _pairs(games), set(), store, lines_rows, columns_of, "lines row", 2
+    args = games, _pairs(games), store, lines_rows, columns_of, "lines row", 2
     if read_halves is None or not read_halves(*args):
         _parse_lines(*args)
-    return Dataset._from_checked(games, store, provenance)
+    return Dataset._from_checked(games, store, provenance, "lines row", 2)
 
 
 def _reject_fields(entry: dict, header: tuple[str, ...], allowed: frozenset[str]) -> NoReturn:
@@ -687,9 +702,9 @@ def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
         raise BadValueError("'games' and 'lines' must be arrays")
     games = _parse_games(doc["games"], _json_game, "games entry", 1)
     store = _new_store()
-    _parse_lines(games, _pairs(games), set(), store, iter(doc["lines"]), _json_columns,
+    _parse_lines(games, _pairs(games), store, iter(doc["lines"]), _json_columns,
                  "lines entry", 1)
-    return Dataset._from_checked(games, store, Provenance(source, "json"))
+    return Dataset._from_checked(games, store, Provenance(source, "json"), "lines entry", 1)
 
 
 def cell_text(value: object) -> str:

@@ -341,6 +341,10 @@ def plus_minus_overview(
     )
 
 
+# The cells of a win/loss row between the player's and "sig".
+_win_loss_cells = attrgetter("n_a", "mean_a", "n_b", "mean_b", "p_value")
+
+
 def win_loss_table(
     dataset: Dataset,
     metric_name: str,
@@ -363,40 +367,18 @@ def win_loss_table(
     for player_id, name in players:
         try:
             comparison = split_compare(
-                player_id,
-                metric_name,
-                "win_loss",
-                dataset,
-                weights,
-                alpha,
+                player_id, metric_name, "win_loss", dataset, weights, alpha,
                 close_threshold=close_threshold,
             )[0]
         except InsufficientSplitError:
             rows.append((player_id, name, None, None, None, None, None, "insufficient"))
             continue
-        rows.append(
-            (
-                player_id,
-                name,
-                comparison.n_a,
-                comparison.mean_a,
-                comparison.n_b,
-                comparison.mean_b,
-                comparison.p_value,
-                "*" if comparison.significant else "",
-            )
-        )
+        sig = "*" if comparison.significant else ""
+        rows.append((player_id, name, *_win_loss_cells(comparison), sig))
     return Table(
         title=f"{metric_name} in losses vs wins",
         columns=(
-            "player_id",
-            "player_name",
-            "n_loss",
-            "mean_loss",
-            "n_win",
-            "mean_win",
-            "p_value",
-            "sig",
+            "player_id", "player_name", "n_loss", "mean_loss", "n_win", "mean_win", "p_value", "sig"
         ),
         rows=tuple(rows),
         meta=base_meta(weights, alpha, min_games, close_threshold, metric=metric_name),
@@ -496,16 +478,7 @@ def correlation_table(
         rows.append(tuple(cells))
     return Table(
         title="correlations between per-player means",
-        columns=(
-            "pair",
-            "n",
-            "pearson",
-            "sig_p",
-            "kendall",
-            "sig_k",
-            "spearman",
-            "sig_s",
-        ),
+        columns=("pair", "n", "pearson", "sig_p", "kendall", "sig_k", "spearman", "sig_s"),
         rows=tuple(rows),
         meta=base_meta(weights, alpha, min_games, close_threshold),
         display_decimals=3,

@@ -13,6 +13,7 @@ All functions are pure and operate on plain sequences of floats (or on
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right, insort
 from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
@@ -144,8 +145,12 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     ssy = left_sum(d * d for d in dy)
     if ssx == 0.0 or ssy == 0.0:
         raise ConstantInputError("pearson undefined for a constant input")
-    ss = _in_range(ssx * ssy, "the product of pearson's sums of squares")
-    r = left_sum(a * b for a, b in zip(dx, dy)) / math.sqrt(ss)
+    ss = ssx * ssy
+    if sys.float_info.min <= ss < math.inf or max(ssx, ssy) == math.inf:
+        root = math.sqrt(_in_range(ss, "the product of pearson's sums of squares"))
+    else:  # Only the product left the normal floats; r does not depend on scale.
+        root = math.sqrt(ssx) * math.sqrt(ssy)
+    r = left_sum(a * b for a, b in zip(dx, dy)) / root
     return max(-1.0, min(1.0, r))
 
 
@@ -190,17 +195,13 @@ def _tied_pairs(ordered: Sequence) -> int:
 
 def midranks(values: Sequence[float]) -> list[float]:
     """Ranks 1..n with tied values sharing the average of their positions."""
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    start = 0
-    while start < len(order):
-        stop = start
-        while stop + 1 < len(order) and values[order[stop + 1]] == values[order[start]]:
-            stop += 1
-        shared = (start + stop) / 2.0 + 1.0
-        for k in range(start, stop + 1):
-            ranks[order[k]] = shared
-        start = stop + 1
+    order = sorted(range(len(values)), key=values.__getitem__)
+    ranks, start = [0.0] * len(values), 0
+    for _, run in groupby(order, key=values.__getitem__):
+        run = list(run)
+        for i in run:
+            ranks[i] = (2 * start + len(run) - 1) / 2.0 + 1.0
+        start += len(run)
     return ranks
 
 
@@ -290,8 +291,13 @@ def welch_test(
                 (var_a / n_a) ** 2 / (n_a - 1) + (var_b / n_b) ** 2 / (n_b - 1)
             )
         except (OverflowError, ZeroDivisionError):
-            df = math.nan
-        p = student_t_two_sided_p(t_stat, _in_range(df, "welch's degrees-of-freedom ratio"))
+            df = math.inf
+        if not math.isfinite(df):
+            # The squares of the variance terms left the float range; each
+            # term's share of se_sq, in [0, 1], cannot.
+            w_a, w_b = var_a / n_a / se_sq, var_b / n_b / se_sq
+            df = 1.0 / (w_a * w_a / (n_a - 1) + w_b * w_b / (n_b - 1))
+        p = student_t_two_sided_p(t_stat, df)
         degenerate = False
     return SplitComparison(
         metric_name=metric_name,

@@ -348,12 +348,8 @@ def _edit_first_line(season_files, player_id: str, **cells) -> None:
          "the sum of 6 values"),
         ({}, {"ro": 10**307, "minutes": 0.1}, ["rank", "rend", "--per-minute", "--min-games", "1"],
          "the sum of 6 values"),
-        # Both terms of Welch's degrees-of-freedom ratio underflow to 0.
-        (dict.fromkeys(STAT_KEYS, 1e-85), {}, ["splits", "p1", "rend", "win_loss"],
-         "welch's degrees-of-freedom ratio"),
     ],
-    ids=["regularity", "splits", "report-all", "correlate", "rank-mean", "rank-per-minute",
-         "splits-underflow"],
+    ids=["regularity", "splits", "report-all", "correlate", "rank-mean", "rank-per-minute"],
 )
 def test_a_statistic_that_overflows_exits_2(
     season_files, tmp_path, capsys, weights, cells, argv, what
@@ -373,6 +369,34 @@ def test_a_statistic_that_overflows_exits_2(
     assert captured.out == ""
     assert captured.err == f"error: {what} is out of the float range\n"
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-85], ids=["large", "tiny"])
+@pytest.mark.parametrize(
+    "argv, expected, tolerance",
+    [
+        # Pearson's sums of squares each fit a float; under 1e100 their
+        # product overflows, under 1e-85 it underflows to 0.
+        (["correlate", "rend", "io", "--min-games", "1"], {"pearson": 0.9976236362972498},
+         {"abs": 1e-12}),
+        # The squares of Welch's variance terms overflow or underflow to 0.
+        (["splits", "p1", "rend", "win_loss"],
+         {"t_stat": -2.30622664078822, "p_value": 0.09214779417104008}, {"rel": 1e-9}),
+    ],
+    ids=["correlate", "splits"],
+)
+def test_a_statistic_under_scaled_weights_is_the_one_under_weights_of_1(
+    season_files, tmp_path, capsys, scale, argv, expected, tolerance
+):
+    # Pearson's r and Welch's t, df and p do not depend on the scale of the
+    # values; the figures expected are those under every weight at 1.
+    override = tmp_path / "weights.json"
+    override.write_text(json.dumps(dict.fromkeys(STAT_KEYS, scale)), encoding="utf-8")
+    argv = _base(season_files, *argv, "--format", "csv", "--weights", str(override))
+    assert main(argv) == 0
+    (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+    for field, value in expected.items():
+        assert float(row[field]) == pytest.approx(value, **tolerance)
 
 
 def _drop_last_field_of_row_3(text: str) -> str:

@@ -89,7 +89,7 @@ CLASS_ATTRIBUTES = {
     ],
     "ConstantInputError": [],
     "CorrelationTest": ["alpha", "exact", "kind", "n", "p_value", "r", "significant", "statistic"],
-    "Dataset": ["lines_for", "player_ids"],
+    "Dataset": ["lines", "lines_for", "player_ids"],
     "EmptyAfterFilterError": [],
     "EmptySeriesError": [],
     "GameMeta": [

@@ -11,6 +11,7 @@ import re
 import sys
 import tracemalloc
 from datetime import date
+from functools import partial
 from unittest.mock import patch
 
 import pytest
@@ -903,7 +904,7 @@ _HALF_EDITS = {
     "fault_before_split": ((0,), None),
     "fault_after_split": ((1,), False),
     "fault_second_half": ((400,), False),
-    "duplicate_across": ((-500, 300), False),
+    "duplicate_across": ((-500, 300), True),
     "field_too_large": ((300,), False),
     "fault_then_field_too_large": ((200, 300), False),
     "quote_after_split": ((5,), True),
@@ -950,6 +951,88 @@ def test_two_cores_read_a_season_as_one_does(tmp_path, two_cores, edit):
     assert loaded == parsed
     assert isinstance(parsed[0], Dataset) == (edit in _VALID_HALF_EDITS)
     assert two_cores == ([] if taken is None else [taken])
+
+
+# (format, fault) for a fault a few rows after a repeated key: a negative
+# count, a game the games table lacks, and a row the csv reader cannot read.
+_FAULTS_AFTER_A_REPEAT = [
+    (fmt, fault)
+    for fmt in ("csv", "json", "memory")
+    for fault in ("bad_count", "unknown_game", "field_too_large")
+    if fmt == "csv" or fault != "field_too_large"
+]
+
+
+@pytest.mark.parametrize("gap", (1, 7))
+@pytest.mark.parametrize("fmt,fault", _FAULTS_AFTER_A_REPEAT)
+def test_a_repeated_key_before_another_fault_is_the_error(fmt, fault, gap):
+    """Line 5 repeats line 1's key and line 5 + ``gap`` holds ``fault``: at
+    block sizes 1, 2, 3 and the default, the repeat is the error."""
+    season = build_season()
+    i, j = 4, 4 + gap
+    field, value = {
+        "bad_count": ("t2c", -1), "unknown_game": ("game_id", "G999"),
+        "field_too_large": ("player_name", _HUGE_CELL),
+    }[fault]
+    if fmt == "memory":
+        lines = list(season.lines)
+        lines[i] = lines[0]
+        values = list(lines[j])
+        values[BoxscoreLine._fields.index(field)] = value
+        # A record that skipped its own check, as the dataset's check sees it.
+        lines[j] = tuple.__new__(BoxscoreLine, values)
+        call, where = partial(Dataset, season.games, lines), f"line {i + 1}"
+    elif fmt == "json":
+        doc = json.loads(serialize_json(season))
+        doc["lines"][i] = doc["lines"][0]
+        doc["lines"][j][field] = value
+        call, where = partial(parse_json, json.dumps(doc)), f"lines entry {i + 1}"
+    else:
+        games_text, lines_text = serialize_csv(season)
+        rows = list(csv.reader(io.StringIO(lines_text)))
+        rows[i + 1] = rows[1]
+        rows[j + 1][rows[0].index(field)] = str(value)
+        out = io.StringIO()
+        csv.writer(out).writerows(rows)
+        call, where = partial(parse_csv, games_text, out.getvalue()), f"lines row {i + 2}"
+    key = season.lines[0].player_id, season.lines[0].game_id
+    for rows_per_block in (*_BLOCK_SIZES[:3], ingest._BLOCK_ROWS):
+        with patch.object(ingest, "_BLOCK_ROWS", rows_per_block):
+            with pytest.raises(DuplicateLineError) as raised:
+                call()
+        assert str(raised.value) == f"{where}: duplicate (player_id, game_id) = {key!r}"
+
+
+# place -> the data rows of a key and of its repeat, counted from the split
+# as in _HALF_EDITS; with blocks of 3 rows, rows 3 and 4 are the last row of
+# the worker's first block and the first of its second.
+_REPEAT_PLACES = {"first_half": (-500, -400), "across_split": (-500, 300), "worker_half": (3, 4)}
+
+
+@pytest.mark.parametrize("fault_after", (False, True), ids=("alone", "fault_after"))
+@pytest.mark.parametrize("place", _REPEAT_PLACES)
+def test_two_cores_report_a_repeated_key_as_one_does(
+    tmp_path, two_cores, monkeypatch, place, fault_after
+):
+    """A key repeated at ``place``, alone or before a fault in the worker's
+    half: the repeat is the error, as one reader reads it. The worker's lines
+    are taken unless its own half fails."""
+    monkeypatch.setattr(ingest, "_BLOCK_ROWS", 3)
+    games_text, lines_text = serialize_csv(_synthetic_season(114, 9))
+    first = lines_text[: lines_text.find("\n", len(lines_text) // 2) + 1].count("\n") - 1
+    rows = [row.split(",") for row in lines_text.split("\r\n")]
+    original, repeat = (first + offset for offset in _REPEAT_PLACES[place])
+    # Ids and names of one length, so the split stays where it was.
+    rows[repeat][:4] = rows[original][:4]
+    if fault_after:
+        rows[first + 400][11] = "x" * len(rows[first + 400][11])  # rd
+    loaded, parsed = _loaded_and_parsed(
+        tmp_path, games_text, "\r\n".join(",".join(row) for row in rows)
+    )
+    game_id, player_id = rows[original][:2]
+    message = f"lines row {repeat + 1}: duplicate (player_id, game_id) = {(player_id, game_id)!r}"
+    assert loaded == parsed == (DuplicateLineError, message)
+    assert two_cores == [not fault_after]
 
 
 # Documents where the decoder's object hook turns line-shaped objects into

@@ -369,6 +369,18 @@ def test_welch_affine_invariance(scale, shift):
     assert moved.p_value == pytest.approx(base.p_value, rel=1e-9)
 
 
+@pytest.mark.parametrize("scale", [3e78, 1e100, 1e-85])
+def test_welch_test_at_any_scale_is_the_unscaled_one(scale):
+    # At 3e78 each squared variance term fits a float but se_sq squared does
+    # not; at 1e100 the squares overflow, and at 1e-85 they underflow to 0.
+    a = [0.4, 0.5, 0.55, 0.62, 0.47, 0.51]
+    b = [0.52, 0.61, 0.58, 0.66, 0.49]
+    base = welch_test(a, b)
+    scaled = welch_test([scale * v for v in a], [scale * v for v in b])
+    assert scaled.t_stat == pytest.approx(base.t_stat, rel=1e-9)
+    assert scaled.p_value == pytest.approx(base.p_value, rel=1e-9)
+
+
 def test_welch_errors_and_degenerate_cases():
     with pytest.raises(TooFewSamplesError):
         welch_test([1.0], [1.0, 2.0])
