@@ -52,8 +52,8 @@ def reader(path: str) -> Callable[..., bool] | None:
 
 
 def read_halves(
-    path: str, first: int, split: int, games: dict, pairs: set, store: dict,
-    rows: Iterator, columns_of, where: str, start: int,
+    path: str, first: int, split: int, games: dict, store: dict, rows: Iterator, columns_of,
+    where: str, start: int,
 ) -> bool:
     """:func:`~boxmetrics.ingest._parse_lines` on the ``first`` rows of
     ``rows`` while a forked worker reads those of the lines file at ``path``
@@ -69,13 +69,13 @@ def read_halves(
     except OSError:
         pid = -1
     if pid == 0:
-        _worker(games, pairs, columns_of, path, split, write_fd)
+        _worker(games, columns_of, path, split, write_fd)
     os.close(write_fd)
     with open(read_fd, "rb") as pipe:
         if pid < 0:
             return False
         try:
-            _parse_lines(games, pairs, store, islice(rows, first), columns_of, where, start)
+            _parse_lines(games, store, islice(rows, first), columns_of, where, start)
             payload = pipe.read()
         except BaseException:
             # A worker blocked on a full pipe would never exit by itself.
@@ -95,9 +95,7 @@ def read_halves(
     return True
 
 
-def _worker(
-    games: dict, pairs: set, columns_of, path: str, split: int, write_fd: int
-) -> NoReturn:
+def _worker(games: dict, columns_of, path: str, split: int, write_fd: int) -> NoReturn:
     """The forked worker of :func:`read_halves`: ``_parse_lines`` on the rows
     of the lines file at ``path`` from byte ``split`` on, then their columns
     written to ``write_fd``, marshalled, arrays as bytes. It exits 0 when all
@@ -108,7 +106,7 @@ def _worker(
             handle.seek(split)
             rows = csv.reader(io.TextIOWrapper(handle, encoding="utf-8", newline=""))
             store = _new_store()
-            _parse_lines(games, pairs, store, rows, columns_of, "", 0)
+            _parse_lines(games, store, rows, columns_of, "", 0)
         with open(write_fd, "wb") as pipe:
             marshal.dump([c.tobytes() if type(c) is array else c for c in store.values()], pipe)
         code = 0

@@ -4,18 +4,18 @@ Two-file relational layout: a games table and a lines table. Every line must
 reference a known game and a team that actually played in it, and a player
 can appear at most once per game. Validation is total: either a fully
 checked :class:`Dataset` comes back, or a typed error naming the offending
-row/field is raised and nothing is returned. Lines are decoded and checked
-a block of rows at a time, column by column; a block that fails is read
-again one row at a time, through the same decoder and the same checks, and
-the first row that fails is the error, before any row the CSV reader itself
-cannot read. Each rule has one home: value types
-in :func:`~boxmetrics.model.check_types` (JSON; the CSV decoder makes the
-types itself), value domains in :func:`~boxmetrics.model.check_fields`,
-references in :func:`_check_references`, the points column in
-:func:`_block_lines`, and one line per (player_id, game_id) key in
-:func:`_check_unique`, once the rows are stored. A
-:class:`~boxmetrics.model.BoxscoreLine` and a :class:`Dataset` built in
-memory run the same functions.
+row/field is raised and nothing is returned. :func:`_read_lines` reads the
+lines of every source (CSV, JSON, or in memory, each line built as a
+:class:`~boxmetrics.model.BoxscoreLine`): its decoder turns a block of rows
+into columns, and one block check runs on them. A block that fails is read
+again one row at a time; the first row that fails is the error, before any
+row the CSV reader itself cannot read. Each rule has one home: value types
+in :func:`~boxmetrics.model.check_types` (the CSV decoder makes the types
+itself), value domains in :func:`~boxmetrics.model.check_fields`, text in
+:func:`~boxmetrics.model.check_encodable`, references in
+:func:`_check_references`, the points column in :func:`_block_lines`, and
+one line per (player_id, game_id) key in :func:`_check_unique`, once the
+rows are stored.
 
 :func:`load_dataset` may read a large lines file on two cores (see
 ``boxmetrics._halves``); the season, or its error, is the one a single
@@ -43,7 +43,7 @@ from itertools import compress, islice, repeat
 from operator import attrgetter, eq, itemgetter
 from typing import IO, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequence
 
-from .model import BoxscoreLine, GameMeta, _frozen, check_fields, check_types
+from .model import BoxscoreLine, GameMeta, _frozen, check_encodable, check_fields, check_types
 
 GAMES_HEADER = (
     "game_id",
@@ -136,18 +136,15 @@ class Dataset:
     equal when their games and lines are, wherever they came from. It holds
     its lines as one column per line field (see :func:`_new_store`). The tuple
     of :class:`~boxmetrics.model.BoxscoreLine` records, ``lines``, is built
-    from those columns on first use and kept; a dataset built from lines
-    keeps the lines it was given.
+    from those columns on first use and kept.
     """
 
     def __init__(
-        self,
-        games: Mapping[str, GameMeta],
-        lines: Iterable[BoxscoreLine],
+        self, games: Mapping[str, GameMeta], lines: Iterable[BoxscoreLine],
         provenance: Provenance = Provenance("<memory>", "memory"),
     ) -> None:
-        vars(self).update(games=dict(games), lines=tuple(lines), provenance=provenance)
-        self.__post_init__()
+        vars(self).update(games=dict(games), provenance=provenance)
+        self.__post_init__(lines)
 
     __setattr__ = __delattr__ = _frozen
 
@@ -167,32 +164,21 @@ class Dataset:
             f"provenance={self.provenance!r})"
         )
 
-    def __post_init__(self) -> None:
-        # The lines of a dataset built in memory are checked and stored as a
-        # parser's rows are, an error naming the line's position from 1.
-        store = vars(self)["_store"] = _new_store()
-        _parse_lines(self.games, _pairs(self.games), store, iter(self.lines),
-                     lambda block: (list(zip(*block)), None), "line", 1)
-        _check_unique(store, self._order, "line", 1)
+    def __post_init__(self, lines: Iterable[BoxscoreLine]) -> None:
+        for key, game in self.games.items():
+            if key != game.game_id:
+                raise BadValueError(f"game filed under {key!r} has game_id {game.game_id!r}")
+        store, order = _read_lines(self.games, iter(lines), _memory_columns, "line", 1)
+        vars(self).update(_store=store, _order=order)
 
     @classmethod
     def _from_checked(
-        cls, games: dict[str, GameMeta], store: dict[str, Sequence], provenance: Provenance,
-        where: str | None = None, start: int = 0,
+        cls, games: dict[str, GameMeta], store: dict, order: array, provenance: Provenance
     ) -> "Dataset":
-        """A dataset of the lines in ``store``, which already passed
-        :func:`_parse_lines` against ``games``, so ``__post_init__`` need not
-        check them again; with ``where``, :func:`_check_unique` runs first."""
+        """A dataset of checked lines, ``store``, and its :func:`_sorted_rows`."""
         dataset = object.__new__(cls)
-        vars(dataset).update(games=games, _store=store, provenance=provenance)
-        if where is not None:
-            _check_unique(store, dataset._order, where, start)
+        vars(dataset).update(games=games, _store=store, _order=order, provenance=provenance)
         return dataset
-
-    @cached_property
-    def _order(self) -> array:
-        """:func:`_sorted_rows` of the store. Built once, on first use."""
-        return _sorted_rows(self.games, self._store)
 
     @cached_property
     def _by_player(self) -> dict[str, tuple[int, int]]:
@@ -240,9 +226,9 @@ def _new_store() -> dict[str, list | array]:
     }
 
 
-def _extend(store: dict, columns: Iterable[Sequence]) -> dict:
-    """``store`` with ``columns``, checked values of every line field in
-    record order, appended."""
+def _extend(store: dict, columns: Iterable[Sequence]) -> None:
+    """Append ``columns``, checked values of every line field in record
+    order, to ``store``."""
     for name, values in zip(_FIELDS, columns):
         column = store[name]
         if type(column) is not array:
@@ -256,7 +242,6 @@ def _extend(store: dict, columns: Iterable[Sequence]) -> dict:
             except ValueError:
                 # A count that does not fit: the column holds ints from now on.
                 store[name] = [*column, *values]
-    return store
 
 
 def _sorted_rows(games: Mapping[str, GameMeta], store: dict) -> array:
@@ -351,16 +336,6 @@ def _check_references(
             raise BadValueError(f"team {team!r} did not play in game {game_id!r}")
 
 
-def _check_encodable(texts: Sequence[str], field: str) -> None:
-    """Reject a text that UTF-8 cannot encode (a lone surrogate), which no
-    report could write, naming the character."""
-    try:
-        "".join(texts).encode("utf-8")
-    except UnicodeEncodeError as exc:
-        bad = exc.object[exc.start]
-        raise BadValueError(f"field {field!r} holds {bad!r}, which UTF-8 cannot encode") from None
-
-
 def _cells(convert, column: Sequence[str], name: str, kind: str) -> list:
     """``convert`` mapped over the cells of a CSV ``column``. The first cell it
     rejects, by ValueError or (for a lookup) KeyError, is named in a
@@ -420,9 +395,24 @@ def _parse_games(rows: Iterable, cells_of, where: str, start: int) -> dict[str, 
     return games
 
 
+def _read_lines(
+    games: dict[str, GameMeta], rows: Iterator, columns_of, where: str, start: int, read_halves=None
+) -> tuple[dict, array]:
+    """A new store of the lines of ``rows``, as :func:`_parse_lines` reads
+    them (``read_halves``, when given, reads them on two cores, or only its
+    first half where it returns False), and the store's :func:`_sorted_rows`,
+    over which :func:`_check_unique` ran."""
+    store = _new_store()
+    args = games, store, rows, columns_of, where, start
+    if read_halves is None or not read_halves(*args):
+        _parse_lines(*args)
+    order = _sorted_rows(games, store)
+    _check_unique(store, order, where, start)
+    return store, order
+
+
 def _parse_lines(
-    games: dict[str, GameMeta], pairs: set, store: dict, rows: Iterator,
-    columns_of, where: str, start: int,
+    games: dict[str, GameMeta], store: dict, rows: Iterator, columns_of, where: str, start: int
 ) -> None:
     """Append the lines of ``rows`` to ``store``, read :data:`_BLOCK_ROWS` rows
     at a time, every check but :func:`_check_unique` run. A block that fails
@@ -430,7 +420,7 @@ def _parse_lines(
     named by ``where`` and the row's number counted from ``start``, unless
     :func:`_check_unique` rejects a row stored before it. A row the reader
     cannot read fails after the rows before it."""
-    failure = None
+    pairs, failure = _pairs(games), None
     while failure is None:
         block = []
         try:
@@ -462,6 +452,7 @@ def _block_lines(games: dict, pairs: set, decoded: tuple[list, list | None], sto
     are None has no points to check. The error names the first bad row of a
     block of one."""
     columns, points = decoded
+    check_encodable(columns[:4], _FIELDS)
     # Each id text is held once, however many lines repeat it.
     columns[:4] = [list(map(sys.intern, column)) for column in columns[:4]]
     _check_references(games, pairs, columns[2], columns[3])
@@ -514,8 +505,6 @@ def _csv_rows(stream: IO | str, header: tuple[str, ...], what: str) -> tuple[Ite
 def _csv_game(row: list[str]) -> tuple:
     if len(row) != len(GAMES_HEADER):
         raise BadValueError(f"expected {len(GAMES_HEADER)} fields, got {len(row)}")
-    for i in (0, 2, 3, 4):  # game_id, competition, home_team, away_team
-        _check_encodable(row[i:i + 1], GAMES_HEADER[i])
     home, away = (_int_cells([row[i]], GAMES_HEADER[i])[0] for i in (5, 6))
     return (*row[:5], home, away)
 
@@ -524,15 +513,12 @@ _STARTER = {"true": True, "false": False}
 
 
 def _csv_columns(has_points: bool, block: list[list[str]]) -> tuple[list, list | None]:
-    """A block of rows as line-field columns and the points column or None;
-    the ids and names are checked as UTF-8. The error names the first bad
-    cell of a block of one row."""
+    """A block of rows as line-field columns and the points column or None.
+    The error names the first bad cell of a block of one row."""
     width = len(LINES_HEADER) + has_points
     if {*map(len, block)} != {width}:
         raise BadValueError(f"expected {width} fields, got {len(block[0])}")
     game_id, player_id, name, team, minutes, *cells = zip(*block)
-    for column, field in zip((game_id, player_id, name, team), LINES_HEADER):
-        _check_encodable(column, field)
     # LINES_HEADER lists the counts in BoxscoreLine's field order. A count
     # column of texts of 0..255 is decoded straight to bytes, in one C pass.
     counts = [
@@ -564,18 +550,13 @@ def parse_csv(games_stream: IO | str, lines_stream: IO | str, *, source: str = "
 def _parse_csv(
     games_stream: IO | str, lines_stream: IO | str, provenance: Provenance, read_halves=None
 ) -> Dataset:
-    """:func:`parse_csv`. ``read_halves``, when given, is :func:`_parse_lines`
-    on two cores; it returns False when it leaves the rows after its first
-    half for :func:`_parse_lines`."""
+    """:func:`parse_csv`, its lines read by ``read_halves`` when given."""
     games_rows, _ = _csv_rows(games_stream, GAMES_HEADER, "games")
     games = _parse_games(games_rows, _csv_game, "games row", 2)
     lines_rows, has_points = _csv_rows(lines_stream, LINES_HEADER, "lines")
     columns_of = partial(_csv_columns, has_points)
-    store = _new_store()
-    args = games, _pairs(games), store, lines_rows, columns_of, "lines row", 2
-    if read_halves is None or not read_halves(*args):
-        _parse_lines(*args)
-    return Dataset._from_checked(games, store, provenance, "lines row", 2)
+    checked = _read_lines(games, lines_rows, columns_of, "lines row", 2, read_halves)
+    return Dataset._from_checked(games, *checked, provenance)
 
 
 def _reject_fields(entry: dict, header: tuple[str, ...], allowed: frozenset[str]) -> NoReturn:
@@ -607,13 +588,11 @@ def _json_row(entry: dict) -> dict | _Row:
 
 def _json_texts(column: Sequence, field: str) -> list[str]:
     """A JSON id or name column as text, numbers (exact types: no bool) by their
-    str(). Any other value, and a string UTF-8 cannot encode, is rejected."""
+    str(). Any other value is rejected."""
     if not {str, int, float}.issuperset(map(type, column)):
         bad = next(value for value in column if type(value) not in (str, int, float))
         raise BadValueError(f"field {field!r} must be a string or a number, got {bad!r}")
-    texts = list(map(str, column))
-    _check_encodable(texts, field)
-    return texts
+    return list(map(str, column))
 
 
 def _json_game(entry: object) -> list:
@@ -675,6 +654,13 @@ def _json_columns(block: list) -> tuple[list, list | None]:
     return columns, points if given else None
 
 
+def _memory_columns(block: list) -> tuple[list, None]:
+    """:func:`_csv_columns` for lines given in memory; a line that is no
+    :class:`~boxmetrics.model.BoxscoreLine` is built as one, by position."""
+    lines = [line if isinstance(line, BoxscoreLine) else BoxscoreLine._make(line) for line in block]
+    return list(zip(*lines)), None
+
+
 def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
     """Parse a single JSON document mirroring the CSV layout one-to-one.
 
@@ -701,10 +687,8 @@ def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
     if not isinstance(doc["games"], list) or not isinstance(doc["lines"], list):
         raise BadValueError("'games' and 'lines' must be arrays")
     games = _parse_games(doc["games"], _json_game, "games entry", 1)
-    store = _new_store()
-    _parse_lines(games, _pairs(games), store, iter(doc["lines"]), _json_columns,
-                 "lines entry", 1)
-    return Dataset._from_checked(games, store, Provenance(source, "json"), "lines entry", 1)
+    checked = _read_lines(games, iter(doc["lines"]), _json_columns, "lines entry", 1)
+    return Dataset._from_checked(games, *checked, Provenance(source, "json"))
 
 
 def cell_text(value: object) -> str:
@@ -809,4 +793,5 @@ def filter_min_games(dataset: Dataset, min_games: int) -> Dataset:
     player_ids = dataset._store["player_id"]
     rows = list(compress(range(len(player_ids)), map(kept.__contains__, player_ids)))
     store = _take(dataset._store, rows)
-    return Dataset._from_checked(dict(dataset.games), store, dataset.provenance)
+    order = _sorted_rows(dataset.games, store)
+    return Dataset._from_checked(dict(dataset.games), store, order, dataset.provenance)

@@ -12,7 +12,7 @@ import json
 import math
 from datetime import date as _date
 from itertools import chain
-from typing import Mapping, NamedTuple, NoReturn, Sequence
+from typing import Iterable, Mapping, NamedTuple, NoReturn, Sequence
 
 # Statistic keys grouped by the side of the game they describe. Order is
 # fixed: it drives index evaluation, serialization and fingerprints.
@@ -138,6 +138,7 @@ class BoxscoreLine(_Checked, _LineFields):
         columns = list(zip(self))
         check_types(columns)
         check_fields(columns)
+        check_encodable(columns[:4], self._fields)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -214,6 +215,8 @@ def check_fields(columns: Sequence[Sequence]) -> None:
             number = float(value)
         except OverflowError:
             raise ValueError(f"minutes must be finite, got {value!r}") from None
+        except TypeError:
+            raise ValueError(f"minutes must be a number, got {value!r}") from None
         if not math.isfinite(number):
             raise ValueError(f"minutes must be finite, got {number}")
         if number < 0:
@@ -223,6 +226,17 @@ def check_fields(columns: Sequence[Sequence]) -> None:
             raise ValueError(f"{name} must be >= 0, got {min(columns[index])}")
         if max(columns[index]) >= _FLOAT_OVERFLOW:
             raise ValueError(f"{name} must fit in a float, got {max(columns[index])}")
+
+
+def check_encodable(columns: Iterable[Sequence[str]], fields: Sequence[str]) -> None:
+    """Raise ValueError for the first text in ``columns``, one per name in
+    ``fields``, that no report could write: one UTF-8 cannot encode."""
+    for texts, field in zip(columns, fields):
+        try:
+            "".join(texts).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            bad = exc.object[exc.start]
+            raise ValueError(f"field {field!r} holds {bad!r}, which UTF-8 cannot encode") from None
 
 
 def derived_points(line: BoxscoreLine) -> int:
@@ -256,6 +270,8 @@ class GameMeta(_Checked, _GameFields):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {value!r}")
+        # Each field as a column of one text; only the ids and names can fail.
+        check_encodable(zip(map(str, self)), self._fields)
 
     def margin(self, team: str) -> int:
         """Final margin from ``team``'s perspective (own minus opponent score)."""

@@ -186,6 +186,71 @@ def test_every_private_function_and_class_is_named_outside_itself():
     assert unused == []
 
 
+def _private(*names: str) -> bool:
+    """Whether any of ``names`` (a module, class or function) is private."""
+    return any(name.startswith("_") and not name.endswith("__") for name in names)
+
+
+def _name_of(node: ast.AST) -> str | None:
+    """The name a variable or an attribute reads."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _defaulted(function: ast.FunctionDef, bound: int) -> list[tuple[str, int | None]]:
+    """Each parameter of ``function`` that has a default, with its position in
+    a call once the first ``bound`` are bound, or None if it is keyword-only."""
+    positional = [arg.arg for arg in function.args.posonlyargs + function.args.args]
+    first = len(positional) - len(function.args.defaults)
+    keyword_only = zip(function.args.kwonlyargs, function.args.kw_defaults)
+    return [(name, i - bound) for i, name in enumerate(positional) if i >= first] + [
+        (arg.arg, None) for arg, default in keyword_only if default is not None
+    ]
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether ``call`` passes the parameter ``name`` at ``position``, or may
+    (through ``*args`` or ``**kwargs``)."""
+    if any(keyword.arg in (None, name) for keyword in call.keywords):
+        return True
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return position is not None and (starred or len(call.args) > position)
+
+
+def test_every_defaulted_parameter_of_a_private_function_is_passed():
+    # A parameter with a default, of a private function or method, that no
+    # call in the package passes, by position or by keyword, is a knob no code
+    # turns. A function that is named other than as the callee of a call
+    # (given to partial() or map(), say) may be called any way; it is skipped.
+    calls, named_otherwise, functions = {}, set(), []
+    for path in sorted(Path(boxmetrics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        for call in found:
+            calls.setdefault(_name_of(call.func), []).append(call)
+        callees = set(map(id, (call.func for call in found)))
+        named_otherwise.update(
+            _name_of(node) for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in callees
+        )
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append((node, 0, _private(path.stem, node.name)))
+            for method in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(method, ast.FunctionDef):
+                    static = "staticmethod" in map(_name_of, method.decorator_list)
+                    private = _private(path.stem, node.name, method.name)
+                    functions.append((method, 0 if static else 1, private))
+    unused = [
+        f"{function.name}({name})"
+        for function, bound, private in functions
+        if private and not function.name.startswith("__")
+        and function.name not in named_otherwise
+        for name, position in _defaulted(function, bound)
+        if not any(_passes(call, name, position) for call in calls.get(function.name, ()))
+    ]
+    assert unused == []
+
+
 def _loaded(*argv: str) -> set[str]:
     """The modules a fresh process holds after running the CLI on ``argv``."""
     paths = [str(Path(boxmetrics.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]

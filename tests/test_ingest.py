@@ -1192,7 +1192,8 @@ _DOMAIN_FAULTS = [
     ("minutes", math.inf), ("minutes", -math.inf), ("minutes", 10**400), ("t2c", -1),
     ("fpr", -7), ("rd", True), ("tr", 2.5), ("a", "3"), ("bp", None), ("plus_minus", 1.5),
     ("plus_minus", "3"), ("plus_minus", True), ("starter", "true"), ("starter", 1),
-    ("starter", None),
+    ("starter", None), ("player_id", "a\udc80"), ("player_name", "\udc80"), ("team", "\ud800"),
+    ("game_id", "G01\udfff"),
 ]
 
 
@@ -1207,3 +1208,57 @@ def test_line_built_in_memory_reports_a_bad_field_as_the_parser_does(name, value
         BoxscoreLine(**{**fields, name: value})
     assert type(built.value) is ValueError
     assert str(parsed.value) == f"lines entry 2: {built.value}"
+
+
+# One bad field each, of a plain tuple given to Dataset(games, lines).
+_MEMORY_FAULTS = [
+    ("t2c", True), ("a", "3"), ("tr", 2.5), ("plus_minus", 1.5), ("plus_minus", True),
+    ("starter", 1), ("starter", None), ("player_id", 7), ("game_id", None), ("team", None),
+    ("player_id", "a\udc80"), ("player_name", "\udc80"),
+]
+
+
+@pytest.mark.parametrize("name,value", _MEMORY_FAULTS, ids=[f"{n}={v!r}" for n, v in _MEMORY_FAULTS])
+def test_dataset_built_in_memory_builds_a_plain_tuple_as_a_line(name, value):
+    season = parse_csv(GAMES_CSV, LINES_CSV)
+    fields = {**dict(zip(BoxscoreLine._fields, season.lines[1])), name: value}
+    with pytest.raises(ValueError) as built:
+        BoxscoreLine(**fields)
+    lines = [season.lines[0], tuple(fields.values()), *season.lines[2:]]
+    with pytest.raises(BadValueError) as memory:
+        Dataset(season.games, lines)
+    assert type(built.value) is ValueError
+    assert str(memory.value) == f"line 2: {built.value}"
+
+
+def test_dataset_built_in_memory_holds_a_plain_tuple_as_a_line():
+    season = parse_csv(GAMES_CSV, LINES_CSV)
+    rebuilt = Dataset(season.games, map(tuple, season.lines))
+    assert rebuilt == season and {*map(type, rebuilt.lines)} == {BoxscoreLine}
+
+
+@pytest.mark.parametrize("minutes", [None, [1]])
+def test_minutes_that_are_no_number_are_a_value_error(minutes):
+    with pytest.raises(ValueError) as raised:
+        BoxscoreLine("p1", "Arco", "MAD", "G01", minutes)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"minutes must be a number, got {minutes!r}"
+
+
+@pytest.mark.parametrize("record,field", [
+    *((make_line, field) for field in ("player_id", "player_name", "team", "game_id")),
+    *((make_game, field) for field in ("game_id", "competition", "home_team", "away_team")),
+])
+def test_a_record_built_with_a_text_utf8_cannot_encode_is_rejected(record, field):
+    with pytest.raises(ValueError) as raised:
+        record(**{field: "x\udc80"})
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == f"field {field!r} holds '\\udc80', which UTF-8 cannot encode"
+
+
+def test_a_dataset_whose_games_file_a_game_under_another_id_is_rejected():
+    season = parse_csv(GAMES_CSV, LINES_CSV)
+    games = {("x" if gid == "G01" else gid): game for gid, game in season.games.items()}
+    lines = [line._replace(game_id="x") if line.game_id == "G01" else line for line in season.lines]
+    with pytest.raises(BadValueError, match="game filed under 'x' has game_id 'G01'"):
+        Dataset(games, lines)
