@@ -45,6 +45,9 @@ from typing import IO, Iterable, Iterator, Mapping, NamedTuple, NoReturn, Sequen
 
 from .model import BoxscoreLine, GameMeta, _frozen, check_encodable, check_fields, check_types
 
+# What the readers take: a text or binary stream, or the whole text as str or bytes.
+_Text = IO | str | bytes
+
 GAMES_HEADER = (
     "game_id",
     "date",
@@ -166,6 +169,11 @@ class Dataset:
 
     def __post_init__(self, lines: Iterable[BoxscoreLine]) -> None:
         for key, game in self.games.items():
+            try:
+                # A game that is no GameMeta is built as one, by position.
+                game = self.games[key] = game if isinstance(game, GameMeta) else GameMeta._make(game)
+            except (TypeError, ValueError) as exc:
+                raise BadValueError(f"game filed under {key!r}: {exc}") from None
             if key != game.game_id:
                 raise BadValueError(f"game filed under {key!r} has game_id {game.game_id!r}")
         store, order = _read_lines(self.games, iter(lines), _memory_columns, "line", 1)
@@ -296,13 +304,13 @@ def _lines(store: dict) -> tuple[BoxscoreLine, ...]:
     return tuple(map(tuple.__new__, repeat(BoxscoreLine), _line_values(store, _FIELDS)))
 
 
-def _as_text(stream: IO | str) -> io.TextIOBase:
+def _as_text(stream: _Text) -> io.TextIOBase:
     """``stream`` as a text stream; bytes are decoded as UTF-8. Text is read
     as a file opened with ``newline=""`` is, so a row may end in ``\n``,
     ``\r\n`` or a lone ``\r``."""
     if isinstance(stream, io.TextIOBase):
         return stream
-    data = stream if isinstance(stream, str) else stream.read()
+    data = stream if isinstance(stream, (str, bytes)) else stream.read()
     return io.StringIO(data.decode("utf-8") if isinstance(data, bytes) else data, newline="")
 
 
@@ -481,7 +489,7 @@ def _read_rows(reader: Iterable[list[str]], what: str) -> Iterator[list[str]]:
         raise BadValueError(f"{what} row {read + 1}: {exc}") from None
 
 
-def _csv_rows(stream: IO | str, header: tuple[str, ...], what: str) -> tuple[Iterator, bool]:
+def _csv_rows(stream: _Text, header: tuple[str, ...], what: str) -> tuple[Iterator, bool]:
     """The rows after a CSV table's header, which must be exactly ``header``,
     and whether the lines table carries the optional points column."""
     rows = _read_rows(csv.reader(_as_text(stream)), what)
@@ -536,7 +544,7 @@ def _csv_columns(has_points: bool, block: list[list[str]]) -> tuple[list, list |
     return columns, _int_cells(cells[17], "points") if has_points else None
 
 
-def parse_csv(games_stream: IO | str, lines_stream: IO | str, *, source: str = "<stream>") -> Dataset:
+def parse_csv(games_stream: _Text, lines_stream: _Text, *, source: str = "<stream>") -> Dataset:
     """Parse and validate the two-file CSV layout into a dataset.
 
     Headers must match :data:`GAMES_HEADER` / :data:`LINES_HEADER` exactly
@@ -548,7 +556,7 @@ def parse_csv(games_stream: IO | str, lines_stream: IO | str, *, source: str = "
 
 
 def _parse_csv(
-    games_stream: IO | str, lines_stream: IO | str, provenance: Provenance, read_halves=None
+    games_stream: _Text, lines_stream: _Text, provenance: Provenance, read_halves=None
 ) -> Dataset:
     """:func:`parse_csv`, its lines read by ``read_halves`` when given."""
     games_rows, _ = _csv_rows(games_stream, GAMES_HEADER, "games")
@@ -657,17 +665,20 @@ def _json_columns(block: list) -> tuple[list, list | None]:
 def _memory_columns(block: list) -> tuple[list, None]:
     """:func:`_csv_columns` for lines given in memory; a line that is no
     :class:`~boxmetrics.model.BoxscoreLine` is built as one, by position."""
-    lines = [line if isinstance(line, BoxscoreLine) else BoxscoreLine._make(line) for line in block]
+    try:
+        lines = [line if isinstance(line, BoxscoreLine) else BoxscoreLine._make(line) for line in block]
+    except TypeError as exc:  # not the values of 5 to 22 fields
+        raise ValueError(f"cannot build a BoxscoreLine: {exc}") from None
     return list(zip(*lines)), None
 
 
-def parse_json(stream: IO | str, *, source: str = "<stream>") -> Dataset:
+def parse_json(stream: _Text, *, source: str = "<stream>") -> Dataset:
     """Parse a single JSON document mirroring the CSV layout one-to-one.
 
     Shape: ``{"games": [...], "lines": [...]}`` with the CSV column names as
     object fields. ``plus_minus`` may be ``null``; ``starter`` is a boolean.
     """
-    text = stream if isinstance(stream, str) else stream.read()
+    text = stream if isinstance(stream, (str, bytes)) else stream.read()
     if isinstance(text, bytes):
         # Decoded at once, then given the newlines a text-mode read gives, so
         # that JSON errors in a CRLF document name the same positions. A

@@ -8,6 +8,11 @@ sense as a comparison between players with similar means, which is what
 
 All functions are pure and operate on plain sequences of floats (or on
 :class:`~boxmetrics.model.MetricSeries`, whose values they read).
+
+Every spread is one computation, :func:`_squared_deviations`, on each sample
+over the power of two of its largest magnitude, with squares as products.
+So a power-of-two scale of the values, 2**-1000 included, scales means and
+sds exactly, and leaves regularity, r and Welch's t, df and p as they are.
 """
 
 from __future__ import annotations
@@ -15,7 +20,9 @@ from __future__ import annotations
 import math
 import sys
 from bisect import bisect_right, insort
-from itertools import groupby
+from itertools import groupby, repeat
+from math import frexp, ldexp
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from .distributions import normal_two_sided_p, student_t_two_sided_p
@@ -68,12 +75,11 @@ def left_sum(values: Iterable[float]) -> float:
     return total
 
 
-def _in_range(value: float, what: str) -> float:
-    """``value``, a result of finite inputs; one that overflowed, or a ratio
-    whose terms underflowed to 0/0, is a ValueError naming ``what``."""
-    if not math.isfinite(value):
+def _in_range(value: float, what: str, e: int = 0) -> float:
+    """``value`` * 2**e, a result of finite inputs; an overflow is a ValueError naming ``what``."""
+    if not math.isfinite(value) or value and frexp(value)[1] + e > sys.float_info.max_exp:
         raise ValueError(f"{what} is out of the float range")
-    return value
+    return ldexp(value, e)
 
 
 def mean(values: Sequence[float]) -> float:
@@ -82,34 +88,37 @@ def mean(values: Sequence[float]) -> float:
     return _in_range(left_sum(values), f"the sum of {len(values)} values") / len(values)
 
 
-def _squared_deviations(values: Sequence[float]) -> tuple[float, float]:
-    """(mean, sum of squared deviations from the mean) of ``values``."""
+def _squared_deviations(
+    values: Sequence[float], what: str = "the sum of {} squared deviations"
+) -> tuple[float, int, list[float], float]:
+    """(mean, k, deviations from it over 2**k, the sum of their squares) of ``values``, k
+    the ``frexp`` exponent of their largest magnitude. Equal values have their value as
+    mean and no spread, though the mean of 21 copies of 222 * 835.765 rounds. An unscaled
+    sum out of the float range is a ValueError naming ``what`` (given len(values))."""
     center = mean(values)
-    try:
-        spread = left_sum((v - center) ** 2 for v in values)
-    except OverflowError:
-        spread = math.inf
-    return center, _in_range(spread, f"the sum of {len(values)} squared deviations")
+    if all(v == values[0] for v in values):
+        center = values[0]
+    k = frexp(max(map(abs, values)))[1]
+    scaled = ldexp(center, -k)
+    deviations = [v - scaled for v in map(ldexp, values, repeat(-k))]
+    spread = left_sum(map(mul, deviations, deviations))
+    _in_range(spread, what.format(len(values)), 2 * k)
+    return center, k, deviations, spread
 
 
 def summarize(series: MetricSeries | Sequence[float]) -> SeriesSummary:
     """Summary statistics plus the regularity index for one series."""
     values = tuple(series.values if isinstance(series, MetricSeries) else series)
-    if not values:
-        raise TooFewSamplesError("cannot summarize an empty series")
     n = len(values)
-    center, spread = _squared_deviations(values)
-    # Equal values have no spread even when their mean rounds: 21 copies of
-    # 222 * 835.765 give a computed sample sd near 6e-11.
-    equal = all(v == values[0] for v in values)
-    sd = None if n < 2 else 0.0 if equal else math.sqrt(spread / (n - 1))
-    constant = equal or sd == 0.0
+    center, k, _, spread = _squared_deviations(values)
+    sd = None if n < 2 else math.sqrt(spread / (n - 1))
+    constant = spread == 0.0
     return SeriesSummary(
         n=n,
         mean=center,
-        sd_sample=sd,
-        sd_population=0.0 if equal else math.sqrt(spread / n),
-        regularity=None if constant else center / sd,
+        sd_sample=sd and ldexp(sd, k),
+        sd_population=ldexp(math.sqrt(spread / n), k),
+        regularity=None if constant else ldexp(center, -k) / sd,
         constant_series=constant,
     )
 
@@ -137,20 +146,12 @@ def _check_paired(x: Sequence[float], y: Sequence[float]) -> None:
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Sample Pearson correlation, clamped into [-1, 1]."""
     _check_paired(x, y)
-    mx = mean(x)
-    my = mean(y)
-    dx = [v - mx for v in x]
-    dy = [v - my for v in y]
-    ssx = left_sum(d * d for d in dx)
-    ssy = left_sum(d * d for d in dy)
+    what = "the product of pearson's sums of squares"
+    _, _, dx, ssx = _squared_deviations(x, what)
+    _, _, dy, ssy = _squared_deviations(y, what)
     if ssx == 0.0 or ssy == 0.0:
         raise ConstantInputError("pearson undefined for a constant input")
-    ss = ssx * ssy
-    if sys.float_info.min <= ss < math.inf or max(ssx, ssy) == math.inf:
-        root = math.sqrt(_in_range(ss, "the product of pearson's sums of squares"))
-    else:  # Only the product left the normal floats; r does not depend on scale.
-        root = math.sqrt(ssx) * math.sqrt(ssy)
-    r = left_sum(a * b for a, b in zip(dx, dy)) / root
+    r = left_sum(map(mul, dx, dy)) / math.sqrt(ssx * ssy)
     return max(-1.0, min(1.0, r))
 
 
@@ -272,31 +273,26 @@ def welch_test(
             f"welch test requires n >= 2 per group, got {len(a)} and {len(b)}"
         )
     n_a, n_b = len(a), len(b)
-    mean_a, spread_a = _squared_deviations(a)
-    mean_b, spread_b = _squared_deviations(b)
-    var_a = spread_a / (n_a - 1)
-    var_b = spread_b / (n_b - 1)
-    se_sq = var_a / n_a + var_b / n_b
-    if se_sq == 0.0:
-        diff = mean_a - mean_b
+    mean_a, k_a, _, spread_a = _squared_deviations(a)
+    mean_b, k_b, _, spread_b = _squared_deviations(b)
+    diff = mean_a - mean_b
+    if not (spread_a or spread_b):
         if diff == 0.0:
             t_stat, p, degenerate = 0.0, 1.0, False
         else:
             t_stat = math.inf if diff > 0 else -math.inf
             p, degenerate = 0.0, True
     else:
-        t_stat = _in_range((mean_a - mean_b) / math.sqrt(se_sq), "welch's t statistic")
-        try:
-            df = se_sq * se_sq / (
-                (var_a / n_a) ** 2 / (n_a - 1) + (var_b / n_b) ** 2 / (n_b - 1)
-            )
-        except (OverflowError, ZeroDivisionError):
-            df = math.inf
-        if not math.isfinite(df):
-            # The squares of the variance terms left the float range; each
-            # term's share of se_sq, in [0, 1], cannot.
-            w_a, w_b = var_a / n_a / se_sq, var_b / n_b / se_sq
-            df = 1.0 / (w_a * w_a / (n_a - 1) + w_b * w_b / (n_b - 1))
+        # Each variance term is over 2**(2k) of its own group. Over 2**j, j
+        # even, the larger is in [1/4, 1): no square underflows but a
+        # negligible one, and the root of 2**j is 2**(j/2).
+        terms = ((spread_a / (n_a - 1) / n_a, 2 * k_a), (spread_b / (n_b - 1) / n_b, 2 * k_b))
+        j = max(e + frexp(w)[1] for w, e in terms if w)
+        j += j % 2
+        w_a, w_b = (ldexp(w, e - j) for w, e in terms)
+        se_sq = w_a + w_b
+        t_stat = _in_range(diff / math.sqrt(se_sq), "welch's t statistic", -j // 2)
+        df = se_sq * se_sq / (w_a * w_a / (n_a - 1) + w_b * w_b / (n_b - 1))
         p = student_t_two_sided_p(t_stat, df)
         degenerate = False
     return SplitComparison(

@@ -371,15 +371,17 @@ def test_a_statistic_that_overflows_exits_2(
     assert not (tmp_path / "reports").exists()
 
 
-@pytest.mark.parametrize("scale", [1e100, 1e-85], ids=["large", "tiny"])
+@pytest.mark.parametrize("scale", [1e100, 1e-85, 1e-300], ids=["large", "tiny", "tinier"])
 @pytest.mark.parametrize(
     "argv, expected, tolerance",
     [
         # Pearson's sums of squares each fit a float; under 1e100 their
-        # product overflows, under 1e-85 it underflows to 0.
+        # product overflows, under 1e-85 it underflows to 0. Under 1e-300
+        # each unscaled squared deviation underflows to 0.
         (["correlate", "rend", "io", "--min-games", "1"], {"pearson": 0.9976236362972498},
          {"abs": 1e-12}),
-        # The squares of Welch's variance terms overflow or underflow to 0.
+        # The squares of Welch's variance terms overflow or underflow to 0;
+        # under 1e-300 so do the unscaled squared deviations.
         (["splits", "p1", "rend", "win_loss"],
          {"t_stat": -2.30622664078822, "p_value": 0.09214779417104008}, {"rel": 1e-9}),
     ],

@@ -11,14 +11,19 @@ index landed. Regenerate them only for an intended output change::
 from __future__ import annotations
 
 import builtins
+import functools
+import glob
 import hashlib
 import json
 import os
 import random
+import shutil
 import subprocess
 import sys
 from datetime import date, timedelta
 from pathlib import Path
+
+import pytest
 
 import boxmetrics
 from boxmetrics import BoxscoreLine, Dataset, GameMeta
@@ -98,11 +103,12 @@ def _write_inputs(name: str, directory: Path) -> list[str]:
     return ["--json", str(directory / "season.json")]
 
 
-def _run_cli_process(argv: list[str]) -> int:
-    """Exit code of ``python -m boxmetrics.cli`` run on ``argv`` in a new process."""
+def _run_cli_process(argv: list[str], python: str = sys.executable) -> int:
+    """Exit code of ``python -m boxmetrics.cli`` run on ``argv`` in a new
+    process of the interpreter ``python``."""
     paths = [str(Path(boxmetrics.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
-    cmd = [sys.executable, "-m", "boxmetrics.cli", *argv]
+    cmd = [python, "-m", "boxmetrics.cli", *argv]
     return subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, timeout=120).returncode
 
 
@@ -155,6 +161,37 @@ def test_cli_process_writes_the_golden_reports(tmp_path):
     # The console script and python -m run the CLI through run(), which
     # turns the cyclic garbage collector off for the process.
     _assert_golden(report_digests(tmp_path, _run_cli_process))
+
+
+def _interpreter(minor: int) -> str | None:
+    """A Python 3.``minor`` that runs, from pyenv's versions or ``PATH``.
+
+    A pyenv shim on ``PATH`` may name a version that it cannot start, so
+    each candidate is asked for its version first.
+    """
+    root = os.environ.get("PYENV_ROOT") or os.path.expanduser("~/.pyenv")
+    candidates = sorted(glob.glob(os.path.join(root, "versions", f"3.{minor}.*", "bin", "python3")))
+    candidates.append(shutil.which(f"python3.{minor}"))
+    probe = "import sys; print(*sys.version_info[:2])"
+    for python in filter(None, candidates):
+        try:
+            done = subprocess.run([python, "-c", probe], capture_output=True, text=True, timeout=30)
+        except OSError:
+            continue
+        if done.returncode == 0 and done.stdout.split() == ["3", str(minor)]:
+            return python
+    return None
+
+
+@pytest.mark.parametrize("minor", [10, 12, 13], ids=lambda minor: f"python3.{minor}")
+def test_every_installed_python_writes_the_golden_reports(tmp_path, minor):
+    # README promises the same report bytes on Python 3.10 to 3.13; the CLI
+    # needs only the standard library, so no test tooling is needed there.
+    python = _interpreter(minor)
+    if python is None:
+        pytest.skip(f"no Python 3.{minor} found on PATH or under pyenv")
+    print(f"report-all run by {python}")
+    _assert_golden(report_digests(tmp_path, functools.partial(_run_cli_process, python=python)))
 
 
 if __name__ == "__main__":

@@ -251,6 +251,20 @@ def test_every_defaulted_parameter_of_a_private_function_is_passed():
     assert unused == []
 
 
+def test_no_value_is_squared_with_the_power_operator():
+    # For a float, x ** 2 calls the C library's pow, which need not round
+    # correctly, so its last bits may differ between platforms; x * x is the
+    # correctly rounded square everywhere.
+    squares = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(boxmetrics.__file__).parent.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+        and isinstance(node.right, ast.Constant) and node.right.value == 2
+    ]
+    assert squares == []
+
+
 def _loaded(*argv: str) -> set[str]:
     """The modules a fresh process holds after running the CLI on ``argv``."""
     paths = [str(Path(boxmetrics.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]

@@ -227,7 +227,8 @@ def test_a_stream_that_decodes_loosely_has_its_texts_checked(table, errors):
         parse_csv(texts["games"], texts["lines"])
 
 
-@pytest.mark.parametrize("encode", [str, lambda text: io.BytesIO(text.encode("utf-8"))])
+# str.encode gives UTF-8 bytes.
+@pytest.mark.parametrize("encode", [str, str.encode, lambda text: io.BytesIO(text.encode("utf-8"))])
 def test_parse_csv_reads_every_line_end_as_the_same_season(encode):
     # Text is read as load_dataset reads a file, opened with newline="".
     season = build_season()
@@ -295,8 +296,9 @@ _SEASON_JSON = serialize_json(build_season()).encode("utf-8")
 ], ids=["crlf", "cr", "cr-in-string", "bom", "bad-utf-8", "crlf-valid", "lf", "lf-valid",
         "cr-valid", "crlf-late"])
 def test_load_dataset_reads_json_as_a_text_mode_read_does(tmp_path, data):
-    """A JSON file, the same bytes given to parse_json as a binary stream, and
-    the file read in text mode: the same dataset, or the same error."""
+    """A JSON file, the same bytes given to parse_json as bytes or as a binary
+    stream, and the file read in text mode: the same dataset, or the same
+    error."""
     path = tmp_path / "season.json"
     path.write_bytes(data)
 
@@ -307,6 +309,7 @@ def test_load_dataset_reads_json_as_a_text_mode_read_does(tmp_path, data):
     expected = _result_or_error(text_mode_read)
     assert _result_or_error(load_dataset, None, None, str(path)) == expected
     assert _result_or_error(parse_json, io.BytesIO(data)) == expected
+    assert _result_or_error(parse_json, data) == expected
 
 
 def test_parse_json_empty():
@@ -1235,6 +1238,30 @@ def test_dataset_built_in_memory_holds_a_plain_tuple_as_a_line():
     season = parse_csv(GAMES_CSV, LINES_CSV)
     rebuilt = Dataset(season.games, map(tuple, season.lines))
     assert rebuilt == season and {*map(type, rebuilt.lines)} == {BoxscoreLine}
+
+
+def test_dataset_built_in_memory_builds_a_plain_tuple_as_a_game():
+    season = parse_csv(GAMES_CSV, LINES_CSV)
+    rebuilt = Dataset({gid: tuple(game) for gid, game in season.games.items()}, season.lines)
+    assert rebuilt == season and {*map(type, rebuilt.games.values())} == {GameMeta}
+    games = {**season.games, "G01": tuple(season.games["G01"])[:4]}
+    with pytest.raises(BadValueError, match=r"^game filed under 'G01': .*'home_score'"):
+        Dataset(games, season.lines)
+    game = tuple(season.games["G01"])
+    games["G01"] = (*game[:3], game[4], *game[4:])
+    with pytest.raises(BadValueError) as raised:
+        Dataset(games, season.lines)
+    assert str(raised.value) == (
+        "game filed under 'G01': home_team and away_team must differ, got 'BCN'"
+    )
+
+
+@pytest.mark.parametrize("cut", [4, 23], ids=["short", "long"])
+def test_dataset_built_in_memory_names_a_tuple_that_is_no_line(cut):
+    season = parse_csv(GAMES_CSV, LINES_CSV)
+    fields = (tuple(season.lines[1]) + (0,))[:cut]
+    with pytest.raises(BadValueError, match=r"^line 2: cannot build a BoxscoreLine: "):
+        Dataset(season.games, [season.lines[0], fields, *season.lines[2:]])
 
 
 @pytest.mark.parametrize("minutes", [None, [1]])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +27,7 @@ from boxmetrics.stats import (
     left_sum,
     midranks,
 )
+from boxmetrics.distributions import student_t_two_sided_p
 from oracles import (
     direct_pearson,
     naive_kendall_tau,
@@ -379,6 +381,89 @@ def test_welch_test_at_any_scale_is_the_unscaled_one(scale):
     scaled = welch_test([scale * v for v in a], [scale * v for v in b])
     assert scaled.t_stat == pytest.approx(base.t_stat, rel=1e-9)
     assert scaled.p_value == pytest.approx(base.p_value, rel=1e-9)
+
+
+decimals = st.integers(-10**6, 10**6).map(lambda i: i / 1000)
+
+
+def _pearson_or_error(x: list[float], y: list[float]) -> float | type:
+    try:
+        return pearson(x, y)
+    except ConstantInputError as exc:
+        return type(exc)
+
+
+def _highest_scale(sample: list[float], summary) -> int:
+    """The largest j for which the sum of ``sample`` * 2**j and, for a spread, the sum
+    of its squared deviations fit a float."""
+    n_bits = len(sample).bit_length()
+    j = sys.float_info.max_exp - n_bits - max(math.frexp(v)[1] for v in sample)
+    if summary.sd_population:
+        j = min(j, (sys.float_info.max_exp - n_bits) // 2 - math.frexp(summary.sd_population)[1] - 1)
+    return j
+
+
+@settings(max_examples=200)
+@given(pairs=st.lists(st.tuples(decimals, decimals), min_size=3, max_size=20),
+       flat=st.sampled_from(["", "x", "y", "xy"]), j=st.integers(-1100, 1100))
+@example(pairs=[(1.5, 2.0), (2.25, 2.5), (3.0, 4.0)], flat="", j=-1000)
+@example(pairs=[(1.5, 2.0), (2.25, 2.5), (3.0, 4.0)], flat="x", j=1000)
+def test_statistics_under_a_power_of_two_scale_are_exact(pairs, flat, j):
+    # Multiplying by 2**j is exact wherever every value, mean and sd stays a
+    # normal float, so j is raised to the lowest such power: about -1000 for
+    # these values, where the squares of their deviations are subnormal. It
+    # is lowered to where the sums still fit: about 2**500 for a spread, and
+    # about 2**1000 for a constant sample, which has none.
+    xs, ys = map(list, zip(*pairs))
+    xs, ys = ([v[0]] * len(v) if name in flat else v for name, v in (("x", xs), ("y", ys)))
+    summaries = [summarize(xs), summarize(ys)]
+    kept = [*xs, *ys, *(s.mean for s in summaries), *(s.sd_sample for s in summaries)]
+    j = max(j, sys.float_info.min_exp - min((math.frexp(v)[1] for v in kept if v), default=0))
+    j = min(j, *(_highest_scale(v, s) for v, s in zip((xs, ys), summaries)))
+    x2, y2 = ([math.ldexp(v, j) for v in sample] for sample in (xs, ys))
+    for base, scaled in zip(summaries, (summarize(x2), summarize(y2))):
+        assert scaled.mean == math.ldexp(base.mean, j)
+        assert scaled.sd_sample == math.ldexp(base.sd_sample, j)
+        assert scaled.sd_population == math.ldexp(base.sd_population, j)
+        assert (scaled.regularity, scaled.constant_series) == (base.regularity, base.constant_series)
+    assert _pearson_or_error(x2, y2) == _pearson_or_error(xs, ys)
+    base, scaled = welch_test(xs, ys), welch_test(x2, y2)
+    assert (scaled.t_stat, scaled.p_value, scaled.degenerate) == (
+        base.t_stat, base.p_value, base.degenerate
+    )
+
+
+def test_equal_values_have_no_spread_at_any_scale():
+    # The squares of values beyond 2**512 would overflow; equal values have
+    # none, also where their mean rounds, as that of 21 copies of v does.
+    v = 222 * 835.765
+    assert summarize([2.0**600] * 2).constant_series
+    assert summarize([v * 2.0**560] * 21).constant_series
+    assert summarize([1e200]).sd_sample is None
+    for a, b in (([1e200] * 2, [1e200] * 2), ([v] * 21, [v] * 3)):
+        same = welch_test(a, b)
+        assert (same.t_stat, same.p_value, same.degenerate) == (0.0, 1.0, False)
+    for x in ([1e200] * 3, [v] * 21):
+        with pytest.raises(ConstantInputError):
+            pearson(x, list(range(len(x))))
+
+
+@pytest.mark.parametrize(
+    "a, b, t_stat",
+    [
+        # The square of the second group's variance term, 2.5e-201, underflows.
+        ([1.0, 1.0], [1e-100, 2e-100], 2e100),
+        # The second group's deviations are below 1e-162 of the first's values.
+        ([1.0, 1.0], [1e-170, 2e-170], 2e170),
+        ([2e300, 2e300], [5.0, 7.0], 2e300),
+    ],
+)
+def test_welch_test_of_a_constant_group_beside_a_spread_of_any_magnitude(a, b, t_stat):
+    # df is n_b - 1 = 1, so p is that of Student's t with one df.
+    result = welch_test(a, b)
+    assert result.t_stat == pytest.approx(t_stat, rel=1e-15)
+    assert result.p_value == student_t_two_sided_p(result.t_stat, 1.0)
+    assert not result.degenerate
 
 
 def test_welch_errors_and_degenerate_cases():
