@@ -9,6 +9,7 @@ ranges used for significance testing; no lookup tables anywhere.
 from __future__ import annotations
 
 import math
+import sys
 
 _MAX_ITERATIONS = 300
 _EPSILON = 1e-16
@@ -80,7 +81,13 @@ def student_t_two_sided_p(t: float, df: float) -> float:
     if t == 0.0:
         return 1.0
     x = df / (df + t * t)
-    return regularized_incomplete_beta(df / 2.0, 0.5, x)
+    if x >= sys.float_info.min:
+        return regularized_incomplete_beta(df / 2.0, 0.5, x)
+    # x is no normal float (t * t may overflow): I_x(a, 1/2) is its leading
+    # term x**a / (a * B(a, 1/2)) to double precision, in logs on the scale of t.
+    a = df / 2.0
+    log_x = math.log(df) - 2.0 * math.log(abs(t))
+    return math.exp(math.lgamma(a + 0.5) - math.lgamma(a) - math.lgamma(0.5) + a * log_x) / a
 
 
 def normal_two_sided_p(z: float) -> float:

@@ -641,9 +641,6 @@ def _json_columns(block: list) -> tuple[list, list | None]:
     if {*map(type, given)} - {int}:
         bad = next(value for value in given if type(value) is not int)
         raise BadValueError(f"field 'points' must be an integer, got {bad!r}")
-    if not {int, float}.issuperset(map(type, minutes)):
-        bad = next(value for value in minutes if type(value) not in (int, float))
-        raise BadValueError(f"field 'minutes' must be a number, got {bad!r}")
     check_types(cells)
     with suppress(OverflowError):
         # A too large int stays as it is, for check_fields to report.

@@ -122,15 +122,11 @@ class BoxscoreLine(_Checked, _LineFields):
     def __new__(cls, *args, **kwargs):
         line = _new_fields(cls, *args, **kwargs)
         minutes = line.minutes
-        if type(minutes) is float:
+        # Int minutes are stored as their float; __init__ reports any value
+        # that is no float, an int too large for one included.
+        if type(minutes) is not int or abs(minutes) >= _FLOAT_OVERFLOW:
             return line
-        # Minutes that float() accepts (say, an int) are stored as that float;
-        # __init__ reports any other value.
-        try:
-            minutes = float(minutes)
-        except (TypeError, ValueError, OverflowError):
-            return line
-        return _new_fields(cls, *line[:4], minutes, *line[5:])
+        return _new_fields(cls, *line[:4], float(minutes), *line[5:])
 
     def __init__(self, *args, **kwargs) -> None:
         # A line is checked as a block of one row, by the same rules the
@@ -159,6 +155,7 @@ _new_fields = _LineFields.__new__
 # Each count's position in a line, in the order its checks run.
 _COUNT_INDEX = tuple((name, _LineFields._fields.index(name)) for name in STAT_KEYS + ("tr",))
 _INT, _INT_OR_NONE, _BOOL, _FLOAT, _STR = {int}, {int, type(None)}, {bool}, {float}, {str}
+_NUMBER = {int, float}
 # The least int that float() cannot convert: every metric turns a count
 # into a float.
 _FLOAT_OVERFLOW = 2**1024 - 2**970
@@ -166,15 +163,20 @@ _FLOAT_OVERFLOW = 2**1024 - 2**970
 
 def check_types(columns: Sequence[Sequence]) -> None:
     """Raise ValueError for the first value of a wrong type in ``columns``, one
-    per line field: a count that is no int (a bool is none), a plus_minus that
-    is neither an int nor None, a starter that is no bool."""
-    plus_minus, starter = columns[20:22]
+    per line field: minutes that are no int or float (exact types, so a bool
+    is none), a count that is no int (a bool is none), a plus_minus that is
+    neither an int nor None, a starter that is no bool."""
+    minutes, plus_minus, starter = columns[4], *columns[20:22]
     if (
-        {*map(type, chain(*columns[5:20]))} == _INT
+        _NUMBER.issuperset(map(type, minutes))
+        and {*map(type, chain(*columns[5:20]))} == _INT
         and _INT_OR_NONE.issuperset(map(type, plus_minus))
         and {*map(type, starter)} == _BOOL
     ):
         return
+    for value in minutes:
+        if type(value) not in _NUMBER:
+            raise ValueError(f"field 'minutes' must be a number, got {value!r}")
     for name, index in _COUNT_INDEX:
         for value in columns[index]:
             if isinstance(value, bool) or not isinstance(value, int):
@@ -215,8 +217,6 @@ def check_fields(columns: Sequence[Sequence]) -> None:
             number = float(value)
         except OverflowError:
             raise ValueError(f"minutes must be finite, got {value!r}") from None
-        except TypeError:
-            raise ValueError(f"minutes must be a number, got {value!r}") from None
         if not math.isfinite(number):
             raise ValueError(f"minutes must be finite, got {number}")
         if number < 0:
@@ -260,8 +260,11 @@ class GameMeta(_Checked, _GameFields):
     __slots__ = ()
 
     def __init__(self, *args, **kwargs) -> None:
-        if not self.game_id:
+        if not (isinstance(self.game_id, str) and self.game_id):
             raise ValueError("game_id must be a non-empty string")
+        for name in ("competition", "home_team", "away_team"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
         if not isinstance(self.date, _date):
             raise ValueError(f"date must be a date, got {self.date!r}")
         if self.home_team == self.away_team:

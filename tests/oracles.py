@@ -141,18 +141,16 @@ def _naive_check_header(actual, expected: tuple, what: str) -> bool:
     raise BadValueError(f"{what} header: expected exactly {','.join(expected)}")
 
 
-def _naive_build_game(values: dict, where: str) -> GameMeta:
+def _naive_build_game(values: dict, where: str, parse_score) -> GameMeta:
+    """A game from its values, its scores read by ``parse_score``: the CSV
+    cell reading or the JSON one, so that a JSON score "80" is no score."""
     raw_date = values["date"]
     try:
         parsed_date = date.fromisoformat(str(raw_date))
     except ValueError:
         raise BadValueError(f"{where}: column 'date' must be ISO-8601, got {raw_date!r}")
-    if isinstance(values["home_score"], str):
-        home = _naive_parse_count(values["home_score"], "home_score", where)
-        away = _naive_parse_count(values["away_score"], "away_score", where)
-    else:
-        home = _naive_json_count(values["home_score"], "home_score", where)
-        away = _naive_json_count(values["away_score"], "away_score", where)
+    home = parse_score(values["home_score"], "home_score", where)
+    away = parse_score(values["away_score"], "away_score", where)
     if home == away:
         raise BadValueError(f"{where}: tied final score {home}-{away} is not a valid result")
     try:
@@ -244,7 +242,7 @@ def naive_parse_csv(games_text: str, lines_text: str, *, source: str = "<stream>
         if len(row) != len(GAMES_HEADER):
             raise BadValueError(f"{where}: expected {len(GAMES_HEADER)} fields, got {len(row)}")
         _naive_check_texts(dict(zip(GAMES_HEADER, row)), _GAME_TEXTS, where)
-        game = _naive_build_game(dict(zip(GAMES_HEADER, row)), where)
+        game = _naive_build_game(dict(zip(GAMES_HEADER, row)), where, _naive_parse_count)
         if game.game_id in games:
             raise DuplicateGameError(f"{where}: duplicate game_id {game.game_id!r}")
         games[game.game_id] = game
@@ -323,7 +321,7 @@ def naive_parse_json(text: str, *, source: str = "<stream>") -> Dataset:
         where = f"games entry {idx}"
         check_fields(entry, GAMES_HEADER, GAMES_HEADER, where)
         _naive_check_texts(entry, _GAME_TEXTS, where)
-        game = _naive_build_game(entry, where)
+        game = _naive_build_game(entry, where, _naive_json_count)
         if game.game_id in games:
             raise DuplicateGameError(f"{where}: duplicate game_id {game.game_id!r}")
         games[game.game_id] = game
@@ -590,6 +588,27 @@ def t_two_sided_p_quadrature(t: float, df: float, tol: float = 1e-13) -> float:
         return 1.0
     inner = _adaptive_simpson(lambda u: _t_pdf(u, df), 0.0, t, tol)
     return max(0.0, 1.0 - 2.0 * inner)
+
+
+def t_two_sided_p_one_df(t: float) -> float:
+    """P(|T| >= |t|) for one degree of freedom, the Cauchy law: (2/pi) atan(1/|t|)."""
+    return 2.0 / math.pi * math.atan(1.0 / abs(t))
+
+
+def t_two_sided_p_tail(t: float, df: float) -> float:
+    """The leading term of P(|T| >= |t|) at large |t|: the density tends to
+    c df**((df+1)/2) |u|**-(df+1), c = Gamma((df+1)/2) / (sqrt(df pi) Gamma(df/2)),
+    whose two tails hold 2 c df**((df-1)/2) |t|**-df, taken in logs. Its
+    relative error is of order df / t**2."""
+    log_p = (
+        math.log(2.0)
+        + math.lgamma((df + 1.0) / 2.0)
+        - math.lgamma(df / 2.0)
+        - 0.5 * math.log(df * math.pi)
+        + (df - 1.0) / 2.0 * math.log(df)
+        - df * math.log(abs(t))
+    )
+    return math.exp(log_p)
 
 
 def student_t_cdf(t: float, df: float) -> float:

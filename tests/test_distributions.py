@@ -14,7 +14,13 @@ from boxmetrics.distributions import (
     regularized_incomplete_beta,
     student_t_two_sided_p,
 )
-from oracles import normal_cdf, student_t_cdf, t_two_sided_p_quadrature
+from oracles import (
+    normal_cdf,
+    student_t_cdf,
+    t_two_sided_p_one_df,
+    t_two_sided_p_quadrature,
+    t_two_sided_p_tail,
+)
 
 DFS = (1.0, 2.0, 3.7, 8.0, 30.0, 219.0)
 TS = (0.0, 0.37, -0.5, 1.632993161855452, -2.0, 3.0, -5.5, 10.0, -25.0)
@@ -40,6 +46,18 @@ def test_t_two_sided_edges():
     assert student_t_two_sided_p(1e6, 4.0) < 1e-20
     with pytest.raises(ValueError):
         student_t_two_sided_p(1.0, 0.0)
+
+
+@pytest.mark.parametrize("t", (1.4e154, 1e155, 1e200, 1e300))
+def test_t_two_sided_p_where_t_squared_overflows(t):
+    # Past |t| of about 1.34e154, t * t is inf; SciPy's t.sf reads 0 there too.
+    for signed in (t, -t):
+        p = student_t_two_sided_p(signed, 1.0)
+        assert p > 0.0
+        assert p == pytest.approx(t_two_sided_p_one_df(t), rel=1e-12, abs=0.0)
+        assert student_t_two_sided_p(signed, 1.5) == pytest.approx(
+            t_two_sided_p_tail(t, 1.5), rel=1e-12, abs=0.0
+        )
 
 
 def test_incomplete_beta_bounds():

@@ -1191,7 +1191,8 @@ def test_dataset_built_in_memory_names_the_bad_line(fault, at):
 
 # One bad field each, as a JSON value and as a BoxscoreLine argument.
 _DOMAIN_FAULTS = [
-    ("player_id", ""), ("minutes", -1.5), ("minutes", -0.25), ("minutes", math.nan),
+    ("player_id", ""), ("minutes", True), ("minutes", "25"), ("minutes", None),
+    ("minutes", -1.5), ("minutes", -0.25), ("minutes", math.nan),
     ("minutes", math.inf), ("minutes", -math.inf), ("minutes", 10**400), ("t2c", -1),
     ("fpr", -7), ("rd", True), ("tr", 2.5), ("a", "3"), ("bp", None), ("plus_minus", 1.5),
     ("plus_minus", "3"), ("plus_minus", True), ("starter", "true"), ("starter", 1),
@@ -1215,6 +1216,7 @@ def test_line_built_in_memory_reports_a_bad_field_as_the_parser_does(name, value
 
 # One bad field each, of a plain tuple given to Dataset(games, lines).
 _MEMORY_FAULTS = [
+    ("minutes", True), ("minutes", "25"), ("minutes", None),
     ("t2c", True), ("a", "3"), ("tr", 2.5), ("plus_minus", 1.5), ("plus_minus", True),
     ("starter", 1), ("starter", None), ("player_id", 7), ("game_id", None), ("team", None),
     ("player_id", "a\udc80"), ("player_name", "\udc80"),
@@ -1269,7 +1271,7 @@ def test_minutes_that_are_no_number_are_a_value_error(minutes):
     with pytest.raises(ValueError) as raised:
         BoxscoreLine("p1", "Arco", "MAD", "G01", minutes)
     assert type(raised.value) is ValueError
-    assert str(raised.value) == f"minutes must be a number, got {minutes!r}"
+    assert str(raised.value) == f"field 'minutes' must be a number, got {minutes!r}"
 
 
 @pytest.mark.parametrize("record,field", [

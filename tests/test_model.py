@@ -254,6 +254,26 @@ def test_line_rejects_an_id_or_name_that_is_no_string(field, value, message):
         make_line()._replace(**{field: value})
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("game_id", 7, "game_id must be a non-empty string"),
+        ("competition", None, "competition must be a string, got None"),
+        ("competition", 7, "competition must be a string, got 7"),
+        ("home_team", b"MAD", "home_team must be a string, got b'MAD'"),
+        ("away_team", None, "away_team must be a string, got None"),
+    ],
+)
+def test_game_rejects_an_id_or_name_that_is_no_string(field, value, message):
+    # A None competition would otherwise build, and a competition split would
+    # then compare None with the other games' competitions; a competition of 7
+    # would be written as JSON that reads back as the competition "7".
+    with pytest.raises(ValueError) as raised:
+        make_game()._replace(**{field: value})
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == message
+
+
 def test_weight_overrides_are_checked_with_the_full_mapping():
     with pytest.raises(ValueError, match="^unknown statistic keys: zzz$"):
         WeightConfig.with_overrides({"A": 3.0, "ZZZ": "not a number"})

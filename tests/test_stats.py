@@ -33,6 +33,7 @@ from oracles import (
     naive_kendall_tau,
     pair_count_kendall,
     positional_midranks,
+    t_two_sided_p_one_df,
     t_two_sided_p_quadrature,
 )
 
@@ -463,6 +464,7 @@ def test_welch_test_of_a_constant_group_beside_a_spread_of_any_magnitude(a, b, t
     result = welch_test(a, b)
     assert result.t_stat == pytest.approx(t_stat, rel=1e-15)
     assert result.p_value == student_t_two_sided_p(result.t_stat, 1.0)
+    assert result.p_value == pytest.approx(t_two_sided_p_one_df(t_stat), rel=1e-12, abs=0.0)
     assert not result.degenerate
 
 
